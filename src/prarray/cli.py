@@ -7,7 +7,7 @@ witness), 2 = usage or input error.
 Structured output (--format json) is a single document with the fields
 command, inputs, params, verdicts, witnesses, counts and wall_time_s;
 identical invocations produce identical documents apart from the
-timing field.
+timing fields, wall_time_s and the elapsed_s of each verdict.
 """
 
 from __future__ import annotations
@@ -57,6 +57,15 @@ def _require_uniform(poly, r1, r2):
     return cls
 
 
+def _write_out(path, write):
+    """Open path for writing and hand the file to write(fh)."""
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            write(fh)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _report_doc(rep):
     return rep.to_kv()
 
@@ -100,8 +109,7 @@ class _Run:
         else:
             payload = "\n".join(self.text) + "\n"
         if args.out:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(payload)
+            _write_out(args.out, lambda fh: fh.write(payload))
         else:
             sys.stdout.write(payload)
 
@@ -121,8 +129,7 @@ def _cmd_construct(args):
     run.doc["counts"] = {"arrays": len(arrays), "exponent": cls.exponent}
     run.doc["arrays"] = [a.to_lines() for a in arrays]
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            write_arrays(fh, arrays, header)
+        _write_out(args.out, lambda fh: write_arrays(fh, arrays, header))
         run.text.append(f"wrote {len(arrays)} arrays to {args.out}")
         if args.format == "json":
             run.doc["wall_time_s"] = round(time.perf_counter() - run.started, 6)

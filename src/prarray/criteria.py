@@ -14,10 +14,12 @@ The decision procedures are exact:
 * ``setpoly_test``   -- does an irreducible f divide the set polynomial
   of the window positions?  Equivalently: are the powers of a root of f
   at those positions linearly independent over GF(2)?
-* ``det_test``       -- determinant criterion over several quotient
-  fields at once (works for products of irreducibles);
 * ``trace_independence_test`` -- the dual basis form of det_test for a
-  single irreducible polynomial;
+  single irreducible polynomial: the same rank computation as
+  ``setpoly_test``, reported two ways;
+* ``det_test``       -- determinant criterion over several quotient
+  fields at once (works for products of irreducibles); the trace-form
+  route, a different computation on the same window-cell elements;
 * ``sufficient_conditions``   -- the divisibility/distinct-residue
   conditions that guarantee a PRA/PRAC (sufficient, not necessary).
 """
@@ -28,11 +30,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .gf2field import FieldContext, bezout, crt_solve
+from .gf2field import bezout, crt_solve
 from .gf2poly import (
     BinaryPolynomial,
     InternalCheckError,
     _bit_reverse,
+    _powmod,
+    _trace_mask,
+    _x_order,
     classify,
     enumerate_irreducible,
     is_irreducible,
@@ -244,6 +249,26 @@ def _rank_with_kernel(vectors):
     return len(pivots), 0
 
 
+def _window_vectors(fb, positions):
+    """x^p mod fb for each position p: the window-cell field elements
+    that every rank test here ranks, as raw ints."""
+    return [_powmod(2, p, fb) for p in positions]
+
+
+def _cell_positions(params):
+    """Exponent i*nu*r2 + j*mu*r1 of beta^i * gamma^j at each window cell,
+    row-major, where mu*r1 + nu*r2 = 1."""
+    g, mu, nu = bezout(params.r1, params.r2)
+    if g != 1:
+        raise ValueError("r1 and r2 must be coprime")
+    e = params.r1 * params.r2
+    return [
+        (i * nu * params.r2 + j * mu * params.r1) % e
+        for i in range(params.n1)
+        for j in range(params.n2)
+    ]
+
+
 def setpoly_test(f, pos, exhaustive=False):
     """Does folding the sequences of irreducible f give a PRAC, by the
     set-polynomial divisibility criterion?
@@ -259,9 +284,7 @@ def setpoly_test(f, pos, exhaustive=False):
         raise ValueError(
             f"need {f.degree} positions for degree {f.degree}, got {len(positions)}"
         )
-    ctx = FieldContext(f)
-    alpha = ctx.alpha
-    vectors = [(alpha**p).bits for p in positions]
+    vectors = _window_vectors(f.bits, positions)
     rank, combo = _rank_with_kernel(vectors)
     passed = rank == len(positions)
     witness = None
@@ -295,16 +318,6 @@ def setpoly_test(f, pos, exhaustive=False):
     return VerdictReport("set-polynomial", passed, pos.params, witness, detail)
 
 
-def _root_powers(ctx, params, e):
-    g, mu, nu = bezout(params.r1, params.r2)
-    if g != 1:
-        raise ValueError("r1 and r2 must be coprime")
-    alpha = ctx.alpha
-    beta = alpha ** ((nu * params.r2) % e)
-    gamma = alpha ** ((mu * params.r1) % e)
-    return alpha, beta, gamma
-
-
 def det_test(factors, params):
     """Determinant criterion for folding the sequences of a product of
     distinct same-degree, same-exponent irreducible polynomials."""
@@ -324,14 +337,17 @@ def det_test(factors, params):
             f"k*n = {k * n} must equal n1*n2 = {params.window_area}"
         )
     e = params.r1 * params.r2
-    contexts = []
     for p in factors:
-        ctx = FieldContext(p)  # also checks irreducibility
-        if ctx.alpha.order() != e:
-            raise ValueError(f"factor {p} has exponent {ctx.alpha.order()}, need {e}")
-        contexts.append(ctx)
-    rows = _criterion_matrix(contexts, params, e)
-    rank, combo = _rank_with_kernel(_transpose_bits(rows, k * n))
+        if not is_irreducible(p):
+            raise ValueError(f"modulus {p} is not irreducible")
+        order = _x_order(p.bits)
+        if order != e:
+            raise ValueError(f"factor {p} has exponent {order}, need {e}")
+    positions = _cell_positions(params)
+    cols = []
+    for p in factors:
+        cols.extend(_trace_columns(p.bits, n, _window_vectors(p.bits, positions)))
+    rank, combo = _rank_with_kernel(cols)
     passed = rank == k * n
     witness = None
     if not passed:
@@ -350,45 +366,18 @@ def det_test(factors, params):
     )
 
 
-def _criterion_matrix(contexts, params, e):
-    """Rows indexed by window cell (i, j); bit (u*n + v) of a row is the
-    trace of alpha_u^v * beta_u^i * gamma_u^j in field u."""
-    n = contexts[0].n
-    per_field = []
-    for ctx in contexts:
-        alpha, beta, gamma = _root_powers(ctx, params, e)
-        apow = [ctx.one]
-        for _ in range(n - 1):
-            apow.append(apow[-1] * alpha)
-        bpow = [ctx.one]
-        for _ in range(params.n1 - 1):
-            bpow.append(bpow[-1] * beta)
-        gpow = [ctx.one]
-        for _ in range(params.n2 - 1):
-            gpow.append(gpow[-1] * gamma)
-        per_field.append((ctx, apow, bpow, gpow))
-    rows = []
-    for i in range(params.n1):
-        for j in range(params.n2):
-            row = 0
-            for u, (ctx, apow, bpow, gpow) in enumerate(per_field):
-                bg = bpow[i] * gpow[j]
-                mask = ctx.trace_mask()
-                for v in range(n):
-                    if ((apow[v] * bg).bits & mask).bit_count() & 1:
-                        row |= 1 << (u * n + v)
-            rows.append(row)
-    return rows
-
-
-def _transpose_bits(rows, width):
-    cols = [0] * width
-    for i, r in enumerate(rows):
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    return cols
+def _trace_columns(fb, n, vectors):
+    """Columns v = 0..n-1 of one factor: bit c of column v is
+    Tr(x^v * vectors[c]) in GF(2)[x]/(fb)."""
+    # bit k of seq is Tr(x^k); the trace sequence obeys f's recurrence
+    seq = _trace_mask(fb, n)
+    taps = fb ^ (1 << n)
+    for k in range(n, 2 * n - 1):
+        seq |= ((seq >> (k - n) & taps).bit_count() & 1) << k
+    return [
+        sum(((w & seq >> v).bit_count() & 1) << c for c, w in enumerate(vectors))
+        for v in range(n)
+    ]
 
 
 def trace_independence_test(f, params):
@@ -403,19 +392,10 @@ def trace_independence_test(f, params):
     if n != params.window_area:
         raise ValueError(f"degree {n} must equal n1*n2 = {params.window_area}")
     e = params.r1 * params.r2
-    ctx = FieldContext(f)
-    if ctx.alpha.order() != e:
-        raise ValueError(f"{f} has exponent {ctx.alpha.order()}, need {e}")
-    _, beta, gamma = _root_powers(ctx, params, e)
-    vectors = []
-    bp = ctx.one
-    for _ in range(params.n1):
-        gp = bp
-        for _ in range(params.n2):
-            vectors.append(gp.bits)
-            gp = gp * gamma
-        bp = bp * beta
-    rank, combo = _rank_with_kernel(vectors)
+    order = _x_order(f.bits)
+    if order != e:
+        raise ValueError(f"{f} has exponent {order}, need {e}")
+    rank, combo = _rank_with_kernel(_window_vectors(f.bits, _cell_positions(params)))
     passed = rank == n
     witness = None
     if not passed:
@@ -512,6 +492,8 @@ def conjecture_search(n1, n2, r1, r2, kmax):
     ``in_range`` records whether n1 < r1 < 2*n1; out-of-range searches
     are allowed but their failures are expected to be possible.
     """
+    if kmax < 1:
+        raise ValueError(f"kmax must be at least 1, got {kmax}")
     in_range = n1 < r1 < 2 * n1
     candidates = enumerate_irreducible(n1 * n2, r1 * r2)
     entries = []

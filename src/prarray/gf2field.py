@@ -15,11 +15,13 @@ import math
 
 from .gf2poly import (
     BinaryPolynomial,
-    _factorint,
+    _divmod,
     _mod,
     _mul,
     _mulmod,
+    _order,
     _square,
+    _trace_mask,
     is_irreducible,
 )
 
@@ -27,7 +29,7 @@ from .gf2poly import (
 class FieldContext:
     """The quotient field GF(2)[x]/(modulus) for an irreducible modulus."""
 
-    __slots__ = ("modulus", "n", "_trace_mask", "_order_primes")
+    __slots__ = ("modulus", "n")
 
     def __init__(self, modulus):
         if not isinstance(modulus, BinaryPolynomial):
@@ -36,8 +38,6 @@ class FieldContext:
             raise ValueError(f"modulus {modulus} is not irreducible")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "n", modulus.degree)
-        object.__setattr__(self, "_trace_mask", None)
-        object.__setattr__(self, "_order_primes", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldContext is immutable")
@@ -71,27 +71,7 @@ class FieldContext:
 
     def trace_mask(self):
         # bit m holds Tr(x^m); trace of any element is then one parity
-        mask = self._trace_mask
-        if mask is None:
-            fb = self.modulus.bits
-            mask = 0
-            for m in range(self.n):
-                acc = cur = _mod(1 << m, fb)
-                for _ in range(self.n - 1):
-                    cur = _mod(_square(cur), fb)
-                    acc ^= cur
-                if acc not in (0, 1):
-                    raise ValueError("trace landed outside GF(2)")
-                mask |= acc << m
-            object.__setattr__(self, "_trace_mask", mask)
-        return mask
-
-    def order_primes(self):
-        primes = self._order_primes
-        if primes is None:
-            primes = tuple(sorted(_factorint((1 << self.n) - 1)))
-            object.__setattr__(self, "_order_primes", primes)
-        return primes
+        return _trace_mask(self.modulus.bits, self.n)
 
 
 class FieldElement:
@@ -140,7 +120,7 @@ class FieldElement:
         a, b = self.bits, self.ctx.modulus.bits
         s0, s1 = 1, 0
         while b:
-            q, r = _poly_divmod(a, b)
+            q, r = _divmod(a, b)
             a, b = b, r
             s0, s1 = s1, s0 ^ _mul(q, s1)
         if a != 1:
@@ -166,11 +146,7 @@ class FieldElement:
         """Least t >= 1 with self^t = 1; divides 2^n - 1."""
         if self.bits == 0:
             raise ValueError("the zero element has no multiplicative order")
-        t = (1 << self.ctx.n) - 1
-        for p in self.ctx.order_primes():
-            while t % p == 0 and (self ** (t // p)).bits == 1:
-                t //= p
-        return t
+        return _order(self.bits, self.ctx.modulus.bits)
 
     def trace(self):
         """Sum of Frobenius conjugates, as a GF(2) bit."""
@@ -205,18 +181,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"FieldElement({self})"
-
-
-def _poly_divmod(a, b):
-    db = b.bit_length()
-    q = 0
-    da = a.bit_length()
-    while da >= db:
-        s = da - db
-        q |= 1 << s
-        a ^= b << s
-        da = a.bit_length()
-    return q, a
 
 
 def bezout(a, b):

@@ -458,8 +458,47 @@ def _berlekamp_squarefree(fb):
     return factors
 
 
+# 2^n - 1 is factored only up to this degree: at n = 128 that takes up
+# to ~1.5 s.  Past degree 64 the factoring mostly needs sympy, so there
+# orders up to _EXPONENT_CAP, which include the exponent of every
+# enumerated polynomial, are first sought by stepping.
+_ORDER_DEGREE_CAP = 128
+_EXPONENT_CAP = 65535
+
+
+def _order(a, fb):
+    """Least t >= 1 with a^t = 1 mod the irreducible fb, for a nonzero
+    mod fb: strip prime factors from 2^n - 1, which t divides."""
+    t = (1 << _degree(fb)) - 1
+    for q in _factorint(t):
+        while t % q == 0 and _powmod(a, t // q, fb) == 1:
+            t //= q
+    return t
+
+
+def _x_order(pb):
+    """Order of x modulo the irreducible pb; refused above degree
+    _ORDER_DEGREE_CAP unless it is at most _EXPONENT_CAP."""
+    n = _degree(pb)
+    if n > 64:
+        cur = 2
+        for t in range(1, _EXPONENT_CAP + 1):
+            if cur == 1:
+                return t
+            cur <<= 1
+            if cur >> n:
+                cur ^= pb
+        if n > _ORDER_DEGREE_CAP:
+            raise ValueError(
+                f"above degree {_ORDER_DEGREE_CAP}, only exponents up to "
+                f"{_EXPONENT_CAP} are supported (factor of degree {n})"
+            )
+    return _order(2, pb)
+
+
 def exponent(f):
-    """Least e with f | x^e - 1, for squarefree f with f(0) = 1."""
+    """Least e with f | x^e - 1, for squarefree f with f(0) = 1: the lcm
+    of the orders of x modulo the irreducible factors of f."""
     if f.degree < 1:
         raise ValueError("exponent needs degree >= 1")
     if f.constant_term == 0:
@@ -467,21 +506,7 @@ def exponent(f):
     facs = _factor_int(f.bits)
     if len(set(facs)) != len(facs):
         raise ValueError("exponent is only supported for squarefree polynomials")
-    span = math.lcm(*(_degree(p) for p in facs))
-    if span <= 64:
-        # the exponent divides 2^span - 1; scan divisors in increasing order
-        for d in _divisors((1 << span) - 1):
-            if _powmod(2, d, f.bits) == 1:
-                return d
-        raise InternalCheckError("order of x not found among divisors")
-    # fallback beyond the factorization cap: incremental order search
-    p = _mod(2, f.bits)
-    cur = p
-    k = 1
-    while cur != 1:
-        cur = _mod(cur << 1, f.bits)
-        k += 1
-    return k
+    return math.lcm(*(_x_order(p) for p in facs))
 
 
 class PolynomialClass:
@@ -587,6 +612,19 @@ def _trace_map(hb, fb, n):
     return acc
 
 
+@functools.lru_cache(maxsize=1024)
+def _trace_mask(fb, n):
+    """Bit m holds Tr(x^m) in GF(2)[x]/(fb) for m < n, so the trace of
+    an element is the parity of its bits under the mask."""
+    mask = 0
+    for m in range(n):
+        t = _trace_map(_mod(1 << m, fb), fb, n)
+        if t not in (0, 1):
+            raise ValueError("trace landed outside GF(2)")
+        mask |= t << m
+    return mask
+
+
 def _split_equal_degree(fb, n, e):
     """Split a squarefree product of degree-n irreducibles (factors of
     the e-th cyclotomic polynomial) into its irreducible factors."""
@@ -615,11 +653,14 @@ def enumerate_irreducible(degree, exponent_value):
     """All irreducible polynomials with the given degree and exponent.
 
     Empty unless degree == ord2(exponent): the degree of an irreducible
-    polynomial is determined by its exponent.
+    polynomial is determined by its exponent.  Exponents above 65535
+    are refused.
     """
     e = exponent_value
     if e < 1 or e % 2 == 0:
         raise ValueError("exponent must be odd and positive")
+    if e > _EXPONENT_CAP:
+        raise ValueError(f"exponent {e} is above the supported {_EXPONENT_CAP}")
     if degree != ord2(e):
         return []
     if e == 1:

@@ -220,7 +220,9 @@ def test_criterion_08_classification_sweep():
 
 
 def test_criterion_09_three_way_agreement():
-    with criterion(9, "set-polynomial, trace and census verdicts agree (degree <= 14)", 300.0):
+    with criterion(
+        9, "set-polynomial, trace, determinant and census verdicts agree (degree <= 14)", 300.0
+    ):
         combos = 0
         for d in range(2, 15):
             for bits in range(1 << d | 1, 1 << (d + 1), 2):
@@ -244,13 +246,14 @@ def test_criterion_09_three_way_agreement():
                 for params in cases:
                     sp = setpoly_test(f, window_positions(params)).passed
                     tr = trace_independence_test(f, params).passed
+                    dt = det_test([f], params).passed
                     key = (params.r1, params.r2)
                     if key not in folded:
                         folded[key] = fold_zero_factor(zf, *key)
                     ce = window_census(
                         folded[key], params.n1, params.n2, params
                     ).passed
-                    assert sp == tr == ce, (f, params)
+                    assert sp == tr == dt == ce, (f, params)
                     combos += 1
         assert combos > 40000, combos
 

@@ -1,4 +1,7 @@
 import json
+from time import perf_counter
+
+import pytest
 
 from prarray.cli import main
 
@@ -208,3 +211,41 @@ class TestErrorsAndDeterminism:
             return json.dumps(d, sort_keys=True)
 
         assert doc() == doc()
+
+
+class TestRefusedInputs:
+    def test_unwritable_out(self, tmp_path, capsys):
+        blocked = tmp_path / "file.txt"
+        blocked.write_text("")
+        out = str(blocked / "x.txt")
+        for argv in (
+            ["construct", "--poly", "x^4+x+1", "--r1", "3", "--r2", "5"],
+            ["vee", "--f1", "x^4+x+1", "--f2", "x^3+x+1"],
+        ):
+            code, _, err = run(capsys, *argv, "--out", out)
+            assert code == 2 and err.startswith("error: cannot write"), argv
+
+    @pytest.mark.parametrize("kmax", ["0", "-5"])
+    def test_conjecture_kmax_below_one(self, capsys, kmax):
+        code, _, err = run(
+            capsys, "conjecture", "--n1", "2", "--n2", "3",
+            "--r1", "3", "--r2", "7", "--kmax", kmax,
+        )
+        assert code == 2 and "kmax" in err
+
+    def test_exponent_above_cap(self, capsys):
+        for argv in (
+            ["enumerate", "--degree", "40", "--exponent", "1000000000039"],
+            ["conjecture", "--n1", "2", "--n2", "3", "--r1", "1000003", "--r2", "1000033"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "65535" in err, argv
+
+    def test_degree67_exponent_mismatch_is_prompt(self, capsys):
+        started = perf_counter()
+        code, _, err = run(
+            capsys, "check-fold", "--poly", "x^67+x^5+x^2+x+1",
+            "--r1", "7", "--r2", "13", "--n1", "3", "--n2", "4",
+        )
+        assert code == 2 and str((1 << 67) - 1) in err
+        assert perf_counter() - started < 2.0

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prarray.criteria import (
     classify_construction,
@@ -11,8 +15,10 @@ from prarray.criteria import (
     window_positions,
 )
 from prarray.folding import CodeParams, fold_zero_factor
+from prarray.gf2field import FieldContext
 from prarray.gf2poly import (
     BinaryPolynomial,
+    _divisors,
     count_irreducible_with_exponent,
     exponent,
     is_irreducible,
@@ -166,6 +172,58 @@ class TestDeterminant:
             det_test([P("x^12+x^10+x^9+x+1")], CodeParams(7, 13, 3, 3))
 
 
+def _gf2_rank(vectors):
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)  # clears the leading bit of b in v
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+class TestDeterminantReference:
+    """det_test against a trace matrix built from FieldElement arithmetic."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rank_matches_field_trace_matrix(self, data):
+        d = data.draw(st.integers(2, 10))
+        f = BinaryPolynomial(data.draw(st.integers(1 << d, (1 << (d + 1)) - 1)) | 1)
+        assume(is_irreducible(f))
+        e = exponent(f)
+        cases = [
+            CodeParams(r1, e // r1, n1, d // n1)
+            for r1 in _divisors(e)
+            for n1 in _divisors(d)
+            if math.gcd(r1, e // r1) == 1
+        ]
+        cases = [p for p in cases if p.violation() is None]
+        assume(cases)
+        params = data.draw(st.sampled_from(cases))
+        rep = det_test([f], params)
+
+        alpha = FieldContext(f).alpha
+        cells = [alpha**p for p in window_positions(params).positions]
+        cols = [
+            sum(((alpha**v) * w).trace() << c for c, w in enumerate(cells))
+            for v in range(d)
+        ]
+        assert rep.passed == (_gf2_rank(cols) == d)
+        if rep.passed:
+            assert rep.detail["rank"] == d
+        else:
+            # the witness names dependent columns; the columns before
+            # the last of them are independent
+            named = rep.witness.message.split(": ")[1].split()
+            idx = [int(t.strip("()").split(",")[1]) for t in named]
+            acc = 0
+            for i in idx:
+                acc ^= cols[i]
+            assert acc == 0
+            assert rep.detail["rank"] == max(idx) == _gf2_rank(cols[: max(idx)])
+
+
 class TestTraceIndependence:
     def test_pass(self):
         assert trace_independence_test(P("x^12+x^10+x^9+x+1"), CodeParams(7, 13, 3, 4)).passed
@@ -306,10 +364,6 @@ class TestConjectureSearch:
 class TestThreeWayAgreement:
     @staticmethod
     def _check_poly(f):
-        import math
-
-        from prarray.gf2poly import _divisors
-
         degree = f.degree
         e = exponent(f)
         zf = None
@@ -323,12 +377,13 @@ class TestThreeWayAgreement:
                     continue
                 sp = setpoly_test(f, window_positions(params)).passed
                 tr = trace_independence_test(f, params).passed
+                dt = det_test([f], params).passed
                 if zf is None:
                     zf = zero_factor(f)
                 ce = window_census(
                     fold_zero_factor(zf, r1, r2), params.n1, params.n2, params
                 ).passed
-                assert sp == tr == ce, (f, params)
+                assert sp == tr == dt == ce, (f, params)
 
     @pytest.mark.parametrize("degree", [6, 8, 9])
     def test_small_degrees(self, degree):

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prarray.gf2poly import (
     ONE,
+    X,
     BinaryPolynomial,
     ParseError,
     classify,
@@ -206,6 +209,32 @@ class TestExponent:
                 continue
             assert ((1 << f.degree) - 1) % exponent(f) == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, (1 << 11) - 1))
+    def test_matches_least_period_of_x(self, bits):
+        # degree <= 10, squarefree, f(0) = 1: walk x^e until it is 1 mod f
+        f = BinaryPolynomial(bits | 1)
+        facs = factor(f)
+        assume(len(set(facs)) == len(facs))
+        cur, e = X % f, 1
+        while cur != ONE:
+            cur = (cur * X) % f
+            e += 1
+        assert exponent(f) == e
+
+    def test_degree67_primitive(self):
+        assert exponent(P("x^67+x^5+x^2+x+1")) == (1 << 67) - 1
+
+    def test_above_degree_cap_small_order(self):
+        # x^130+...+x+1 is irreducible because 2 is primitive mod 131
+        assert exponent(BinaryPolynomial((1 << 131) - 1)) == 131
+
+    def test_above_degree_cap_large_order_refused(self):
+        f = P("x^129+x^5+1")
+        assert is_irreducible(f)
+        with pytest.raises(ValueError, match="degree 128"):
+            exponent(f)
+
 
 class TestClassify:
     def test_primitive(self):
@@ -271,6 +300,11 @@ class TestCounting:
 
     def test_enumerate_wrong_degree_is_empty(self):
         assert enumerate_irreducible(3, 5) == []
+
+    def test_enumerate_exponent_cap(self):
+        for degree, e in ((40, 1000000000039), (16, 65537)):
+            with pytest.raises(ValueError, match="65535"):
+                enumerate_irreducible(degree, e)
 
     def test_enumerate_members_have_degree_and_exponent(self):
         for e in range(3, 128, 2):
