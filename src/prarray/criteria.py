@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .gf2field import bezout, crt_solve
+from .gf2field import bezout
 from .gf2poly import (
     BinaryPolynomial,
     InternalCheckError,
@@ -220,11 +220,7 @@ def vee(f1, f2):
 
 def window_positions(params):
     """CRT images of the upper-left n1 x n2 window cells, row-major."""
-    pos = tuple(
-        crt_solve(i, j, params.r1, params.r2)
-        for i in range(params.n1)
-        for j in range(params.n2)
-    )
+    pos = tuple(_cell_positions(params))
     if len(set(pos)) != len(pos):
         raise InternalCheckError("window positions collide")
     return PositionSet(params, pos)
@@ -232,8 +228,10 @@ def window_positions(params):
 
 def _rank_with_kernel(vectors):
     """(rank, kernel_combination) of GF(2) vectors; the combination is a
-    bitmask over the input indices witnessing a dependency, or 0."""
+    bitmask over the input indices witnessing the first dependency (the
+    least index whose vector lies in the span of the earlier ones), or 0."""
     pivots = {}
+    first = 0
     for idx, v in enumerate(vectors):
         combo = 1 << idx
         while v:
@@ -245,8 +243,8 @@ def _rank_with_kernel(vectors):
             v ^= pv
             combo ^= pc
         else:
-            return len(pivots), combo
-    return len(pivots), 0
+            first = first or combo
+    return len(pivots), first
 
 
 def _window_vectors(fb, positions):
@@ -257,10 +255,13 @@ def _window_vectors(fb, positions):
 
 def _cell_positions(params):
     """Exponent i*nu*r2 + j*mu*r1 of beta^i * gamma^j at each window cell,
-    row-major, where mu*r1 + nu*r2 = 1."""
+    row-major, where mu*r1 + nu*r2 = 1: the k with k = i mod r1 and
+    k = j mod r2."""
     g, mu, nu = bezout(params.r1, params.r2)
     if g != 1:
         raise ValueError("r1 and r2 must be coprime")
+    if params.n1 > params.r1 or params.n2 > params.r2:
+        raise ValueError("residues out of range")
     e = params.r1 * params.r2
     return [
         (i * nu * params.r2 + j * mu * params.r1) % e

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lfsr import CyclicSequence
+from .lfsr import CyclicSequence, _pack_rows, _unpack_rows
 
 
 @dataclass(frozen=True)
@@ -190,45 +190,38 @@ class TorusArray:
     def row(self, i):
         return CyclicSequence(self.rows[i % self.r1], self.r2)
 
-    def grid(self):
-        """The array as a numpy uint8 grid (fresh copy)."""
-        nbytes = (self.r2 + 7) // 8
-        raw = np.frombuffer(
-            b"".join(r.to_bytes(nbytes, "little") for r in self.rows), dtype=np.uint8
-        ).reshape(self.r1, nbytes)
-        return np.unpackbits(raw, axis=1, bitorder="little")[:, : self.r2]
-
 
 @functools.lru_cache(maxsize=256)
 def _fold_indices(r1, r2):
+    """Sequence index k = CRT(i, j) of each cell (i, j), row-major."""
     k = np.arange(r1 * r2)
-    return k % r1, k % r2
+    perm = np.empty_like(k)
+    perm[(k % r1) * r2 + k % r2] = k
+    return perm
+
+
+def _fold_bits(bits, r1, r2):
+    """Fold an (m, r1*r2) bit matrix of sequences into m arrays at once."""
+    if math.gcd(r1, r2) != 1:
+        raise ValueError(f"fold needs coprime dimensions, got {r1} and {r2}")
+    m = bits.shape[0]
+    rows = _pack_rows(bits[:, _fold_indices(r1, r2)].reshape(m * r1, r2))
+    return tuple(TorusArray(rows[i : i + r1], r2) for i in range(0, m * r1, r1))
+
+
+def _grids_from_arrays(arrays):
+    """(m, r1, r2) uint8 grids of m arrays that share one shape."""
+    r1, r2 = arrays[0].r1, arrays[0].r2
+    rows = [r for a in arrays for r in a.rows]
+    return _unpack_rows(rows, r2).reshape(-1, r1, r2)
 
 
 def fold(seq, r1, r2):
     """Fold a length r1*r2 sequence along the southeast diagonal."""
-    if math.gcd(r1, r2) != 1:
-        raise ValueError(f"fold needs coprime dimensions, got {r1} and {r2}")
     ell = r1 * r2
     if len(seq) != ell:
         raise ValueError(f"sequence length {len(seq)} != r1*r2 = {ell}")
-    if ell >= 512:
-        rows_idx, cols_idx = _fold_indices(r1, r2)
-        raw = np.frombuffer(
-            seq.bits.to_bytes((ell + 7) // 8, "little"), dtype=np.uint8
-        )
-        bits = np.unpackbits(raw, bitorder="little")[:ell]
-        grid = np.zeros((r1, r2), dtype=np.uint8)
-        grid[rows_idx, cols_idx] = bits
-        packed = np.packbits(grid, axis=1, bitorder="little")
-        rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(r1)]
-    else:
-        rows = [0] * r1
-        b = seq.bits
-        for k in range(ell):
-            if b >> k & 1:
-                rows[k % r1] |= 1 << (k % r2)
-    return TorusArray(rows, r2)
+    return _fold_bits(_unpack_rows([seq.bits], ell), r1, r2)[0]
 
 
 def unfold(arr):
@@ -248,9 +241,7 @@ def fold_zero_factor(zf, r1, r2):
         raise ValueError(
             f"zero factor exponent {zf.exponent} != r1*r2 = {r1 * r2}"
         )
-    if math.gcd(r1, r2) != 1:
-        raise ValueError(f"fold needs coprime dimensions, got {r1} and {r2}")
-    return tuple(fold(c, r1, r2) for c in zf.cycles)
+    return _fold_bits(_unpack_rows([c.bits for c in zf.cycles], zf.exponent), r1, r2)
 
 
 def write_arrays(stream, arrays, header=None):

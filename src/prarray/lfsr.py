@@ -3,6 +3,13 @@
 A characteristic polynomial ``c(x) = 1 + c_1 x + ... + c_n x^n`` drives
 the recursion ``a_k = c_1 a_{k-1} + ... + c_n a_{k-n}`` over GF(2).
 Sequence bits are packed into an integer with ``a_0`` at bit 0.
+
+Batched form: ``zero_factor``, the folds and the window census handle
+a whole code at once as a uint8 bit matrix, one row per cycle (or per
+array row), column k holding bit k; ``_unpack_rows`` and
+``_pack_rows`` convert between it and packed integers.
+``zero_factor`` fills that matrix for all cycles in numpy blocks by
+doubling, without a per-state Python walk.
 """
 
 from __future__ import annotations
@@ -182,7 +189,42 @@ def generate(f, seed, length):
     return CyclicSequence(bits, length)
 
 
-_STATE_TABLE_LIMIT = 20  # successor tables above 2^20 states cost too much memory
+_BLOCK_STATES = 1 << 20  # register states generated per numpy block
+
+
+def _unpack_rows(ints, width):
+    """(len(ints), width) uint8 bit matrix; bit k of ints[i] is column k
+    of row i.  The batched form of cycles and array rows."""
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in ints), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
+
+
+def _pack_rows(bits):
+    """Inverse of ``_unpack_rows``: each row of a 2-D 0/1 matrix as an int."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    nbytes = packed.shape[1]
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+
+
+def _linear_tables(images):
+    """8-bit lookup tables of the GF(2)-linear map sending bit i to images[i]."""
+    tables = []
+    for lo in range(0, len(images), 8):
+        t = np.zeros(1, dtype=np.uint32)
+        for img in images[lo : lo + 8]:
+            t = np.concatenate([t, t ^ img])
+        tables.append(t)
+    return tables
+
+
+def _apply_tables(tables, states):
+    """The map of ``_linear_tables`` applied to an array of uint32 states."""
+    out = tables[0][states & 0xFF]
+    for c, t in enumerate(tables[1:], 1):
+        out ^= t[(states >> (8 * c)) & 0xFF]
+    return out
 
 
 def zero_factor(f):
@@ -191,6 +233,13 @@ def zero_factor(f):
     Requires a uniform exponent (irreducible, or a product of distinct
     irreducibles sharing one degree and exponent); every cycle then has
     least period equal to the exponent.
+
+    Cycles come in order of their least state, each starting there (a
+    state's bit 0 is the first output bit).  They are generated in
+    numpy blocks: a block seeds one row per candidate state (the next
+    unseen states, no more than cycles still missing), fills columns
+    [L, 2L) by applying M^L to columns [0, L) for the step map M, and
+    keeps the rows whose seed is the row minimum.
     """
     cls = classify(f)
     if not cls.is_uniform:
@@ -199,40 +248,52 @@ def zero_factor(f):
     if n > 24:
         raise ValueError("zero factor enumeration is capped at degree 24")
     e = cls.exponent
-    taps = _taps(f)
-    size = 1 << n
-    top = n - 1
-    if n <= _STATE_TABLE_LIMIT:
-        states = np.arange(size, dtype=np.uint32)
-        fb = (np.bitwise_count(states & np.uint32(taps)) & 1).astype(np.uint32)
-        nxt = ((states >> 1) | (fb << np.uint32(top))).tolist()
-        step = nxt.__getitem__
-    else:
-        def step(s):
-            return (s >> 1) | (((s & taps).bit_count() & 1) << top)
+    taps = np.uint32(_taps(f))
+    top = np.uint32(n - 1)
 
-    seen = bytearray(size)
-    cycles = []
-    for s0 in range(1, size):
-        if seen[s0]:
-            continue
-        s = s0
-        bits = 0
-        k = 0
-        while not seen[s]:
-            seen[s] = 1
-            bits |= (s & 1) << k
-            k += 1
-            s = step(s)
-        if s != s0:
+    def step(s):
+        return (s >> 1) | ((np.bitwise_count(s & taps) & 1).astype(np.uint32) << top)
+
+    # tables of M^1, M^2, M^4, ... as far as the doubling needs
+    images = step(np.uint32(1) << np.arange(n, dtype=np.uint32))
+    powers = []
+    while (1 << len(powers)) < e:
+        powers.append(_linear_tables(images))
+        images = _apply_tables(powers[-1], images)
+
+    count = ((1 << n) - 1) // e
+    seen = np.zeros(1 << n, dtype=bool)
+    seen[0] = True
+    blocks = []
+    found = 0
+    lo = 1
+    while found < count:
+        want = min(count - found, max(1, _BLOCK_STATES // e))
+        span = 4 * want
+        seeds = np.flatnonzero(~seen[lo : lo + span])[:want]
+        while seeds.size < want and lo + span < seen.size:
+            span *= 4
+            seeds = np.flatnonzero(~seen[lo : lo + span])[:want]
+        seeds += lo
+        states = np.empty((seeds.size, e), dtype=np.uint32)
+        states[:, 0] = seeds
+        for level, tables in enumerate(powers):
+            done = 1 << level
+            width = min(done, e - done)
+            states[:, done : done + width] = _apply_tables(tables, states[:, :width])
+        states = states[states[:, 0] == states.min(axis=1)]
+        if (step(states[:, -1]) != states[:, 0]).any():
             raise InternalCheckError("state walk left a cycle mid-way")
-        seq = CyclicSequence(bits, k)
-        if k != e or seq.least_period != e:
-            raise InternalCheckError(
-                f"cycle period {seq.least_period} differs from exponent {e}"
-            )
-        cycles.append(seq)
-    return ZeroFactor(f, e, tuple(cycles))
+        seen[states] = True
+        blocks.append((states & 1).astype(np.uint8))
+        found += states.shape[0]
+        lo = int(seeds[0]) + 1
+    # count * e states marked, all of them: each cycle has e distinct
+    # states, so least period e
+    if not seen.all():
+        raise InternalCheckError(f"cycles of {f} do not have period {e}")
+    bits = np.concatenate(blocks)
+    return ZeroFactor(f, e, tuple(CyclicSequence(b, e) for b in _pack_rows(bits)))
 
 
 def _combine(a, b, op):

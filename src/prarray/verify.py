@@ -6,6 +6,13 @@ and the zero pattern never.  ``shift_add_closure`` checks the linear
 structure directly.  ``verify_prac`` chains the parameter arithmetic,
 the census, and the closure check.
 
+The census is one batched pass: the arrays become an (m, r1, r2) bit
+grid stack, taken in blocks of whole arrays of about 2^20 windows;
+each block's window codes are sorted, and one 2^(n1*n2)-bit occupancy
+table catches codes repeated across blocks.  At every window area the
+witness is the first zero window, else the smallest repeated code
+with its count, else the smallest absent code.
+
 Window encoding: a window is read row-major from its top-left anchor
 and interpreted as a binary number, first-read bit most significant.
 All criteria share this encoding so witnesses are comparable.
@@ -17,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .folding import CodeParams
+from .folding import CodeParams, _grids_from_arrays
 
 _CENSUS_AREA_CAP = 28  # occupancy table stays under 32 MiB
-_BINCOUNT_AREA_CAP = 22  # above this, use the packed-bit table instead
+_CENSUS_BLOCK_WINDOWS = 1 << 20  # windows coded per block of whole arrays
 
 
 @dataclass(frozen=True)
@@ -102,48 +109,35 @@ class VerdictReport:
         return "\n".join(lines)
 
 
-def _window_codes(arr, n1, n2):
-    """Codes of all r1*r2 windows of one array, as a numpy int64 grid."""
-    g = arr.grid()
-    ext = np.concatenate([g, g[: n1 - 1]], axis=0) if n1 > 1 else g
-    ext = np.concatenate([ext, ext[:, : n2 - 1]], axis=1) if n2 > 1 else ext
-    windows = np.lib.stride_tricks.sliding_window_view(ext, (n1, n2))
-    weights = np.zeros((n1, n2), dtype=np.int64)
+def _block_codes(grids, n1, n2):
+    """Codes of all windows of a (b, r1, r2) grid stack, flat in
+    (array, row, column) order."""
+    b, r1, r2 = grids.shape
+    ext = np.pad(grids, ((0, 0), (0, n1 - 1), (0, n2 - 1)), mode="wrap")
+    codes = np.zeros((b, r1, r2), dtype=np.uint32)
     for a in range(n1):
-        for b in range(n2):
-            weights[a, b] = 1 << ((n1 - 1 - a) * n2 + (n2 - 1 - b))
-    out = np.empty((arr.r1, arr.r2), dtype=np.int64)
-    # chunk rows so the widened window copy stays within ~32 MiB
-    step = max(1, (1 << 22) // max(1, arr.r2 * n1 * n2))
-    for lo in range(0, arr.r1, step):
-        hi = min(lo + step, arr.r1)
-        out[lo:hi] = np.tensordot(
-            windows[lo:hi].astype(np.int64), weights, axes=([2, 3], [0, 1])
-        )
-    return out
-
-
-def _locate_code(arrays, n1, n2, code, skip_first=False):
-    seen_once = not skip_first
-    for idx, arr in enumerate(arrays):
-        codes = _window_codes(arr, n1, n2)
-        for i, j in np.argwhere(codes == code):
-            if not seen_once:
-                seen_once = True
-                continue
-            i, j = int(i), int(j)
-            window = "".join(
-                str(arr.entry(i + a, j + b)) for a in range(n1) for b in range(n2)
-            )
-            return idx, (i, j), window
-    return None, None, None
+        for c in range(n2):
+            codes <<= 1
+            codes |= ext[:, a : a + r1, c : c + r2]
+    return codes.ravel()
 
 
 def window_census(arrays, n1, n2, params=None):
-    """Slide all n1 x n2 windows; each nonzero pattern exactly once, zero never."""
+    """Slide all n1 x n2 windows; each nonzero pattern exactly once, zero never.
+
+    One pass codes the windows of blocks of whole arrays (about 2^20
+    windows a block), sorts each block for zeros and in-block repeats,
+    and finds repeats across blocks in a 2^(n1*n2)-bit occupancy table.
+    The witness is the first zero window if there is one, else the
+    second occurrence of the smallest repeated code with its count
+    (a second pass), else the smallest absent code.
+    """
     arrays = list(arrays)
-    if n1 * n2 > _CENSUS_AREA_CAP:
-        raise ValueError(f"window area {n1 * n2} exceeds the census cap {_CENSUS_AREA_CAP}")
+    if n1 < 1 or n2 < 1:
+        raise ValueError(f"window {n1}x{n2} must have positive sides")
+    area = n1 * n2
+    if area > _CENSUS_AREA_CAP:
+        raise ValueError(f"window area {area} exceeds the census cap {_CENSUS_AREA_CAP}")
     if arrays:
         r1, r2 = arrays[0].r1, arrays[0].r2
         if any(a.r1 != r1 or a.r2 != r2 for a in arrays):
@@ -152,7 +146,7 @@ def window_census(arrays, n1, n2, params=None):
             raise ValueError(f"window {n1}x{n2} larger than array {r1}x{r2}")
     if params is None and arrays:
         params = CodeParams(arrays[0].r1, arrays[0].r2, n1, n2)
-    expected = (1 << (n1 * n2)) - 1
+    expected = (1 << area) - 1
     total = sum(a.r1 * a.r2 for a in arrays)
     detail = {"windows_total": total, "windows_expected": expected}
 
@@ -163,82 +157,65 @@ def window_census(arrays, n1, n2, params=None):
         return fail(
             Witness(
                 "count",
-                f"window count {total} != 2^{n1 * n2} - 1 = {expected}",
+                f"window count {total} != 2^{area} - 1 = {expected}",
             )
         )
-    if n1 * n2 <= _BINCOUNT_AREA_CAP:
-        problem = _census_by_counting(arrays, n1, n2, expected)
-    else:
-        problem = _census_by_bit_table(arrays, n1, n2, expected)
-    if problem is not None:
-        kind, code, occurrences = problem
-        if kind == "zero-window":
-            idx, pos, window = _locate_code(arrays, n1, n2, 0)
-            return fail(
-                Witness("zero-window", "all-zero window present", idx, pos, window, 0)
+    cells = r1 * r2
+    per_block = max(1, _CENSUS_BLOCK_WINDOWS // cells)
+    starts = range(0, len(arrays), per_block)
+
+    def block_codes(lo):
+        return _block_codes(_grids_from_arrays(arrays[lo : lo + per_block]), n1, n2)
+
+    def window_witness(kind, message, at, code):
+        idx, cell = divmod(at, cells)
+        window = format(code, f"0{area}b")
+        return Witness(kind, message, idx, divmod(cell, r2), window, code)
+
+    # one bit per window pattern: 32 MiB at the area cap of 28
+    table = np.zeros((expected >> 3) + 1, dtype=np.uint8)
+    repeats = []
+    for lo in starts:
+        codes = block_codes(lo)
+        ordered = np.sort(codes)
+        if ordered[0] == 0:
+            at = lo * cells + int(np.argmin(codes))
+            return fail(window_witness("zero-window", "all-zero window present", at, 0))
+        again = ordered[1:] == ordered[:-1]
+        if again.any():
+            repeats.append(int(ordered[1:][again][0]))
+            ordered = ordered[np.concatenate([[True], ~again])]
+        byte = ordered >> 3
+        mask = (1 << (ordered & 7)).astype(np.uint8)
+        clash = table[byte] & mask
+        if clash.any():
+            repeats.append(int(ordered[np.argmax(clash != 0)]))
+        first = np.flatnonzero(np.concatenate([[True], byte[1:] != byte[:-1]]))
+        table[byte[first]] |= np.bitwise_or.reduceat(mask, first)
+    if repeats:
+        code = min(repeats)
+        occurrences = 0
+        for lo in starts:
+            hits = np.flatnonzero(block_codes(lo) == code)
+            if occurrences < 2 <= occurrences + hits.size:
+                at = lo * cells + int(hits[1 - occurrences])
+            occurrences += hits.size
+        return fail(
+            window_witness(
+                "duplicate-window",
+                f"window code {code} occurs more than once {occurrences} times",
+                at,
+                code,
             )
-        if kind == "duplicate-window":
-            idx, pos, window = _locate_code(arrays, n1, n2, code, skip_first=True)
-            times = f" {occurrences} times" if occurrences else ""
-            return fail(
-                Witness(
-                    "duplicate-window",
-                    f"window code {code} occurs more than once{times}",
-                    idx,
-                    pos,
-                    window,
-                    code,
-                )
-            )
+        )
+    table[0] |= 1  # code 0 is known absent
+    if int(np.bitwise_count(table).sum()) != expected + 1:
+        byte = int(np.argmax(table != 0xFF))
+        bits = int(table[byte])
+        code = byte << 3 | ((bits + 1) & ~bits).bit_length() - 1
         return fail(Witness("missing-window", f"window code {code} never occurs", code=code))
     detail["distinct_nonzero"] = expected
     return VerdictReport("census", True, params, None, detail)
-
-
-def _census_by_counting(arrays, n1, n2, expected):
-    counts = np.zeros(expected + 1, dtype=np.int64)
-    for arr in arrays:
-        codes = _window_codes(arr, n1, n2)
-        counts += np.bincount(codes.ravel(), minlength=expected + 1)
-    if counts[0]:
-        return ("zero-window", 0, int(counts[0]))
-    dup = np.nonzero(counts > 1)[0]
-    if dup.size:
-        code = int(dup[0])
-        return ("duplicate-window", code, int(counts[code]))
-    missing = np.nonzero(counts[1:] == 0)[0]
-    if missing.size:
-        return ("missing-window", int(missing[0]) + 1, 0)
-    return None
-
-
-def _census_by_bit_table(arrays, n1, n2, expected):
-    # one bit per window pattern: 32 MiB at the area cap of 28
-    table = np.zeros((expected >> 3) + 1, dtype=np.uint8)
-    for arr in arrays:
-        codes = _window_codes(arr, n1, n2).ravel()
-        if not codes.all():
-            return ("zero-window", 0, 0)
-        vals, cnts = np.unique(codes, return_counts=True)
-        if (cnts > 1).any():
-            at = np.nonzero(cnts > 1)[0][0]
-            return ("duplicate-window", int(vals[at]), int(cnts[at]))
-        byte_idx = vals >> 3
-        masks = (np.uint8(1) << (vals & 7).astype(np.uint8)).astype(np.uint8)
-        clash = table[byte_idx] & masks
-        if clash.any():
-            return ("duplicate-window", int(vals[np.nonzero(clash)[0][0]]), 0)
-        np.bitwise_or.at(table, byte_idx, masks)  # distinct codes, bytes may repeat
-    set_bits = int(np.bitwise_count(table).sum())
-    if set_bits != expected:
-        absent = np.nonzero(np.bitwise_count(table) < 8)[0]
-        for byte in absent:
-            bits = int(table[byte])
-            for b in range(8):
-                code = (int(byte) << 3) | b
-                if code and not (bits >> b & 1):
-                    return ("missing-window", code, 0)
-    return None
 
 
 def shift_add_closure(arrays, params=None):

@@ -249,3 +249,11 @@ class TestRefusedInputs:
         )
         assert code == 2 and str((1 << 67) - 1) in err
         assert perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize("criterion", ["det", "setpoly", "all"])
+    def test_window_taller_than_array(self, capsys, criterion):
+        code, _, err = run(
+            capsys, "check-fold", "--poly", "x^6+x^3+1",
+            "--r1", "1", "--r2", "9", "--n1", "2", "--n2", "3", "--criterion", criterion,
+        )
+        assert code == 2 and "residues out of range" in err

@@ -96,6 +96,10 @@ class TestWindowPositions:
         pos = window_positions(CodeParams(3, 5, 2, 2))
         assert str(pos) == "{0, 1, 6, 10}"
 
+    def test_window_taller_than_array_rejected(self):
+        with pytest.raises(ValueError, match="residues out of range"):
+            window_positions(CodeParams(1, 9, 2, 3))
+
 
 class TestSetPolynomial:
     def test_study_grid(self, sect5_polys):
@@ -171,6 +175,12 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             det_test([P("x^12+x^10+x^9+x+1")], CodeParams(7, 13, 3, 3))
 
+    def test_window_taller_than_array_rejected(self):
+        # x^6+x^3+1 has exponent 9 = 1*9, but a 2x3 window does not fit
+        # in a 1x9 array
+        with pytest.raises(ValueError, match="residues out of range"):
+            det_test([P("x^6+x^3+1")], CodeParams(1, 9, 2, 3))
+
 
 def _gf2_rank(vectors):
     basis = []
@@ -180,6 +190,44 @@ def _gf2_rank(vectors):
         if v:
             basis.append(v)
     return len(basis)
+
+
+class TestRankAgreement:
+    """The three rank routes report one number, the rank of the matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_routes_report_one_rank(self, data):
+        d = data.draw(st.integers(2, 10))
+        f = BinaryPolynomial(data.draw(st.integers(1 << d, (1 << (d + 1)) - 1)) | 1)
+        assume(is_irreducible(f))
+        e = exponent(f)
+        cases = [
+            CodeParams(r1, e // r1, n1, d // n1)
+            for r1 in _divisors(e)
+            for n1 in _divisors(d)
+            if math.gcd(r1, e // r1) == 1
+        ]
+        cases = [p for p in cases if p.violation() is None]
+        assume(cases)
+        params = data.draw(st.sampled_from(cases))
+        sp = setpoly_test(f, window_positions(params))
+        tr = trace_independence_test(f, params)
+        dt = det_test([f], params)
+        # the trace form is nondegenerate, so the determinant route has
+        # the rank of the window-cell elements themselves
+        assert sp.passed == tr.passed == dt.passed
+        assert sp.detail["rank"] == tr.detail["rank"] == dt.detail["rank"]
+        assert (sp.detail["rank"] == d) == sp.passed
+
+    def test_rank_counts_past_the_first_dependency(self):
+        f, params = P("x^6+x+1"), CodeParams(7, 9, 6, 1)
+        ranks = {
+            setpoly_test(f, window_positions(params)).detail["rank"],
+            trace_independence_test(f, params).detail["rank"],
+            det_test([f], params).detail["rank"],
+        }
+        assert ranks == {3}
 
 
 class TestDeterminantReference:
@@ -210,23 +258,26 @@ class TestDeterminantReference:
             for v in range(d)
         ]
         assert rep.passed == (_gf2_rank(cols) == d)
-        if rep.passed:
-            assert rep.detail["rank"] == d
-        else:
-            # the witness names dependent columns; the columns before
-            # the last of them are independent
+        assert rep.detail["rank"] == _gf2_rank(cols)
+        if not rep.passed:
+            # the witness names the first dependent columns; the columns
+            # before the last of them are independent
             named = rep.witness.message.split(": ")[1].split()
             idx = [int(t.strip("()").split(",")[1]) for t in named]
             acc = 0
             for i in idx:
                 acc ^= cols[i]
             assert acc == 0
-            assert rep.detail["rank"] == max(idx) == _gf2_rank(cols[: max(idx)])
+            assert max(idx) == _gf2_rank(cols[: max(idx)])
 
 
 class TestTraceIndependence:
     def test_pass(self):
         assert trace_independence_test(P("x^12+x^10+x^9+x+1"), CodeParams(7, 13, 3, 4)).passed
+
+    def test_window_taller_than_array_rejected(self):
+        with pytest.raises(ValueError, match="residues out of range"):
+            trace_independence_test(P("x^6+x^3+1"), CodeParams(1, 9, 2, 3))
 
     def test_study_outcomes(self, sect5_polys):
         assert not trace_independence_test(sect5_polys["f1"], CodeParams(13, 35, 4, 3)).passed

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prarray.folding import (
     CodeParams,
@@ -13,7 +15,7 @@ from prarray.folding import (
     unfold,
     write_arrays,
 )
-from prarray.gf2poly import parse
+from prarray.gf2poly import BinaryPolynomial, _divisors, classify, parse
 from prarray.lfsr import CyclicSequence, bitmul, generate, zero_factor
 
 
@@ -48,6 +50,51 @@ class TestFold:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fold(SPAN4, 3, 7)
+
+
+def reference_fold(seq, r1, r2):
+    """Cell by cell: bit k goes to cell (k mod r1, k mod r2)."""
+    rows = [0] * r1
+    for k in range(r1 * r2):
+        if seq.bits >> k & 1:
+            rows[k % r1] |= 1 << (k % r2)
+    return TorusArray(rows, r2)
+
+
+class TestFoldReference:
+    def test_fold_zero_factor_matches_per_cycle_folds(self):
+        # every uniform polynomial of degree 4..10, every coprime split
+        checked = 0
+        for bits in range(1 << 4 | 1, 1 << 11, 2):
+            f = BinaryPolynomial(bits)
+            cls = classify(f)
+            if not cls.is_uniform:
+                continue
+            zf = zero_factor(f)
+            e = cls.exponent
+            for r1 in _divisors(e):
+                r2 = e // r1
+                if math.gcd(r1, r2) != 1:
+                    continue
+                arrays = fold_zero_factor(zf, r1, r2)
+                assert arrays == tuple(reference_fold(c, r1, r2) for c in zf.cycles), (f, r1)
+                assert arrays == tuple(fold(c, r1, r2) for c in zf.cycles), (f, r1)
+                checked += 1
+        assert checked > 500
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fold_unfold_bijection(self, data):
+        r1 = data.draw(st.integers(1, 40))
+        r2 = data.draw(st.integers(1, 40))
+        assume(math.gcd(r1, r2) == 1)
+        s = CyclicSequence(data.draw(st.integers(0, (1 << (r1 * r2)) - 1)), r1 * r2)
+        a = fold(s, r1, r2)
+        assert a == reference_fold(s, r1, r2)
+        assert unfold(a) == s
+        rows = data.draw(st.lists(st.integers(0, (1 << r2) - 1), min_size=r1, max_size=r1))
+        b = TorusArray(rows, r2)
+        assert fold(unfold(b), r1, r2) == b
 
 
 class TestUnfold:

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from prarray.gf2poly import BinaryPolynomial, exponent, is_irreducible, parse
+from prarray.gf2poly import (
+    BinaryPolynomial,
+    classify,
+    enumerate_irreducible,
+    exponent,
+    is_irreducible,
+    parse,
+)
 from prarray.lfsr import (
     CyclicSequence,
     berlekamp_massey,
@@ -113,6 +120,51 @@ class TestZeroFactor:
                 w |= c.bit(k + i) << i
             windows.add(w)
         assert len(windows) == (1 << 16) - 1 and 0 not in windows
+
+
+def walk_zero_factor(f):
+    """Reference zero factor: walk the register state by state from
+    each unseen state in increasing order.  A state holds
+    a_k .. a_{k+n-1} at bits 0 .. n-1."""
+    n = f.degree
+    # a_{k+n} = sum of c_i a_{k+n-i}, and a_{k+n-i} sits at bit n - i
+    taps = sum(1 << (n - i) for i in range(1, n + 1) if f.bits >> i & 1)
+    seen = bytearray(1 << n)
+    cycles = []
+    for s0 in range(1, 1 << n):
+        if seen[s0]:
+            continue
+        s, bits, k = s0, 0, 0
+        while not seen[s]:
+            seen[s] = 1
+            bits |= (s & 1) << k
+            k += 1
+            s = (s >> 1) | (((s & taps).bit_count() & 1) << (n - 1))
+        assert s == s0
+        cycles.append(CyclicSequence(bits, k))
+    return tuple(cycles)
+
+
+class TestZeroFactorReference:
+    """The batched zero factor against the state-by-state walk."""
+
+    def test_every_uniform_polynomial_up_to_degree_10(self):
+        kinds = set()
+        for bits in range(0b11, 1 << 11, 2):
+            f = BinaryPolynomial(bits)
+            cls = classify(f)
+            if not cls.is_uniform:
+                continue
+            kinds.add(cls.kind)
+            assert zero_factor(f).cycles == walk_zero_factor(f), f
+        assert "reducible-uniform" in kinds
+
+    def test_degree21_above_the_old_table_cap(self):
+        # ord2(49) = 21: 42,799 cycles of 49 states
+        f = enumerate_irreducible(21, 49)[0]
+        zf = zero_factor(f)
+        assert len(zf) == ((1 << 21) - 1) // 49
+        assert zf.cycles == walk_zero_factor(f)
 
 
 class TestBitOps:

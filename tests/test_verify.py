@@ -1,12 +1,25 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from prarray.folding import CodeParams, TorusArray, fold, fold_zero_factor
-from prarray.gf2poly import BinaryPolynomial, _divisors, exponent, is_irreducible
+from prarray.gf2poly import (
+    BinaryPolynomial,
+    _divisors,
+    enumerate_irreducible,
+    exponent,
+    is_irreducible,
+)
 from prarray.lfsr import CyclicSequence, zero_factor
-from prarray.verify import shift_add_closure, verify_prac, window_census
+from prarray.verify import (
+    VerdictReport,
+    Witness,
+    shift_add_closure,
+    verify_prac,
+    window_census,
+)
 
 
 SPAN4 = CyclicSequence.from_bits("000111101011001")
@@ -108,15 +121,127 @@ class TestVerifyPrac:
         assert not rep.passed and rep.criterion == "census"
 
 
+def reference_window_codes(arr, n1, n2):
+    """Codes of all r1*r2 windows of one array, read cell by cell."""
+    g = np.array([[arr.entry(i, j) for j in range(arr.r2)] for i in range(arr.r1)])
+    ext = np.concatenate([g, g[: n1 - 1]], axis=0)
+    ext = np.concatenate([ext, ext[:, : n2 - 1]], axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(ext, (n1, n2))
+    weights = np.array(
+        [[1 << ((n1 - 1 - a) * n2 + (n2 - 1 - b)) for b in range(n2)] for a in range(n1)]
+    )
+    return np.tensordot(windows.astype(np.int64), weights, axes=([2, 3], [0, 1]))
+
+
+def reference_census(arrays, n1, n2, params=None):
+    """Per-array census: count every code with bincount, then locate the
+    witness by rescanning the arrays."""
+    arrays = list(arrays)
+    if params is None:
+        params = CodeParams(arrays[0].r1, arrays[0].r2, n1, n2)
+    expected = (1 << (n1 * n2)) - 1
+    total = sum(a.r1 * a.r2 for a in arrays)
+    detail = {"windows_total": total, "windows_expected": expected}
+
+    def fail(witness):
+        return VerdictReport("census", False, params, witness, detail)
+
+    if total != expected:
+        return fail(Witness("count", f"window count {total} != 2^{n1 * n2} - 1 = {expected}"))
+    codes = [reference_window_codes(a, n1, n2) for a in arrays]
+    counts = sum(np.bincount(c.ravel(), minlength=expected + 1) for c in codes)
+
+    def locate(code, skip):
+        for idx, c in enumerate(codes):
+            for i, j in np.argwhere(c == code):
+                if skip:
+                    skip -= 1
+                    continue
+                i, j = int(i), int(j)
+                window = "".join(
+                    str(arrays[idx].entry(i + a, j + b)) for a in range(n1) for b in range(n2)
+                )
+                return idx, (i, j), window
+
+    if counts[0]:
+        idx, pos, window = locate(0, 0)
+        return fail(Witness("zero-window", "all-zero window present", idx, pos, window, 0))
+    repeated = np.nonzero(counts > 1)[0]
+    if repeated.size:
+        code = int(repeated[0])
+        idx, pos, window = locate(code, 1)
+        message = f"window code {code} occurs more than once {int(counts[code])} times"
+        return fail(Witness("duplicate-window", message, idx, pos, window, code))
+    missing = np.nonzero(counts[1:] == 0)[0]
+    if missing.size:
+        code = int(missing[0]) + 1
+        return fail(Witness("missing-window", f"window code {code} never occurs", code=code))
+    detail["distinct_nonzero"] = expected
+    return VerdictReport("census", True, params, None, detail)
+
+
+def flip(arr, i, j):
+    rows = list(arr.rows)
+    rows[i] ^= 1 << j
+    return TorusArray(rows, arr.r2)
+
+
+class TestCensusReference:
+    """The batched census against the per-array reference, on whole
+    codes and on codes corrupted three ways."""
+
+    def _codes(self):
+        for bits in range(0b111, 1 << 10, 2):
+            f = BinaryPolynomial(bits)
+            if f.degree < 2 or not is_irreducible(f):
+                continue
+            e, d = exponent(f), f.degree
+            zf = zero_factor(f)
+            for r1 in _divisors(e):
+                r2 = e // r1
+                if math.gcd(r1, r2) != 1:
+                    continue
+                arrays = fold_zero_factor(zf, r1, r2)
+                for n1 in _divisors(d):
+                    if n1 <= r1 and d // n1 <= r2:
+                        yield arrays, CodeParams(r1, r2, n1, d // n1)
+
+    @pytest.mark.parametrize("one_array_blocks", [False, True])
+    def test_whole_and_corrupted_codes(self, monkeypatch, one_array_blocks):
+        if one_array_blocks:
+            import prarray.verify as v
+
+            monkeypatch.setattr(v, "_CENSUS_BLOCK_WINDOWS", 1)
+        rng = random.Random(31)
+        kinds = set()
+        for arrays, p in self._codes():
+            k = rng.randrange(len(arrays))
+            others = [a for i, a in enumerate(arrays) if i != k]
+            variants = [
+                list(arrays),
+                others + [TorusArray([0] * p.r1, p.r2)],
+                others + [flip(arrays[k], rng.randrange(p.r1), rng.randrange(p.r2))],
+            ]
+            if others:
+                # a shifted copy of another codeword: one code twice
+                variants.append(others + [rng.choice(others).shift(1, 2)])
+            for v in variants:
+                got = window_census(v, p.n1, p.n2, p)
+                assert got == reference_census(v, p.n1, p.n2, p), (p, got)
+                kinds.add(got.witness.kind if got.witness else "pass")
+        assert kinds == {"pass", "zero-window", "duplicate-window"}
+
+
 class TestBitTablePath:
-    # the packed occupancy table serves window areas above the bincount
-    # threshold; force it onto small cases and compare verdicts
+    # the packed occupancy table finds repeats across blocks; force one
+    # array per block and compare with one block and with the reference
     def _both(self, monkeypatch, arrays, n1, n2):
         import prarray.verify as v
 
         normal = window_census(arrays, n1, n2)
-        monkeypatch.setattr(v, "_BINCOUNT_AREA_CAP", 0)
+        monkeypatch.setattr(v, "_CENSUS_BLOCK_WINDOWS", 1)
         packed = window_census(arrays, n1, n2)
+        assert normal == packed == reference_census(arrays, n1, n2)
         return normal, packed
 
     def test_agrees_on_pass(self, monkeypatch, prac_3x7):
@@ -142,6 +267,23 @@ class TestBitTablePath:
         normal, packed = self._both(monkeypatch, arrays, 2, 3)
         assert not normal.passed and not packed.passed
         assert normal.witness.kind == packed.witness.kind == "duplicate-window"
+
+    def test_area23_code(self):
+        # 178,481 arrays of 1 x 47 in nine blocks
+        f = enumerate_irreducible(23, 47)[0]
+        p = CodeParams(1, 47, 1, 23)
+        arrays = list(fold_zero_factor(zero_factor(f), 1, 47))
+        assert window_census(arrays, 1, 23, p).passed
+        arrays[-1] = flip(arrays[-1], 0, 5)
+        rep = window_census(arrays, 1, 23, p)
+        assert not rep.passed
+        w = rep.witness
+        assert w.kind in ("zero-window", "duplicate-window")
+        assert w.window_bits == format(w.code, "023b")
+        cells = arrays[w.array_index]
+        assert [cells.entry(0, w.position[1] + b) for b in range(23)] == [
+            int(c) for c in w.window_bits
+        ]
 
 
 class TestClosureAlwaysHolds:
