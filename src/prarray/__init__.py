@@ -32,7 +32,6 @@ from .lfsr import (
     bitadd,
     bitmul,
     generate,
-    shift_and_add_closed,
     zero_factor,
 )
 from .folding import (
@@ -100,7 +99,6 @@ __all__ = [
     "read_arrays",
     "setpoly_test",
     "shift_add_closure",
-    "shift_and_add_closed",
     "sufficient_conditions",
     "trace_independence_test",
     "unfold",

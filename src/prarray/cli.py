@@ -27,8 +27,8 @@ from .gf2poly import (
     factor,
     parse,
 )
-from .lfsr import zero_factor
-from .verify import verify_prac, window_census
+from .lfsr import _ZERO_FACTOR_DEGREE_CAP, zero_factor
+from .verify import _CENSUS_AREA_CAP, verify_prac, window_census
 
 
 class _UsageError(ValueError):
@@ -66,10 +66,6 @@ def _write_out(path, write):
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _report_doc(rep):
-    return rep.to_kv()
-
-
 class _Run:
     """Collects the structured document for one invocation."""
 
@@ -94,7 +90,7 @@ class _Run:
         }
 
     def add_report(self, rep, elapsed=None):
-        kv = _report_doc(rep)
+        kv = rep.to_kv()
         if elapsed is not None:
             kv["elapsed_s"] = round(elapsed, 6)
         self.doc["verdicts"].append(kv)
@@ -117,8 +113,8 @@ class _Run:
 def _cmd_construct(args):
     poly = _poly_arg(args.poly)
     cls = _require_uniform(poly, args.r1, args.r2)
-    if poly.degree > 24:
-        raise _UsageError("construct is capped at degree 24")
+    if poly.degree > _ZERO_FACTOR_DEGREE_CAP:
+        raise _UsageError(f"construct is capped at degree {_ZERO_FACTOR_DEGREE_CAP}")
     run = _Run("construct", {"poly": str(poly), "r1": args.r1, "r2": args.r2})
     zf = zero_factor(poly)
     arrays = fold_zero_factor(zf, args.r1, args.r2)
@@ -217,7 +213,9 @@ def _cmd_check_fold(args):
     )
     run.set_params(params)
     irreducible = len(factors) == 1
-    census_feasible = params.window_area <= 28 and poly.degree <= 24
+    census_feasible = (
+        params.window_area <= _CENSUS_AREA_CAP and poly.degree <= _ZERO_FACTOR_DEGREE_CAP
+    )
 
     reports = []
 

@@ -44,8 +44,8 @@ from .gf2poly import (
     lcm as poly_lcm,
 )
 from .folding import CodeParams, fold_zero_factor
-from .lfsr import berlekamp_massey, bitmul, generate, zero_factor
-from .verify import VerdictReport, Witness, window_census
+from .lfsr import _ZERO_FACTOR_DEGREE_CAP, berlekamp_massey, bitmul, generate, zero_factor
+from .verify import _CENSUS_AREA_CAP, VerdictReport, Witness, window_census
 
 _TYPE_RANK = {"reducible": 0, "INP": 1, "primitive": 2}
 # admissible (unordered input types) -> allowed product types
@@ -466,9 +466,6 @@ def classify_construction(f1, f2):
     return ConstructionRecord(f1, f2, g, (t1, t2, tg), params)
 
 
-_ZERO_FACTOR_DEGREE_CAP = 24
-
-
 @dataclass(frozen=True)
 class ConjectureEntry:
     k: int
@@ -522,7 +519,7 @@ def _conjecture_entry(k, combo, product, params):
     verdict = det_test(list(combo), params)
     agrees = None
     if (
-        params.window_area <= 28
+        params.window_area <= _CENSUS_AREA_CAP
         and product.degree <= _ZERO_FACTOR_DEGREE_CAP
     ):
         arrays = fold_zero_factor(zero_factor(product), params.r1, params.r2)

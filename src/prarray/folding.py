@@ -153,17 +153,16 @@ class TorusArray:
         )
         return TorusArray(rot[-dv:] + rot[:-dv] if dv else rot, self.r2)
 
-    def packed(self):
-        """All cells as one integer, row i at bits [i*r2, (i+1)*r2)."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= r << (i * self.r2)
-        return out
-
     def rotations_packed(self):
-        """Packed values of all r1*r2 double rotations."""
+        """Packed values of all r1*r2 double rotations.
+
+        Entry dh*r1 + dv packs ``shift(dv, dh)`` into one integer, row i
+        at bits [i*r2, (i+1)*r2).
+        """
         out = []
         mask = (1 << self.r2) - 1
+        full = (1 << (self.r1 * self.r2)) - 1
+        top = (self.r1 - 1) * self.r2
         rows = list(self.rows)
         for _ in range(self.r2):
             acc = 0
@@ -171,8 +170,7 @@ class TorusArray:
                 acc |= rows[i] << (i * self.r2)
             for i in range(self.r1):
                 out.append(acc)
-                last = acc >> ((self.r1 - 1) * self.r2)
-                acc = ((acc << self.r2) | last) & ((1 << (self.r1 * self.r2)) - 1)
+                acc = ((acc << self.r2) | (acc >> top)) & full
             rows = [((r << 1) | (r >> (self.r2 - 1))) & mask for r in rows]
         return out
 

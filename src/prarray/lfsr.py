@@ -103,9 +103,6 @@ class CyclicSequence:
         bits = ((self.bits << t) | (self.bits >> (ell - t))) & mask
         return CyclicSequence(bits, ell)
 
-    def rotations(self):
-        return [self.rotate(t) for t in range(self.length)]
-
     def canonical(self):
         """Deterministic representative among all rotations (least packed value)."""
         ell = self.length
@@ -190,6 +187,7 @@ def generate(f, seed, length):
 
 
 _BLOCK_STATES = 1 << 20  # register states generated per numpy block
+_ZERO_FACTOR_DEGREE_CAP = 24  # all 2^n register states are generated and marked
 
 
 def _unpack_rows(ints, width):
@@ -245,8 +243,10 @@ def zero_factor(f):
     if not cls.is_uniform:
         raise ValueError(f"{f} does not have a uniform exponent (kind: {cls.kind})")
     n = f.degree
-    if n > 24:
-        raise ValueError("zero factor enumeration is capped at degree 24")
+    if n > _ZERO_FACTOR_DEGREE_CAP:
+        raise ValueError(
+            f"zero factor enumeration is capped at degree {_ZERO_FACTOR_DEGREE_CAP}"
+        )
     e = cls.exponent
     taps = np.uint32(_taps(f))
     top = np.uint32(n - 1)
@@ -313,34 +313,6 @@ def bitadd(a, b):
 def bitmul(a, b):
     """Bitwise product after extending both to the lcm of the least periods."""
     return _combine(a, b, lambda x, y: x & y)
-
-
-def shift_and_add_closed(cycles):
-    """Is the set closed under adding shifted members (up to shifts)?
-
-    Every pairwise sum of a cycle with a rotated cycle must be all-zero
-    or a rotation of some member.
-    """
-    cycles = list(cycles)
-    if not cycles:
-        return True
-    ell = cycles[0].length
-    if any(c.length != ell for c in cycles):
-        raise ValueError("cycles must share one length")
-    members = set()
-    rotations = []
-    for c in cycles:
-        rots = [r.bits for r in c.rotations()]
-        rotations.append(rots)
-        members.update(rots)
-    for a in cycles:
-        ab = a.bits
-        for rots in rotations:
-            for rb in rots:
-                s = ab ^ rb
-                if s and s not in members:
-                    return False
-    return True
 
 
 def berlekamp_massey(seq):

@@ -3,8 +3,10 @@
 ``window_census`` slides every n1 x n2 window (toroidally) over every
 array and demands that each nonzero window pattern occur exactly once
 and the zero pattern never.  ``shift_add_closure`` checks the linear
-structure directly.  ``verify_prac`` chains the parameter arithmetic,
-the census, and the closure check.
+structure directly: the shifts of all codewords plus zero must form a
+GF(2) subspace, which it tests by growing the span of the shifts, with
+at most one membership check per shift.  ``verify_prac`` chains the
+parameter arithmetic, the census, and the closure check.
 
 The census is one batched pass: the arrays become an (m, r1, r2) bit
 grid stack, taken in blocks of whole arrays of about 2^20 windows;
@@ -220,42 +222,68 @@ def window_census(arrays, n1, n2, params=None):
 
 def shift_add_closure(arrays, params=None):
     """Every sum of a codeword with a shifted codeword is zero or a
-    shift of a codeword."""
+    shift of a codeword.
+
+    The shifts of all codewords plus zero must form a GF(2) subspace.
+    A span, starting at {0}, grows inside the set of shifts: each shift
+    v not yet in the span must give a shift v ^ s for every s in the
+    span, and those sums join the span.  When every check passes, the
+    span is the set of shifts plus zero, which is then closed under
+    addition.  A failed check is a witness: v and s are nonzero shifts
+    whose sum is not a shift.  ``pairs_checked`` counts the sums
+    checked, 2^k - 1 for a span of dimension k, so at most one per
+    shift.
+    """
     arrays = list(arrays)
     if not arrays:
         return VerdictReport("shift-add", True, params, None, {"pairs_checked": 0})
     r1, r2 = arrays[0].r1, arrays[0].r2
     if any(a.r1 != r1 or a.r2 != r2 for a in arrays):
         raise ValueError("arrays must share dimensions")
-    members = set()
-    rotations = []
+    # each shift maps to itself, so the span holds these ints, not copies
+    members = {}
     for arr in arrays:
-        rots = arr.rotations_packed()
-        rotations.append(rots)
-        members.update(rots)
+        for v in arr.rotations_packed():
+            members.setdefault(v, v)
+    span = {0}
     checked = 0
-    for ia, a in enumerate(arrays):
-        pa = a.packed()
-        for ib, rots in enumerate(rotations):
-            for t, rb in enumerate(rots):
-                s = pa ^ rb
-                checked += 1
-                if s and s not in members:
-                    dv, dh = t % r1, t // r1
-                    return VerdictReport(
-                        "shift-add",
-                        False,
-                        params,
-                        Witness(
-                            "closure",
-                            f"array {ia} + array {ib} shifted by ({dv},{dh}) "
-                            "is not a shifted codeword",
-                            array_index=ia,
-                            position=(dv, dh),
-                        ),
-                        {"pairs_checked": checked},
-                    )
+    for v in members:
+        if v in span:
+            continue
+        sums = [members.get(v ^ s) for s in span]
+        if None in sums:
+            bad = sums.index(None)
+            checked += bad + 1
+            ia, (av, ah) = _shift_of(arrays, v)
+            ib, (bv, bh) = _shift_of(arrays, list(span)[bad])  # same order as sums
+            # both sides shifted by (-av, -ah): array ia is unshifted
+            dv, dh = (bv - av) % r1, (bh - ah) % r2
+            return VerdictReport(
+                "shift-add",
+                False,
+                params,
+                Witness(
+                    "closure",
+                    f"array {ia} + array {ib} shifted by ({dv},{dh}) "
+                    "is not a shifted codeword",
+                    array_index=ia,
+                    position=(dv, dh),
+                ),
+                {"pairs_checked": checked},
+            )
+        checked += len(sums)
+        span.update(sums)
     return VerdictReport("shift-add", True, params, None, {"pairs_checked": checked})
+
+
+def _shift_of(arrays, v):
+    """(array index, (dv, dh)) of the first codeword whose shift by
+    (dv, dh) packs to v."""
+    for ia, arr in enumerate(arrays):
+        rots = arr.rotations_packed()
+        if v in rots:
+            t = rots.index(v)
+            return ia, (t % arr.r1, t // arr.r1)
 
 
 def verify_prac(arrays, params):

@@ -257,3 +257,23 @@ class TestRefusedInputs:
             "--r1", "1", "--r2", "9", "--n1", "2", "--n2", "3", "--criterion", criterion,
         )
         assert code == 2 and "residues out of range" in err
+
+    # a degree-30 factor of exponent 77 of vee(x^6+...+1, x^10+...+1)
+    DEGREE30 = (
+        "x^30+x^28+x^27+x^26+x^23+x^21+x^20+x^19+x^16+x^14"
+        "+x^13+x^12+x^9+x^8+x^7+x^4+x^2+x+1"
+    )
+
+    def test_construct_above_degree_cap(self, capsys):
+        code, _, err = run(
+            capsys, "construct", "--poly", self.DEGREE30, "--r1", "7", "--r2", "11",
+        )
+        assert code == 2 and err == "error: construct is capped at degree 24\n"
+
+    def test_census_above_area_cap(self, capsys):
+        code, _, err = run(
+            capsys, "check-fold", "--poly", self.DEGREE30,
+            "--r1", "7", "--r2", "11", "--n1", "5", "--n2", "6", "--criterion", "census",
+        )
+        assert code == 2
+        assert err == "error: census infeasible: window area or degree above the brute-force caps\n"

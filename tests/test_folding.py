@@ -145,6 +145,16 @@ class TestShift:
             s = CyclicSequence(rng.randrange(1 << (r1 * r2)), r1 * r2)
             assert fold(s.rotate(1), r1, r2) == fold(s, r1, r2).shift(1, 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_rotations_packed_order(self, r1, r2, data):
+        # entry dh*r1 + dv packs shift(dv, dh), row i at bits [i*r2, (i+1)*r2)
+        rows = data.draw(st.lists(st.integers(0, (1 << r2) - 1), min_size=r1, max_size=r1))
+        a = TorusArray(rows, r2)
+        for t, packed in enumerate(a.rotations_packed()):
+            moved = a.shift(t % r1, t // r1)
+            assert packed == sum(r << (i * r2) for i, r in enumerate(moved.rows))
+
 
 class TestElementwise:
     def test_product_display(self):

@@ -138,6 +138,38 @@ class TestIrreducibility:
             assert is_irreducible(f) == (facs == [f]), f
 
 
+def trial_factor(f):
+    """Irreducible factors of f with multiplicity, in increasing order,
+    by trial division with every polynomial of degree <= deg(f)/2."""
+    out = []
+    g = X
+    while f.degree > 0:
+        if 2 * g.degree > f.degree:
+            out.append(f)
+            break
+        q, r = divmod(f, g)
+        if r.is_zero:
+            out.append(g)
+            f = q
+        else:
+            g = BinaryPolynomial(g.bits + 1)
+    return out
+
+
+class TestAgainstTrialDivision:
+    def test_every_polynomial_up_to_degree_10(self):
+        irreducible_count = 0
+        for bits in range(2, 1 << 11):
+            f = BinaryPolynomial(bits)
+            divisors = [BinaryPolynomial(g) for g in range(2, 1 << (f.degree // 2 + 1))]
+            irreducible = all(not (f % g).is_zero for g in divisors)
+            assert is_irreducible(f) == irreducible, f
+            assert factor(f) == trial_factor(f), f
+            irreducible_count += irreducible
+        # Gauss's count by degree 1..10: 2, 1, 2, 3, 6, 9, 18, 30, 56, 99
+        assert irreducible_count == 226
+
+
 class TestFactor:
     def test_inp_product(self):
         f = P("x^24+x^21+x^15+x^12+x^9+x^3+1")

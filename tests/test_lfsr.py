@@ -16,7 +16,6 @@ from prarray.lfsr import (
     bitadd,
     bitmul,
     generate,
-    shift_and_add_closed,
     zero_factor,
 )
 
@@ -210,22 +209,6 @@ class TestBitOps:
         assert zf.exponent == e
         for c in zf.cycles:
             assert c.least_period == e
-
-
-class TestShiftAndAdd:
-    def test_single_msequence(self):
-        assert shift_and_add_closed([seq("000111101011001")])
-
-    def test_zero_factor_cycles(self):
-        zf = zero_factor(parse("x^6+x^5+x^4+x^2+1"))
-        assert shift_and_add_closed(zf.cycles)
-
-    def test_counterexample(self):
-        assert not shift_and_add_closed([seq("0011"), seq("0101")])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            shift_and_add_closed([seq("011"), seq("0101")])
 
 
 class TestBerlekampMassey:

@@ -1,16 +1,21 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prarray.folding import CodeParams, TorusArray, fold, fold_zero_factor
 from prarray.gf2poly import (
     BinaryPolynomial,
     _divisors,
+    classify,
     enumerate_irreducible,
     exponent,
     is_irreducible,
+    parse,
 )
 from prarray.lfsr import CyclicSequence, zero_factor
 from prarray.verify import (
@@ -80,6 +85,98 @@ class TestCensus:
             assert window_census(rotated, 2, 3).passed == base
 
 
+def reference_closure(arrays, params=None):
+    """All-pairs closure: every codeword plus every shift of every
+    codeword is zero or a shift of a codeword."""
+    arrays = list(arrays)
+    if not arrays:
+        return VerdictReport("shift-add", True, params, None, {"pairs_checked": 0})
+    r1, r2 = arrays[0].r1, arrays[0].r2
+    if any(a.r1 != r1 or a.r2 != r2 for a in arrays):
+        raise ValueError("arrays must share dimensions")
+    members = set()
+    rotations = []
+    for arr in arrays:
+        rots = arr.rotations_packed()
+        rotations.append(rots)
+        members.update(rots)
+    checked = 0
+    for ia, a_rots in enumerate(rotations):
+        pa = a_rots[0]  # the unshifted codeword
+        for ib, rots in enumerate(rotations):
+            for t, rb in enumerate(rots):
+                s = pa ^ rb
+                checked += 1
+                if s and s not in members:
+                    dv, dh = t % r1, t // r1
+                    return VerdictReport(
+                        "shift-add",
+                        False,
+                        params,
+                        Witness(
+                            "closure",
+                            f"array {ia} + array {ib} shifted by ({dv},{dh}) "
+                            "is not a shifted codeword",
+                            array_index=ia,
+                            position=(dv, dh),
+                        ),
+                        {"pairs_checked": checked},
+                    )
+    return VerdictReport("shift-add", True, params, None, {"pairs_checked": checked})
+
+
+_CLOSURE_WITNESS = re.compile(r"array (\d+) \+ array (\d+) shifted by \((\d+),(\d+)\) ")
+
+
+def check_closure(arrays):
+    """shift_add_closure against the reference; a failure must name a
+    nonzero sum that is no shift of any codeword, and a pass must have
+    checked one sum per nonzero element of the span."""
+    got = shift_add_closure(arrays)
+    assert got.passed == reference_closure(arrays).passed, arrays
+    if got.passed:
+        span = {0}.union(*(a.rotations_packed() for a in arrays))
+        assert got.detail["pairs_checked"] == len(span) - 1
+        return got
+    ia, ib, dv, dh = map(int, _CLOSURE_WITNESS.match(got.witness.message).groups())
+    assert (got.witness.array_index, got.witness.position) == (ia, (dv, dh))
+    total = arrays[ia] + arrays[ib].shift(dv, dh)
+    codewords = {sum(r << (i * a.r2) for i, r in enumerate(a.rows)) for a in arrays}
+    assert not total.is_zero, got.witness.message
+    assert codewords.isdisjoint(total.rotations_packed()), got.witness.message
+    return got
+
+
+@st.composite
+def small_array_sets(draw):
+    """1-4 arrays of 1-5 x 1-5 cells, sizes not always coprime, with
+    zero arrays and shifted copies among them."""
+    r1, r2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    grid = st.lists(st.integers(0, (1 << r2) - 1), min_size=r1, max_size=r1)
+    arrays = [
+        TorusArray(rows, r2)
+        for rows in draw(st.lists(st.one_of(st.just([0] * r1), grid), min_size=1, max_size=4))
+    ]
+    if len(arrays) > 1 and draw(st.booleans()):
+        arrays[-1] = arrays[0].shift(draw(st.integers(0, r1 - 1)), draw(st.integers(0, r2 - 1)))
+    return arrays
+
+
+def folded_uniform_codes(max_degree):
+    """(f, arrays) for every uniform f of degree <= max_degree, folded
+    at every coprime split of its exponent."""
+    for bits in range(0b11, 1 << (max_degree + 1), 2):
+        f = BinaryPolynomial(bits)
+        cls = classify(f)
+        if not cls.is_uniform:
+            continue
+        zf = zero_factor(f)
+        for r1 in _divisors(cls.exponent):
+            r2 = cls.exponent // r1
+            if math.gcd(r1, r2) == 1:
+                yield f, fold_zero_factor(zf, r1, r2)
+
+
 class TestClosure:
     def test_single_pra(self, pra_3x5):
         assert shift_add_closure([pra_3x5]).passed
@@ -89,12 +186,58 @@ class TestClosure:
 
     def test_bit_flip_breaks_closure(self, pra_3x5):
         bad = TorusArray([pra_3x5.rows[0] ^ 1, *pra_3x5.rows[1:]], 5)
-        rep = shift_add_closure([bad])
+        rep = check_closure([bad])
         assert not rep.passed and rep.witness is not None
 
     def test_dimension_mismatch(self, pra_3x5):
         with pytest.raises(ValueError):
             shift_add_closure([pra_3x5, TorusArray([0, 0], 5)])
+
+    # sequences of length l are checked as their 1 x l folds
+    def test_single_msequence(self):
+        assert shift_add_closure([fold(SPAN4, 1, 15)]).passed
+
+    def test_zero_factor_cycles(self):
+        zf = zero_factor(parse("x^6+x^5+x^4+x^2+1"))
+        assert check_closure(list(fold_zero_factor(zf, 1, 21))).passed
+
+    def test_counterexample(self):
+        pair = [fold(CyclicSequence.from_bits(s), 1, 4) for s in ("0011", "0101")]
+        assert not check_closure(pair).passed
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            shift_add_closure(
+                [fold(CyclicSequence.from_bits(s), 1, len(s)) for s in ("011", "0101")]
+            )
+
+    def test_pairs_checked_on_the_45_codeword_code(self):
+        f = parse("x^12+x^10+x^9+x+1")
+        rep = shift_add_closure(fold_zero_factor(zero_factor(f), 7, 13))
+        assert rep.passed and rep.detail["pairs_checked"] == (1 << 12) - 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_array_sets())
+    def test_matches_reference_on_small_sets(self, arrays):
+        check_closure(arrays)
+
+    def test_matches_reference_on_folded_uniform_codes(self):
+        # whole, minus one array, and one bit flipped
+        rng = random.Random(5)
+        corrupted = failed = 0
+        for f, arrays in folded_uniform_codes(10):
+            k = rng.randrange(len(arrays))
+            others = [a for i, a in enumerate(arrays) if i != k]
+            bad = flip(arrays[k], rng.randrange(arrays[k].r1), rng.randrange(arrays[k].r2))
+            variants = [list(arrays), others + [bad]]
+            if others:
+                variants.append(others)
+            assert check_closure(variants[0]).passed, f
+            for v in variants[1:]:
+                corrupted += 1
+                failed += not check_closure(v).passed
+        # only the 1 x 1 code of x + 1, flipped to the zero array, stays closed
+        assert failed == corrupted - 1
 
 
 class TestVerifyPrac:
