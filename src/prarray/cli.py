@@ -28,7 +28,7 @@ from .gf2poly import (
     parse,
 )
 from .lfsr import _ZERO_FACTOR_DEGREE_CAP, zero_factor
-from .verify import _CENSUS_AREA_CAP, verify_prac, window_census
+from .verify import verify_prac
 
 
 class _UsageError(ValueError):
@@ -111,6 +111,8 @@ class _Run:
 
 
 def _cmd_construct(args):
+    if (args.n1 is None) != (args.n2 is None):
+        raise _UsageError("construct needs both --n1 and --n2, or neither")
     poly = _poly_arg(args.poly)
     cls = _require_uniform(poly, args.r1, args.r2)
     if poly.degree > _ZERO_FACTOR_DEGREE_CAP:
@@ -119,7 +121,7 @@ def _cmd_construct(args):
     zf = zero_factor(poly)
     arrays = fold_zero_factor(zf, args.r1, args.r2)
     header = None
-    if args.n1 and args.n2:
+    if args.n1 is not None:
         header = CodeParams(args.r1, args.r2, args.n1, args.n2)
         run.set_params(header)
     run.doc["counts"] = {"arrays": len(arrays), "exponent": cls.exponent}
@@ -213,20 +215,16 @@ def _cmd_check_fold(args):
     )
     run.set_params(params)
     irreducible = len(factors) == 1
-    census_feasible = (
-        params.window_area <= _CENSUS_AREA_CAP and poly.degree <= _ZERO_FACTOR_DEGREE_CAP
-    )
 
     reports = []
 
     def timed(fn, *fargs, **fkwargs):
+        # a None report is a check that was not run
         started = time.perf_counter()
         rep = fn(*fargs, **fkwargs)
-        reports.append((rep, time.perf_counter() - started))
-
-    def census_report():
-        arrays = fold_zero_factor(zero_factor(poly), params.r1, params.r2)
-        return window_census(arrays, params.n1, params.n2, params)
+        if rep is not None:
+            reports.append((rep, time.perf_counter() - started))
+        return rep
 
     want = args.criterion
     if want in ("setpoly", "all"):
@@ -239,9 +237,7 @@ def _cmd_check_fold(args):
     if want in ("det", "all"):
         timed(criteria.det_test, factors, params)
     if want in ("census", "all"):
-        if census_feasible:
-            timed(census_report)
-        elif want == "census":
+        if timed(criteria._fold_census, poly, params) is None and want == "census":
             raise _UsageError(
                 "census infeasible: window area or degree above the brute-force caps"
             )

@@ -35,6 +35,7 @@ from .gf2poly import (
     BinaryPolynomial,
     InternalCheckError,
     _bit_reverse,
+    _gf2_kernel,
     _powmod,
     _trace_mask,
     _x_order,
@@ -226,27 +227,6 @@ def window_positions(params):
     return PositionSet(params, pos)
 
 
-def _rank_with_kernel(vectors):
-    """(rank, kernel_combination) of GF(2) vectors; the combination is a
-    bitmask over the input indices witnessing the first dependency (the
-    least index whose vector lies in the span of the earlier ones), or 0."""
-    pivots = {}
-    first = 0
-    for idx, v in enumerate(vectors):
-        combo = 1 << idx
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = (v, combo)
-                break
-            pv, pc = pivots[lead]
-            v ^= pv
-            combo ^= pc
-        else:
-            first = first or combo
-    return len(pivots), first
-
-
 def _window_vectors(fb, positions):
     """x^p mod fb for each position p: the window-cell field elements
     that every rank test here ranks, as raw ints."""
@@ -286,13 +266,13 @@ def setpoly_test(f, pos, exhaustive=False):
             f"need {f.degree} positions for degree {f.degree}, got {len(positions)}"
         )
     vectors = _window_vectors(f.bits, positions)
-    rank, combo = _rank_with_kernel(vectors)
+    rank, kernel = _gf2_kernel(vectors)
     passed = rank == len(positions)
     witness = None
     detail = {"positions": sorted(positions), "rank": rank}
     if not passed:
         subset = sorted(
-            (positions[i] for i in range(len(positions)) if combo >> i & 1),
+            (positions[i] for i in range(len(positions)) if kernel[0] >> i & 1),
             reverse=True,
         )
         terms = "+".join("x^%d" % p if p > 1 else ("x" if p == 1 else "1") for p in subset)
@@ -348,11 +328,11 @@ def det_test(factors, params):
     cols = []
     for p in factors:
         cols.extend(_trace_columns(p.bits, n, _window_vectors(p.bits, positions)))
-    rank, combo = _rank_with_kernel(cols)
+    rank, kernel = _gf2_kernel(cols)
     passed = rank == k * n
     witness = None
     if not passed:
-        cols = [i for i in range(k * n) if combo >> i & 1]
+        cols = [i for i in range(k * n) if kernel[0] >> i & 1]
         witness = Witness(
             "determinant",
             "dependent columns (factor, power): "
@@ -396,12 +376,12 @@ def trace_independence_test(f, params):
     order = _x_order(f.bits)
     if order != e:
         raise ValueError(f"{f} has exponent {order}, need {e}")
-    rank, combo = _rank_with_kernel(_window_vectors(f.bits, _cell_positions(params)))
+    rank, kernel = _gf2_kernel(_window_vectors(f.bits, _cell_positions(params)))
     passed = rank == n
     witness = None
     if not passed:
         cells = [
-            (i // params.n2, i % params.n2) for i in range(n) if combo >> i & 1
+            (i // params.n2, i % params.n2) for i in range(n) if kernel[0] >> i & 1
         ]
         witness = Witness(
             "determinant",
@@ -517,16 +497,17 @@ def conjecture_search(n1, n2, r1, r2, kmax):
 
 def _conjecture_entry(k, combo, product, params):
     verdict = det_test(list(combo), params)
-    agrees = None
-    if (
-        params.window_area <= _CENSUS_AREA_CAP
-        and product.degree <= _ZERO_FACTOR_DEGREE_CAP
-    ):
-        arrays = fold_zero_factor(zero_factor(product), params.r1, params.r2)
-        census = window_census(arrays, params.n1, params.n2, params)
-        agrees = census.passed == verdict.passed
-        if not agrees:
-            raise InternalCheckError(
-                f"determinant and census verdicts disagree for {product}"
-            )
+    census = _fold_census(product, params)
+    agrees = None if census is None else census.passed == verdict.passed
+    if agrees is False:
+        raise InternalCheckError(f"determinant and census verdicts disagree for {product}")
     return ConjectureEntry(k, combo, product, verdict, agrees)
+
+
+def _fold_census(f, params):
+    """Window census of the folded zero factor of the uniform f, or
+    None when the window area or deg(f) is above the brute-force caps."""
+    if params.window_area > _CENSUS_AREA_CAP or f.degree > _ZERO_FACTOR_DEGREE_CAP:
+        return None
+    arrays = fold_zero_factor(zero_factor(f), params.r1, params.r2)
+    return window_census(arrays, params.n1, params.n2, params)

@@ -2,9 +2,11 @@
 
 A sequence of length r1*r2 with gcd(r1, r2) = 1 folds into an r1 x r2
 torus by placing bit k at cell (k mod r1, k mod r2); the Chinese
-remainder theorem makes this a bijection.  Arrays are stored row-major
-with each row bit-packed into an integer (bit j of row i is the cell
-(i, j)).
+remainder theorem makes this a bijection.  An array is a read-only
+(r1, r2) uint8 grid of 0/1 cells, and a folded code is one (m, r1, r2)
+stack of them.  Only this module packs an array into an integer (a
+row, a column, an unfolded sequence, a shift keyed by the closure
+check): cell (i, j) is bit i*r2 + j.
 
 Array file format: one array is r1 lines of r2 characters from {0,1};
 arrays are separated by a single blank line; an optional first line
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lfsr import CyclicSequence, _pack_rows, _unpack_rows
+from .lfsr import CyclicSequence, _pack_rows
 
 
 @dataclass(frozen=True)
@@ -67,22 +69,31 @@ class CodeParams:
 
 
 class TorusArray:
-    """An r1 x r2 binary array, cyclic in both directions."""
+    """An r1 x r2 binary array, cyclic in both directions: entry
+    ``_index`` of a read-only (m, r1, r2) grid stack."""
 
-    __slots__ = ("rows", "r1", "r2")
+    __slots__ = ("_stack", "_index")
 
-    def __init__(self, rows, r2):
-        rows = tuple(rows)
-        if not rows or r2 < 1:
-            raise ValueError("array must have positive dimensions")
-        if any(r >> r2 for r in rows):
-            raise ValueError("row bits exceed the stated width")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "r1", len(rows))
-        object.__setattr__(self, "r2", r2)
+    def __init__(self, grid):
+        grid = np.asarray(grid)
+        if grid.ndim != 2 or grid.size == 0:
+            raise ValueError("array must be a nonempty 2-D grid")
+        if grid.dtype.kind not in "biu" or ((grid != 0) & (grid != 1)).any():
+            raise ValueError("array cells must be 0 or 1")
+        self._stack = _read_only(grid.astype(np.uint8))[None]
+        self._index = 0
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusArray is immutable")
+    @property
+    def grid(self):
+        return self._stack[self._index]
+
+    @property
+    def r1(self):
+        return self._stack.shape[1]
+
+    @property
+    def r2(self):
+        return self._stack.shape[2]
 
     @classmethod
     def from_lines(cls, lines):
@@ -92,21 +103,14 @@ class TorusArray:
         width = len(lines[0])
         if any(len(ln) != width for ln in lines):
             raise ValueError("array lines must share one width")
-        rows = []
-        for ln in lines:
-            r = 0
-            for j, ch in enumerate(ln):
-                r |= int(ch) << j
-            rows.append(r)
-        return cls(rows, width)
+        cells = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+        return _from_grid(cells.reshape(len(lines), width) - ord("0"))
 
     def entry(self, i, j):
-        return self.rows[i % self.r1] >> (j % self.r2) & 1
+        return int(self.grid[i % self.r1, j % self.r2])
 
     def to_lines(self):
-        return [
-            "".join(str(r >> j & 1) for j in range(self.r2)) for r in self.rows
-        ]
+        return ["".join(map(str, row)) for row in self.grid.tolist()]
 
     def __str__(self):
         return "\n".join(self.to_lines())
@@ -115,64 +119,39 @@ class TorusArray:
         return f"TorusArray({self.r1}x{self.r2})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TorusArray)
-            and self.r2 == other.r2
-            and self.rows == other.rows
-        )
+        return isinstance(other, TorusArray) and np.array_equal(self.grid, other.grid)
 
     def __hash__(self):
-        return hash(("torus", self.r2, self.rows))
+        return hash(("torus", self.grid.shape, self.grid.tobytes()))
 
     @property
     def is_zero(self):
-        return not any(self.rows)
+        return not self.grid.any()
 
     def __add__(self, other):
         self._check_dims(other)
-        return TorusArray([a ^ b for a, b in zip(self.rows, other.rows)], self.r2)
+        return _from_grid(self.grid ^ other.grid)
 
     def prod(self, other):
         """Elementwise AND."""
         self._check_dims(other)
-        return TorusArray([a & b for a, b in zip(self.rows, other.rows)], self.r2)
+        return _from_grid(self.grid & other.grid)
 
     def _check_dims(self, other):
-        if self.r1 != other.r1 or self.r2 != other.r2:
+        if self.grid.shape != other.grid.shape:
             raise ValueError("array dimensions differ")
 
     def shift(self, dv, dh):
         """Move content down by dv rows and right by dh columns."""
-        dv %= self.r1
-        dh %= self.r2
-        mask = (1 << self.r2) - 1
-        rot = (
-            self.rows
-            if dh == 0
-            else tuple(((r << dh) | (r >> (self.r2 - dh))) & mask for r in self.rows)
-        )
-        return TorusArray(rot[-dv:] + rot[:-dv] if dv else rot, self.r2)
+        return _from_grid(np.roll(self.grid, (dv, dh), axis=(0, 1)))
 
     def rotations_packed(self):
         """Packed values of all r1*r2 double rotations.
 
-        Entry dh*r1 + dv packs ``shift(dv, dh)`` into one integer, row i
-        at bits [i*r2, (i+1)*r2).
+        Entry dh*r1 + dv packs ``shift(dv, dh)`` into one integer, cell
+        (i, j) at bit i*r2 + j.
         """
-        out = []
-        mask = (1 << self.r2) - 1
-        full = (1 << (self.r1 * self.r2)) - 1
-        top = (self.r1 - 1) * self.r2
-        rows = list(self.rows)
-        for _ in range(self.r2):
-            acc = 0
-            for i in range(self.r1):
-                acc |= rows[i] << (i * self.r2)
-            for i in range(self.r1):
-                out.append(acc)
-                acc = ((acc << self.r2) | (acc >> top)) & full
-            rows = [((r << 1) | (r >> (self.r2 - 1))) & mask for r in rows]
-        return out
+        return next(_packed_shifts(self.grid[None]))
 
     def canonical_packed(self):
         """Least packed value over all double rotations."""
@@ -180,13 +159,68 @@ class TorusArray:
 
     def column(self, j):
         """Column j as a CyclicSequence of length r1."""
-        bits = 0
-        for i in range(self.r1):
-            bits |= (self.rows[i] >> (j % self.r2) & 1) << i
-        return CyclicSequence(bits, self.r1)
+        return CyclicSequence(_pack_rows(self.grid[None, :, j % self.r2])[0], self.r1)
 
     def row(self, i):
-        return CyclicSequence(self.rows[i % self.r1], self.r2)
+        return CyclicSequence(_pack_rows(self.grid[None, i % self.r1])[0], self.r2)
+
+
+def _read_only(grid):
+    """grid, which owns its cells, made read-only; numpy lets a view be
+    made writeable again while its owner is writeable, its views not."""
+    grid.flags.writeable = False
+    return grid
+
+
+def _stack_entry(stack, index):
+    """Entry index of a read-only 0/1 uint8 grid stack, unchecked."""
+    arr = object.__new__(TorusArray)
+    arr._stack = stack
+    arr._index = index
+    return arr
+
+
+def _from_grid(grid):
+    """An array around a new 0/1 uint8 (r1, r2) grid, unchecked."""
+    return _stack_entry(_read_only(grid)[None], 0)
+
+
+def _grid_shape(arrays):
+    """(r1, r2) of nonempty arrays that must share one shape."""
+    stack = arrays[0]._stack
+    if any(a._stack is not stack for a in arrays) and len({a.grid.shape for a in arrays}) > 1:
+        raise ValueError("arrays must share dimensions")
+    return stack.shape[1:]
+
+
+def _grid_stack(arrays):
+    """The (m, r1, r2) stack of the grids of arrays of one shape; a
+    whole folded code in fold order is its own stack."""
+    stack = arrays[0]._stack
+    if len(arrays) == len(stack) and all(
+        a._stack is stack and a._index == i for i, a in enumerate(arrays)
+    ):
+        return stack
+    return np.stack([a.grid for a in arrays])
+
+
+def _packed_shifts(grids):
+    """For each array of an (m, r1, r2) grid stack in turn, the list
+    whose entry dh*r1 + dv packs it moved down dv rows and right dh
+    columns.  Each array is packed once; a move right shifts each row
+    segment of the int by one bit, and a move down dv rows rotates the
+    int by dv*r2 bits."""
+    m, r1, r2 = grids.shape
+    cells = r1 * r2
+    full = (1 << cells) - 1
+    last = full // ((1 << r2) - 1) << (r2 - 1)  # column r2 - 1 of every row
+    for v in _pack_rows(grids.reshape(m, cells)):
+        shifts = []
+        for _ in range(r2):
+            twice = v | v << cells
+            shifts.extend(twice >> (cells - dv * r2) & full for dv in range(r1))
+            v = (v & ~last) << 1 | (v & last) >> (r2 - 1)
+        yield shifts
 
 
 @functools.lru_cache(maxsize=256)
@@ -199,19 +233,12 @@ def _fold_indices(r1, r2):
 
 
 def _fold_bits(bits, r1, r2):
-    """Fold an (m, r1*r2) bit matrix of sequences into m arrays at once."""
+    """Fold an (m, r1*r2) bit matrix of sequences into m arrays at once,
+    the entries of one read-only (m, r1, r2) grid stack."""
     if math.gcd(r1, r2) != 1:
         raise ValueError(f"fold needs coprime dimensions, got {r1} and {r2}")
-    m = bits.shape[0]
-    rows = _pack_rows(bits[:, _fold_indices(r1, r2)].reshape(m * r1, r2))
-    return tuple(TorusArray(rows[i : i + r1], r2) for i in range(0, m * r1, r1))
-
-
-def _grids_from_arrays(arrays):
-    """(m, r1, r2) uint8 grids of m arrays that share one shape."""
-    r1, r2 = arrays[0].r1, arrays[0].r2
-    rows = [r for a in arrays for r in a.rows]
-    return _unpack_rows(rows, r2).reshape(-1, r1, r2)
+    grids = _read_only(bits.take(_fold_indices(r1, r2), axis=1)).reshape(-1, r1, r2)
+    return tuple(_stack_entry(grids, i) for i in range(len(grids)))
 
 
 def fold(seq, r1, r2):
@@ -219,18 +246,17 @@ def fold(seq, r1, r2):
     ell = r1 * r2
     if len(seq) != ell:
         raise ValueError(f"sequence length {len(seq)} != r1*r2 = {ell}")
-    return _fold_bits(_unpack_rows([seq.bits], ell), r1, r2)[0]
+    raw = np.frombuffer(seq.bits.to_bytes((ell + 7) // 8, "little"), dtype=np.uint8)
+    return _fold_bits(np.unpackbits(raw, count=ell, bitorder="little")[None], r1, r2)[0]
 
 
 def unfold(arr):
     """Inverse of fold; needs coprime dimensions."""
     if math.gcd(arr.r1, arr.r2) != 1:
         raise ValueError("unfold needs coprime dimensions")
-    ell = arr.r1 * arr.r2
-    bits = 0
-    for k in range(ell):
-        bits |= (arr.rows[k % arr.r1] >> (k % arr.r2) & 1) << k
-    return CyclicSequence(bits, ell)
+    bits = np.empty((1, arr.r1 * arr.r2), dtype=np.uint8)
+    bits[0, _fold_indices(arr.r1, arr.r2)] = arr.grid.ravel()
+    return CyclicSequence(_pack_rows(bits)[0], bits.shape[1])
 
 
 def fold_zero_factor(zf, r1, r2):
@@ -239,7 +265,7 @@ def fold_zero_factor(zf, r1, r2):
         raise ValueError(
             f"zero factor exponent {zf.exponent} != r1*r2 = {r1 * r2}"
         )
-    return _fold_bits(_unpack_rows([c.bits for c in zf.cycles], zf.exponent), r1, r2)
+    return _fold_bits(zf.bits, r1, r2)
 
 
 def write_arrays(stream, arrays, header=None):

@@ -408,29 +408,40 @@ def _factor_squarefree_tower(fb):
     return _berlekamp_squarefree(_divmod(fb, w)[0]) + _factor_squarefree_tower(w)
 
 
+def _gf2_kernel(vectors):
+    """(rank, kernel) of GF(2) vectors as raw ints; the kernel has, for
+    each vector in the span of the earlier ones, the bitmask of inputs
+    summing to zero."""
+    pivots = {}
+    kernel = []
+    for idx, v in enumerate(vectors):
+        combo = 1 << idx
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = (v, combo)
+                break
+            pv, pc = pivots[lead]
+            v ^= pv
+            combo ^= pc
+        else:
+            kernel.append(combo)
+    return len(pivots), kernel
+
+
 def _berlekamp_squarefree(fb):
     n = _degree(fb)
     if n == 1:
         return [fb]
-    # Frobenius images of the basis: column j is x^(2j) mod f
+    # Frobenius images of the basis minus the identity: column j is
+    # x^(2j) mod f + x^j
+    cols = []
     img = 1
     step = _mod(4, fb)  # x^2
-    pivots = {}
-    kernel = []
     for j in range(n):
-        v = img ^ (1 << j)
-        pre = 1 << j
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = (v, pre)
-                break
-            pv, pp = pivots[lead]
-            v ^= pv
-            pre ^= pp
-        else:
-            kernel.append(pre)
+        cols.append(img ^ (1 << j))
         img = _mulmod(img, step, fb)
+    _, kernel = _gf2_kernel(cols)
     if len(kernel) == 1:
         return [fb]
     factors = [fb]

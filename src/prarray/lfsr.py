@@ -4,16 +4,15 @@ A characteristic polynomial ``c(x) = 1 + c_1 x + ... + c_n x^n`` drives
 the recursion ``a_k = c_1 a_{k-1} + ... + c_n a_{k-n}`` over GF(2).
 Sequence bits are packed into an integer with ``a_0`` at bit 0.
 
-Batched form: ``zero_factor``, the folds and the window census handle
-a whole code at once as a uint8 bit matrix, one row per cycle (or per
-array row), column k holding bit k; ``_unpack_rows`` and
-``_pack_rows`` convert between it and packed integers.
-``zero_factor`` fills that matrix for all cycles in numpy blocks by
-doubling, without a per-state Python walk.
+Batched form: a zero factor is a read-only (m, e) uint8 bit matrix,
+one row per cycle, column k holding bit k, which ``zero_factor`` fills
+in numpy blocks by doubling, without a per-state Python walk.
+``ZeroFactor.cycles`` packs its rows into integers on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,25 +128,34 @@ class CyclicSequence:
         return [self.bit(k) for k in range(nbits)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroFactor:
     """All nonzero cycles of a uniform-exponent polynomial.
 
     Jointly the cycles contain every nonzero deg(f)-tuple exactly once,
-    so the cycle count times the exponent is 2^deg - 1.
+    so the cycle count times the exponent is 2^deg - 1.  ``bits`` holds
+    them as a read-only (count, exponent) matrix.
     """
 
     generator: BinaryPolynomial
     exponent: int
-    cycles: tuple
+    bits: np.ndarray
 
     def __post_init__(self):
-        n = self.generator.degree
-        if len(self.cycles) * self.exponent != (1 << n) - 1:
+        count, width = self.bits.shape
+        if width != self.exponent or count * width != (1 << self.generator.degree) - 1:
             raise InternalCheckError("cycle count times exponent must be 2^n - 1")
+        # a view of a read-only owner cannot be made writeable again
+        owner = self.bits if self.bits.base is None else self.bits.copy()
+        owner.flags.writeable = False
+        object.__setattr__(self, "bits", owner.view())
+
+    @functools.cached_property
+    def cycles(self):
+        return tuple(CyclicSequence(b, self.exponent) for b in _pack_rows(self.bits))
 
     def __len__(self):
-        return len(self.cycles)
+        return self.bits.shape[0]
 
     def to_lines(self):
         """One cycle per line, as 0/1 strings."""
@@ -190,16 +198,8 @@ _BLOCK_STATES = 1 << 20  # register states generated per numpy block
 _ZERO_FACTOR_DEGREE_CAP = 24  # all 2^n register states are generated and marked
 
 
-def _unpack_rows(ints, width):
-    """(len(ints), width) uint8 bit matrix; bit k of ints[i] is column k
-    of row i.  The batched form of cycles and array rows."""
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in ints), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
-
-
 def _pack_rows(bits):
-    """Inverse of ``_unpack_rows``: each row of a 2-D 0/1 matrix as an int."""
+    """Each row of a 2-D 0/1 matrix as an int, column k at bit k."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     nbytes = packed.shape[1]
     buf = packed.tobytes()
@@ -292,8 +292,7 @@ def zero_factor(f):
     # states, so least period e
     if not seen.all():
         raise InternalCheckError(f"cycles of {f} do not have period {e}")
-    bits = np.concatenate(blocks)
-    return ZeroFactor(f, e, tuple(CyclicSequence(b, e) for b in _pack_rows(bits)))
+    return ZeroFactor(f, e, np.concatenate(blocks))
 
 
 def _combine(a, b, op):

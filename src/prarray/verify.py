@@ -8,8 +8,8 @@ GF(2) subspace, which it tests by growing the span of the shifts, with
 at most one membership check per shift.  ``verify_prac`` chains the
 parameter arithmetic, the census, and the closure check.
 
-The census is one batched pass: the arrays become an (m, r1, r2) bit
-grid stack, taken in blocks of whole arrays of about 2^20 windows;
+Both checks read the arrays' (m, r1, r2) grid stack.  The census is
+one batched pass over blocks of whole arrays of about 2^20 windows;
 each block's window codes are sorted, and one 2^(n1*n2)-bit occupancy
 table catches codes repeated across blocks.  At every window area the
 witness is the first zero window, else the smallest repeated code
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .folding import CodeParams, _grids_from_arrays
+from .folding import CodeParams, _grid_shape, _grid_stack, _packed_shifts
 
 _CENSUS_AREA_CAP = 28  # occupancy table stays under 32 MiB
 _CENSUS_BLOCK_WINDOWS = 1 << 20  # windows coded per block of whole arrays
@@ -140,16 +140,15 @@ def window_census(arrays, n1, n2, params=None):
     area = n1 * n2
     if area > _CENSUS_AREA_CAP:
         raise ValueError(f"window area {area} exceeds the census cap {_CENSUS_AREA_CAP}")
+    r1 = r2 = 0
     if arrays:
-        r1, r2 = arrays[0].r1, arrays[0].r2
-        if any(a.r1 != r1 or a.r2 != r2 for a in arrays):
-            raise ValueError("arrays must share dimensions")
+        r1, r2 = _grid_shape(arrays)
         if n1 > r1 or n2 > r2:
             raise ValueError(f"window {n1}x{n2} larger than array {r1}x{r2}")
-    if params is None and arrays:
-        params = CodeParams(arrays[0].r1, arrays[0].r2, n1, n2)
+        if params is None:
+            params = CodeParams(r1, r2, n1, n2)
     expected = (1 << area) - 1
-    total = sum(a.r1 * a.r2 for a in arrays)
+    total = len(arrays) * r1 * r2
     detail = {"windows_total": total, "windows_expected": expected}
 
     def fail(witness):
@@ -162,12 +161,13 @@ def window_census(arrays, n1, n2, params=None):
                 f"window count {total} != 2^{area} - 1 = {expected}",
             )
         )
+    grids = _grid_stack(arrays)
     cells = r1 * r2
     per_block = max(1, _CENSUS_BLOCK_WINDOWS // cells)
     starts = range(0, len(arrays), per_block)
 
     def block_codes(lo):
-        return _block_codes(_grids_from_arrays(arrays[lo : lo + per_block]), n1, n2)
+        return _block_codes(grids[lo : lo + per_block], n1, n2)
 
     def window_witness(kind, message, at, code):
         idx, cell = divmod(at, cells)
@@ -237,13 +237,12 @@ def shift_add_closure(arrays, params=None):
     arrays = list(arrays)
     if not arrays:
         return VerdictReport("shift-add", True, params, None, {"pairs_checked": 0})
-    r1, r2 = arrays[0].r1, arrays[0].r2
-    if any(a.r1 != r1 or a.r2 != r2 for a in arrays):
-        raise ValueError("arrays must share dimensions")
+    r1, r2 = _grid_shape(arrays)
+    grids = _grid_stack(arrays)
     # each shift maps to itself, so the span holds these ints, not copies
     members = {}
-    for arr in arrays:
-        for v in arr.rotations_packed():
+    for shifts in _packed_shifts(grids):
+        for v in shifts:
             members.setdefault(v, v)
     span = {0}
     checked = 0
@@ -254,8 +253,8 @@ def shift_add_closure(arrays, params=None):
         if None in sums:
             bad = sums.index(None)
             checked += bad + 1
-            ia, (av, ah) = _shift_of(arrays, v)
-            ib, (bv, bh) = _shift_of(arrays, list(span)[bad])  # same order as sums
+            ia, av, ah = _shift_of(grids, v)
+            ib, bv, bh = _shift_of(grids, list(span)[bad])  # same order as sums
             # both sides shifted by (-av, -ah): array ia is unshifted
             dv, dh = (bv - av) % r1, (bh - ah) % r2
             return VerdictReport(
@@ -276,14 +275,13 @@ def shift_add_closure(arrays, params=None):
     return VerdictReport("shift-add", True, params, None, {"pairs_checked": checked})
 
 
-def _shift_of(arrays, v):
-    """(array index, (dv, dh)) of the first codeword whose shift by
-    (dv, dh) packs to v."""
-    for ia, arr in enumerate(arrays):
-        rots = arr.rotations_packed()
-        if v in rots:
-            t = rots.index(v)
-            return ia, (t % arr.r1, t // arr.r1)
+def _shift_of(grids, v):
+    """(array, dv, dh) of the first of the ``_packed_shifts`` that is v."""
+    r1 = grids.shape[1]
+    for ia, shifts in enumerate(_packed_shifts(grids)):
+        if v in shifts:
+            t = shifts.index(v)
+            return ia, t % r1, t // r1
 
 
 def verify_prac(arrays, params):

@@ -277,3 +277,14 @@ class TestRefusedInputs:
         )
         assert code == 2
         assert err == "error: census infeasible: window area or degree above the brute-force caps\n"
+
+    @pytest.mark.parametrize("half", [("--n1", "2"), ("--n2", "2")])
+    def test_construct_half_window_refused(self, tmp_path, capsys, half):
+        path = tmp_path / "arrays.txt"
+        code, out, err = run(
+            capsys, "construct", "--poly", "x^4+x+1", "--r1", "3", "--r2", "5", *half,
+            "--out", str(path),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: construct needs both --n1 and --n2, or neither\n"
+        assert not path.exists()

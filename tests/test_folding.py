@@ -26,6 +26,17 @@ def arr(*lines):
     return TorusArray.from_lines(lines)
 
 
+def grids(r1, r2):
+    """r1 x r2 lists of 0/1 cells, drawn one row at a time."""
+    rows = st.lists(st.integers(0, (1 << r2) - 1), min_size=r1, max_size=r1)
+    return rows.map(lambda rs: [[r >> j & 1 for j in range(r2)] for r in rs])
+
+
+def pack_cells(a):
+    """Cell (i, j) at bit i*r2 + j, read one cell at a time."""
+    return sum(a.entry(i, j) << (i * a.r2 + j) for i in range(a.r1) for j in range(a.r2))
+
+
 class TestFold:
     def test_span4_into_3x5(self):
         assert fold(SPAN4, 3, 5) == arr("01010", "10001", "11011")
@@ -54,11 +65,11 @@ class TestFold:
 
 def reference_fold(seq, r1, r2):
     """Cell by cell: bit k goes to cell (k mod r1, k mod r2)."""
-    rows = [0] * r1
+    grid = [[0] * r2 for _ in range(r1)]
     for k in range(r1 * r2):
         if seq.bits >> k & 1:
-            rows[k % r1] |= 1 << (k % r2)
-    return TorusArray(rows, r2)
+            grid[k % r1][k % r2] = 1
+    return TorusArray(grid)
 
 
 class TestFoldReference:
@@ -92,8 +103,7 @@ class TestFoldReference:
         a = fold(s, r1, r2)
         assert a == reference_fold(s, r1, r2)
         assert unfold(a) == s
-        rows = data.draw(st.lists(st.integers(0, (1 << r2) - 1), min_size=r1, max_size=r1))
-        b = TorusArray(rows, r2)
+        b = TorusArray(data.draw(grids(r1, r2)))
         assert fold(unfold(b), r1, r2) == b
 
 
@@ -102,7 +112,7 @@ class TestUnfold:
         assert unfold(arr("01010", "10001", "11011")) == SPAN4
 
     def test_all_zero(self):
-        assert unfold(TorusArray([0, 0, 0], 5)).bits == 0
+        assert unfold(arr("00000", "00000", "00000")).bits == 0
 
     def test_round_trip_random(self):
         rng = random.Random(9)
@@ -112,7 +122,7 @@ class TestUnfold:
 
     def test_noncoprime_rejected(self):
         with pytest.raises(ValueError):
-            unfold(TorusArray([0, 0], 4))
+            unfold(arr("0000", "0000"))
 
 
 class TestShift:
@@ -148,12 +158,94 @@ class TestShift:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.data())
     def test_rotations_packed_order(self, r1, r2, data):
-        # entry dh*r1 + dv packs shift(dv, dh), row i at bits [i*r2, (i+1)*r2)
-        rows = data.draw(st.lists(st.integers(0, (1 << r2) - 1), min_size=r1, max_size=r1))
-        a = TorusArray(rows, r2)
+        # entry dh*r1 + dv packs shift(dv, dh), cell (i, j) at bit i*r2 + j
+        a = TorusArray(data.draw(grids(r1, r2)))
         for t, packed in enumerate(a.rotations_packed()):
             moved = a.shift(t % r1, t // r1)
-            assert packed == sum(r << (i * r2) for i, r in enumerate(moved.rows))
+            assert packed == pack_cells(moved)
+
+
+class TestGridForm:
+    """Every array operation against its cell-by-cell definition, on
+    1-6 x 1-6 grids, coprime or not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    def test_operations_match_cells(self, r1, r2, data):
+        g = data.draw(grids(r1, r2))
+        h = data.draw(grids(r1, r2))
+        a, b = TorusArray(g), TorusArray(h)
+
+        def lines(cell):
+            return ["".join(str(cell(i, j)) for j in range(r2)) for i in range(r1)]
+
+        assert (a.r1, a.r2) == (r1, r2)
+        assert a.to_lines() == lines(lambda i, j: g[i][j])
+        assert TorusArray.from_lines(a.to_lines()) == a
+        for i in range(-r1, 2 * r1):
+            for j in range(-r2, 2 * r2):
+                assert a.entry(i, j) == g[i % r1][j % r2]
+        dv, dh = data.draw(st.integers(-7, 7)), data.draw(st.integers(-7, 7))
+        assert a.shift(dv, dh).to_lines() == lines(lambda i, j: g[(i - dv) % r1][(j - dh) % r2])
+        assert (a + b).to_lines() == lines(lambda i, j: g[i][j] ^ h[i][j])
+        assert a.prod(b).to_lines() == lines(lambda i, j: g[i][j] & h[i][j])
+        assert a.is_zero == (not any(map(any, g)))
+
+        rots = a.rotations_packed()
+        assert len(rots) == r1 * r2
+        for t, packed in enumerate(rots):
+            dv, dh = t % r1, t // r1
+            assert packed == sum(
+                g[(i - dv) % r1][(j - dh) % r2] << (i * r2 + j)
+                for i in range(r1)
+                for j in range(r2)
+            )
+        assert a.canonical_packed() == min(rots)
+
+        j = data.draw(st.integers(-r2, 2 * r2))
+        col = a.column(j)
+        assert (len(col), col.bits) == (r1, sum(g[i][j % r2] << i for i in range(r1)))
+        i = data.draw(st.integers(-r1, 2 * r1))
+        row = a.row(i)
+        assert (len(row), row.bits) == (r2, sum(g[i % r1][j] << j for j in range(r2)))
+        if math.gcd(r1, r2) == 1:
+            seq = unfold(a)
+            ell = r1 * r2
+            assert (len(seq), seq.bits) == (ell, sum(g[k % r1][k % r2] << k for k in range(ell)))
+        else:
+            with pytest.raises(ValueError):
+                unfold(a)
+
+        twin = TorusArray([list(r) for r in g])
+        assert a == twin and hash(a) == hash(twin)
+        assert (a == b) == (g == h)
+        assert a != str(a)
+        if r1 != r2:
+            assert a != TorusArray([list(c) for c in zip(*g)])
+
+    def test_grids_are_read_only(self, deg6_exp21):
+        cells = [[0, 1, 1], [1, 0, 0]]
+        a = TorusArray(cells)
+        cells[0][0] = 1
+        assert a.entry(0, 0) == 0
+        zf = zero_factor(deg6_exp21[0])
+        arrays = fold_zero_factor(zf, 3, 7)
+        made = (a, a.shift(1, 1), a + a, a.prod(a), arr("01", "10"), arrays[0])
+        for grid in [x.grid for x in made] + [zf.bits]:
+            with pytest.raises(ValueError):
+                grid[0, 0] = 1
+            with pytest.raises(ValueError):
+                grid.flags.writeable = True
+        with pytest.raises(AttributeError):
+            a.grid = a.grid
+
+    @pytest.mark.parametrize(
+        "cells",
+        [[], [[]], [0, 1], [[[0]]], [[0, 2]], [[0, -1]], [[0.0, 1.0]], [["0", "1"]]],
+    )
+    def test_constructor_refuses_non_grids(self, cells):
+        with pytest.raises(ValueError):
+            TorusArray(cells)
 
 
 class TestElementwise:
@@ -215,11 +307,8 @@ class TestRowColumnStructure:
             r1, r2 = 4, 7
             u = CyclicSequence(rng.randrange(1, 1 << r2), r2)
             v = CyclicSequence(rng.randrange(1, 1 << r1), r1)
-            rows_a = TorusArray([u.bits] * r1, r2)
-            ones = (1 << r2) - 1
-            rows_b = TorusArray(
-                [ones if v.bit(i) else 0 for i in range(r1)], r2
-            )
+            rows_a = TorusArray([u.take(r2)] * r1)
+            rows_b = TorusArray([[v.bit(i)] * r2 for i in range(r1)])
             prod = rows_a.prod(rows_b)
             for i in range(r1):
                 assert prod.row(i).bits in (0, u.bits)

@@ -142,7 +142,7 @@ class TestSerialization:
         from prarray.folding import TorusArray
         from prarray.verify import window_census
 
-        rep = window_census([TorusArray([0, 0, 0], 5)], 2, 2)
+        rep = window_census([TorusArray.from_lines(["00000"] * 3)], 2, 2)
         kv = rep.to_kv()
         assert kv["verdict"] == "fail"
         assert kv["witness.position"] == "0,0"

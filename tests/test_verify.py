@@ -50,7 +50,7 @@ class TestCensus:
         assert window_census(prac_3x7, 2, 3).passed
 
     def test_all_zero_fails_with_witness(self):
-        rep = window_census([TorusArray([0, 0, 0], 5)], 2, 2)
+        rep = window_census([TorusArray(np.zeros((3, 5), dtype=np.uint8))], 2, 2)
         assert not rep.passed
         assert rep.witness.kind == "zero-window"
         assert rep.witness.position == (0, 0)
@@ -61,7 +61,7 @@ class TestCensus:
         assert not rep.passed and rep.witness.kind == "count"
 
     def test_duplicate_window_witness(self, pra_3x5):
-        bad = TorusArray([pra_3x5.rows[0] ^ 1, *pra_3x5.rows[1:]], 5)
+        bad = flip(pra_3x5, 0, 0)
         rep = window_census([bad], 2, 2)
         assert not rep.passed
         assert rep.witness.kind in ("duplicate-window", "zero-window")
@@ -85,6 +85,23 @@ class TestCensus:
             assert window_census(rotated, 2, 3).passed == base
 
 
+def cell_rotations(arr):
+    """Packed value of shift(dv, dh) at entry dh*r1 + dv, cell (i, j)
+    at bit i*r2 + j, built row by row from the array's text lines."""
+    r1, r2 = arr.r1, arr.r2
+    rows = [int(line[::-1], 2) for line in arr.to_lines()]
+    mask = (1 << r2) - 1
+    full = (1 << (r1 * r2)) - 1
+    out = []
+    for _ in range(r2):
+        acc = sum(r << (i * r2) for i, r in enumerate(rows))
+        for _ in range(r1):
+            out.append(acc)
+            acc = ((acc << r2) | (acc >> ((r1 - 1) * r2))) & full
+        rows = [((r << 1) | (r >> (r2 - 1))) & mask for r in rows]
+    return out
+
+
 def reference_closure(arrays, params=None):
     """All-pairs closure: every codeword plus every shift of every
     codeword is zero or a shift of a codeword."""
@@ -97,7 +114,7 @@ def reference_closure(arrays, params=None):
     members = set()
     rotations = []
     for arr in arrays:
-        rots = arr.rotations_packed()
+        rots = cell_rotations(arr)
         rotations.append(rots)
         members.update(rots)
     checked = 0
@@ -135,15 +152,15 @@ def check_closure(arrays):
     got = shift_add_closure(arrays)
     assert got.passed == reference_closure(arrays).passed, arrays
     if got.passed:
-        span = {0}.union(*(a.rotations_packed() for a in arrays))
+        span = {0}.union(*map(cell_rotations, arrays))
         assert got.detail["pairs_checked"] == len(span) - 1
         return got
     ia, ib, dv, dh = map(int, _CLOSURE_WITNESS.match(got.witness.message).groups())
     assert (got.witness.array_index, got.witness.position) == (ia, (dv, dh))
     total = arrays[ia] + arrays[ib].shift(dv, dh)
-    codewords = {sum(r << (i * a.r2) for i, r in enumerate(a.rows)) for a in arrays}
+    codewords = {cell_rotations(a)[0] for a in arrays}
     assert not total.is_zero, got.witness.message
-    assert codewords.isdisjoint(total.rotations_packed()), got.witness.message
+    assert codewords.isdisjoint(cell_rotations(total)), got.witness.message
     return got
 
 
@@ -152,10 +169,11 @@ def small_array_sets(draw):
     """1-4 arrays of 1-5 x 1-5 cells, sizes not always coprime, with
     zero arrays and shifted copies among them."""
     r1, r2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    grid = st.lists(st.integers(0, (1 << r2) - 1), min_size=r1, max_size=r1)
+    grid = st.lists(st.lists(st.integers(0, 1), min_size=r2, max_size=r2), min_size=r1, max_size=r1)
+    zero = st.just([[0] * r2] * r1)
     arrays = [
-        TorusArray(rows, r2)
-        for rows in draw(st.lists(st.one_of(st.just([0] * r1), grid), min_size=1, max_size=4))
+        TorusArray(cells)
+        for cells in draw(st.lists(st.one_of(zero, grid), min_size=1, max_size=4))
     ]
     if len(arrays) > 1 and draw(st.booleans()):
         arrays[-1] = arrays[0].shift(draw(st.integers(0, r1 - 1)), draw(st.integers(0, r2 - 1)))
@@ -185,13 +203,13 @@ class TestClosure:
         assert shift_add_closure(prac_3x7).passed
 
     def test_bit_flip_breaks_closure(self, pra_3x5):
-        bad = TorusArray([pra_3x5.rows[0] ^ 1, *pra_3x5.rows[1:]], 5)
+        bad = flip(pra_3x5, 0, 0)
         rep = check_closure([bad])
         assert not rep.passed and rep.witness is not None
 
     def test_dimension_mismatch(self, pra_3x5):
         with pytest.raises(ValueError):
-            shift_add_closure([pra_3x5, TorusArray([0, 0], 5)])
+            shift_add_closure([pra_3x5, TorusArray(np.zeros((2, 5), dtype=np.uint8))])
 
     # sequences of length l are checked as their 1 x l folds
     def test_single_msequence(self):
@@ -259,7 +277,7 @@ class TestVerifyPrac:
 
     def test_flipped_bit_fails_census(self, prac_3x7):
         arrays = list(prac_3x7)
-        arrays[0] = TorusArray([arrays[0].rows[0] ^ 1, *arrays[0].rows[1:]], 7)
+        arrays[0] = flip(arrays[0], 0, 0)
         rep = verify_prac(arrays, CodeParams(3, 7, 2, 3))
         assert not rep.passed and rep.criterion == "census"
 
@@ -324,9 +342,9 @@ def reference_census(arrays, n1, n2, params=None):
 
 
 def flip(arr, i, j):
-    rows = list(arr.rows)
-    rows[i] ^= 1 << j
-    return TorusArray(rows, arr.r2)
+    grid = arr.grid.copy()
+    grid[i, j] ^= 1
+    return TorusArray(grid)
 
 
 class TestCensusReference:
@@ -362,7 +380,7 @@ class TestCensusReference:
             others = [a for i, a in enumerate(arrays) if i != k]
             variants = [
                 list(arrays),
-                others + [TorusArray([0] * p.r1, p.r2)],
+                others + [TorusArray(np.zeros((p.r1, p.r2), dtype=np.uint8))],
                 others + [flip(arrays[k], rng.randrange(p.r1), rng.randrange(p.r2))],
             ]
             if others:
@@ -392,13 +410,13 @@ class TestBitTablePath:
         assert normal.passed and packed.passed
 
     def test_agrees_on_zero_window(self, monkeypatch):
-        arrays = [TorusArray([0, 0, 0], 5)]
+        arrays = [TorusArray(np.zeros((3, 5), dtype=np.uint8))]
         normal, packed = self._both(monkeypatch, arrays, 2, 2)
         assert not normal.passed and not packed.passed
         assert normal.witness.kind == packed.witness.kind == "zero-window"
 
     def test_agrees_on_duplicates(self, monkeypatch, pra_3x5):
-        bad = TorusArray([pra_3x5.rows[0] ^ 1, *pra_3x5.rows[1:]], 5)
+        bad = flip(pra_3x5, 0, 0)
         normal, packed = self._both(monkeypatch, [bad], 2, 2)
         assert not normal.passed and not packed.passed
         assert normal.witness.kind == packed.witness.kind
