@@ -472,6 +472,8 @@ def conjecture_search(n1, n2, r1, r2, kmax):
     """
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
+    if math.gcd(r1, r2) != 1:
+        raise ValueError("r1 and r2 must be coprime")
     in_range = n1 < r1 < 2 * n1
     candidates = enumerate_irreducible(n1 * n2, r1 * r2)
     entries = []

@@ -5,8 +5,7 @@ torus by placing bit k at cell (k mod r1, k mod r2); the Chinese
 remainder theorem makes this a bijection.  An array is a read-only
 (r1, r2) uint8 grid of 0/1 cells, and a folded code is one (m, r1, r2)
 stack of them.  Only this module packs an array into an integer (a
-row, a column, an unfolded sequence, a shift keyed by the closure
-check): cell (i, j) is bit i*r2 + j.
+row, a column, an unfolded sequence): cell (i, j) is bit i*r2 + j.
 
 Array file format: one array is r1 lines of r2 characters from {0,1};
 arrays are separated by a single blank line; an optional first line
@@ -145,18 +144,6 @@ class TorusArray:
         """Move content down by dv rows and right by dh columns."""
         return _from_grid(np.roll(self.grid, (dv, dh), axis=(0, 1)))
 
-    def rotations_packed(self):
-        """Packed values of all r1*r2 double rotations.
-
-        Entry dh*r1 + dv packs ``shift(dv, dh)`` into one integer, cell
-        (i, j) at bit i*r2 + j.
-        """
-        return next(_packed_shifts(self.grid[None]))
-
-    def canonical_packed(self):
-        """Least packed value over all double rotations."""
-        return min(self.rotations_packed())
-
     def column(self, j):
         """Column j as a CyclicSequence of length r1."""
         return CyclicSequence(_pack_rows(self.grid[None, :, j % self.r2])[0], self.r1)
@@ -202,25 +189,6 @@ def _grid_stack(arrays):
     ):
         return stack
     return np.stack([a.grid for a in arrays])
-
-
-def _packed_shifts(grids):
-    """For each array of an (m, r1, r2) grid stack in turn, the list
-    whose entry dh*r1 + dv packs it moved down dv rows and right dh
-    columns.  Each array is packed once; a move right shifts each row
-    segment of the int by one bit, and a move down dv rows rotates the
-    int by dv*r2 bits."""
-    m, r1, r2 = grids.shape
-    cells = r1 * r2
-    full = (1 << cells) - 1
-    last = full // ((1 << r2) - 1) << (r2 - 1)  # column r2 - 1 of every row
-    for v in _pack_rows(grids.reshape(m, cells)):
-        shifts = []
-        for _ in range(r2):
-            twice = v | v << cells
-            shifts.extend(twice >> (cells - dv * r2) & full for dv in range(r1))
-            v = (v & ~last) << 1 | (v & last) >> (r2 - 1)
-        yield shifts
 
 
 @functools.lru_cache(maxsize=256)

@@ -5,8 +5,9 @@ one context and mixing contexts is a hard error.  This matters because
 the verification criteria work in several quotient rings GF(2)[x]/(f_u)
 at once, and silently coercing between them would corrupt results.
 
-Also hosts the integer helpers used by folding: extended Euclid
-certificates and the two-modulus Chinese remainder solver.
+Also hosts two integer helpers: extended Euclid certificates
+(``bezout``, which the criteria use) and the two-modulus Chinese
+remainder solver (``crt_solve``, exported but used by no module here).
 """
 
 from __future__ import annotations

@@ -3,17 +3,18 @@
 ``window_census`` slides every n1 x n2 window (toroidally) over every
 array and demands that each nonzero window pattern occur exactly once
 and the zero pattern never.  ``shift_add_closure`` checks the linear
-structure directly: the shifts of all codewords plus zero must form a
-GF(2) subspace, which it tests by growing the span of the shifts, with
-at most one membership check per shift.  ``verify_prac`` chains the
-parameter arithmetic, the census, and the closure check.
+structure of a code that passes the census: the shifts of all
+codewords plus zero must form a GF(2) subspace, which holds exactly
+when reading the (0, 0) window, one to one on the shifts, is linear.
+``verify_prac`` chains the parameter arithmetic, the census, and the
+closure check.
 
-Both checks read the arrays' (m, r1, r2) grid stack.  The census is
-one batched pass over blocks of whole arrays of about 2^20 windows;
-each block's window codes are sorted, and one 2^(n1*n2)-bit occupancy
-table catches codes repeated across blocks.  At every window area the
-witness is the first zero window, else the smallest repeated code
-with its count, else the smallest absent code.
+Both checks read the arrays' (m, r1, r2) grid stack in blocks of whole
+arrays of about 2^20 windows.  The census codes each block's windows
+and sorts them, and one 2^(n1*n2)-bit occupancy table catches codes
+repeated across blocks.  At every window area the witness is the first
+zero window, else the smallest repeated code with its count, else the
+smallest absent code.
 
 Window encoding: a window is read row-major from its top-left anchor
 and interpreted as a binary number, first-read bit most significant.
@@ -22,11 +23,12 @@ All criteria share this encoding so witnesses are comparable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .folding import CodeParams, _grid_shape, _grid_stack, _packed_shifts
+from .folding import CodeParams, _grid_shape, _grid_stack
 
 _CENSUS_AREA_CAP = 28  # occupancy table stays under 32 MiB
 _CENSUS_BLOCK_WINDOWS = 1 << 20  # windows coded per block of whole arrays
@@ -111,6 +113,14 @@ class VerdictReport:
         return "\n".join(lines)
 
 
+def _blocks(grids):
+    """(first array, sub-stack) of each block of whole arrays of about
+    2^20 cells of an (m, r1, r2) grid stack."""
+    per_block = max(1, _CENSUS_BLOCK_WINDOWS // (grids.shape[1] * grids.shape[2]))
+    for lo in range(0, len(grids), per_block):
+        yield lo, grids[lo : lo + per_block]
+
+
 def _block_codes(grids, n1, n2):
     """Codes of all windows of a (b, r1, r2) grid stack, flat in
     (array, row, column) order."""
@@ -163,11 +173,6 @@ def window_census(arrays, n1, n2, params=None):
         )
     grids = _grid_stack(arrays)
     cells = r1 * r2
-    per_block = max(1, _CENSUS_BLOCK_WINDOWS // cells)
-    starts = range(0, len(arrays), per_block)
-
-    def block_codes(lo):
-        return _block_codes(grids[lo : lo + per_block], n1, n2)
 
     def window_witness(kind, message, at, code):
         idx, cell = divmod(at, cells)
@@ -177,8 +182,8 @@ def window_census(arrays, n1, n2, params=None):
     # one bit per window pattern: 32 MiB at the area cap of 28
     table = np.zeros((expected >> 3) + 1, dtype=np.uint8)
     repeats = []
-    for lo in starts:
-        codes = block_codes(lo)
+    for lo, block in _blocks(grids):
+        codes = _block_codes(block, n1, n2)
         ordered = np.sort(codes)
         if ordered[0] == 0:
             at = lo * cells + int(np.argmin(codes))
@@ -197,8 +202,8 @@ def window_census(arrays, n1, n2, params=None):
     if repeats:
         code = min(repeats)
         occurrences = 0
-        for lo in starts:
-            hits = np.flatnonzero(block_codes(lo) == code)
+        for lo, block in _blocks(grids):
+            hits = np.flatnonzero(_block_codes(block, n1, n2) == code)
             if occurrences < 2 <= occurrences + hits.size:
                 at = lo * cells + int(hits[1 - occurrences])
             occurrences += hits.size
@@ -220,68 +225,89 @@ def window_census(arrays, n1, n2, params=None):
     return VerdictReport("census", True, params, None, detail)
 
 
-def shift_add_closure(arrays, params=None):
+def shift_add_closure(arrays, params):
     """Every sum of a codeword with a shifted codeword is zero or a
-    shift of a codeword.
+    shift of a codeword; a code that fails the census is refused with
+    ValueError.
 
-    The shifts of all codewords plus zero must form a GF(2) subspace.
-    A span, starting at {0}, grows inside the set of shifts: each shift
-    v not yet in the span must give a shift v ^ s for every s in the
-    span, and those sums join the span.  When every check passes, the
-    span is the set of shifts plus zero, which is then closed under
-    addition.  A failed check is a witness: v and s are nonzero shifts
-    whose sum is not a shift.  ``pairs_checked`` counts the sums
-    checked, 2^k - 1 for a span of dimension k, so at most one per
-    shift.
+    After a passing census each nonzero code is read at (0, 0) by just
+    one shifted codeword.  With B_k the one reading 2^k, the code is
+    closed exactly when each array, and each B_k moved one row down or
+    one column right, is the sum of the B_k named by its own code: that
+    puts the arrays in span(B) and makes span(B) shift-invariant, and
+    span(B) has at most the 2^(n1*n2) elements of the code plus zero.
+    ``checked`` counts the vectors compared, m + 2*n1*n2 on a pass.
     """
     arrays = list(arrays)
-    if not arrays:
-        return VerdictReport("shift-add", True, params, None, {"pairs_checked": 0})
-    r1, r2 = _grid_shape(arrays)
+    census = window_census(arrays, params.n1, params.n2, params)
+    if not census.passed:
+        raise ValueError(f"closure needs a code that passes the census: {census.witness.message}")
+    return _closure(arrays, params)
+
+
+def _closure(arrays, params):
+    """``shift_add_closure`` of arrays that pass the census."""
+    n1, n2 = params.n1, params.n2
+    area = n1 * n2
     grids = _grid_stack(arrays)
-    # each shift maps to itself, so the span holds these ints, not copies
-    members = {}
-    for shifts in _packed_shifts(grids):
-        for v in shifts:
-            members.setdefault(v, v)
-    span = {0}
-    checked = 0
-    for v in members:
-        if v in span:
-            continue
-        sums = [members.get(v ^ s) for s in span]
-        if None in sums:
-            bad = sums.index(None)
-            checked += bad + 1
-            ia, av, ah = _shift_of(grids, v)
-            ib, bv, bh = _shift_of(grids, list(span)[bad])  # same order as sums
-            # both sides shifted by (-av, -ah): array ia is unshifted
-            dv, dh = (bv - av) % r1, (bh - ah) % r2
-            return VerdictReport(
-                "shift-add",
-                False,
-                params,
-                Witness(
-                    "closure",
-                    f"array {ia} + array {ib} shifted by ({dv},{dh}) "
-                    "is not a shifted codeword",
-                    array_index=ia,
-                    position=(dv, dh),
-                ),
-                {"pairs_checked": checked},
+    units = _locate(grids, n1, n2, [1 << k for k in range(area)])
+    # B_k is array a moved up u rows and left v columns, for units[k] = (a, u, v)
+    basis = np.stack([np.roll(grids[a], (-u, -v), axis=(0, 1)) for a, u, v in units])
+    moved = (np.roll(block, 1, axis) for axis in (1, 2) for _, block in _blocks(basis))
+    packed_basis = np.packbits(basis.reshape(area, -1), axis=1)
+    checked, witness = 0, None
+    for vectors in itertools.chain((block for _, block in _blocks(grids)), moved):
+        codes = _block_codes(vectors[:, :n1, :n2], n1, n2)[::area]  # read at (0, 0)
+        packed = np.packbits(vectors.reshape(len(vectors), -1), axis=1)
+        sums = np.zeros_like(packed)
+        for k, row in enumerate(packed_basis):
+            np.bitwise_xor(sums, row, out=sums, where=(codes >> k & 1).astype(bool)[:, None])
+        bad = np.flatnonzero((sums != packed).any(axis=1))
+        if bad.size:
+            checked += int(bad[0]) + 1
+            witness = _closure_witness(grids, n1, n2, int(codes[bad[0]]), units, basis)
+            break
+        checked += len(vectors)
+    return VerdictReport("shift-add", witness is None, params, witness, {"checked": checked})
+
+
+def _locate(grids, n1, n2, targets):
+    """(array, row, column) of the window reading each of the distinct
+    nonzero codes targets, in one pass over the window codes."""
+    r1, r2 = grids.shape[1:]
+    found = {}
+    for lo, block in _blocks(grids):
+        codes = _block_codes(block, n1, n2)
+        for at in np.flatnonzero(np.isin(codes, targets)):
+            idx, cell = divmod(int(at), r1 * r2)
+            found[int(codes[at])] = (lo + idx, *divmod(cell, r2))
+    return [found[code] for code in targets]
+
+
+def _closure_witness(grids, n1, n2, code, units, basis):
+    """Two codewords and a shift whose sum is nonzero and no shifted
+    codeword, for a code whose shift is not the sum of its B_k.
+
+    Adding the unit codes 2^k of code one at a time gives codes c_j,
+    read at (0, 0) by shifts z_j.  At the first j where z_j is not
+    z_(j-1) + B_k, that sum reads c_j but is not z_j, the only shift
+    that does; such a j exists, or the last z_j would be that sum.
+    """
+    r1, r2 = grids.shape[1:]
+    ks = [k for k in range(n1 * n2) if code >> k & 1]
+    spots = _locate(grids, n1, n2, [code & ((2 << k) - 1) for k in ks])
+    z = [np.roll(grids[a], (-u, -v), axis=(0, 1)) for a, u, v in spots]
+    for j in range(1, len(ks)):
+        if not np.array_equal(z[j], z[j - 1] ^ basis[ks[j]]):
+            (a1, u1, v1), (a2, u2, v2) = spots[j - 1], units[ks[j]]
+            # z_(j-1) + B_k is array a1 + array a2 shifted by (u1-u2, v1-v2), moved by (-u1, -v1)
+            dv, dh = (u1 - u2) % r1, (v1 - v2) % r2
+            return Witness(
+                "closure",
+                f"array {a1} + array {a2} shifted by ({dv},{dh}) is not a shifted codeword",
+                array_index=a1,
+                position=(dv, dh),
             )
-        checked += len(sums)
-        span.update(sums)
-    return VerdictReport("shift-add", True, params, None, {"pairs_checked": checked})
-
-
-def _shift_of(grids, v):
-    """(array, dv, dh) of the first of the ``_packed_shifts`` that is v."""
-    r1 = grids.shape[1]
-    for ia, shifts in enumerate(_packed_shifts(grids)):
-        if v in shifts:
-            t = shifts.index(v)
-            return ia, t % r1, t // r1
 
 
 def verify_prac(arrays, params):
@@ -314,7 +340,7 @@ def verify_prac(arrays, params):
     if problem is None:
         stages.append(window_census(arrays, params.n1, params.n2, params))
         if stages[-1].passed:
-            stages.append(shift_add_closure(arrays, params))
+            stages.append(_closure(arrays, params))
     first_fail = next((s for s in stages if not s.passed), None)
     outcome = first_fail if first_fail is not None else stages[-1]
     return VerdictReport(

@@ -7,6 +7,29 @@ from prarray.gf2poly import parse
 ACCEPTANCE_LOG = []
 
 
+def cell_rotations(arr):
+    """Packed value of shift(dv, dh) at entry dh*r1 + dv, cell (i, j)
+    at bit i*r2 + j, built row by row from the array's text lines."""
+    r1, r2 = arr.r1, arr.r2
+    rows = [int(line[::-1], 2) for line in arr.to_lines()]
+    mask = (1 << r2) - 1
+    full = (1 << (r1 * r2)) - 1
+    out = []
+    for _ in range(r2):
+        acc = sum(r << (i * r2) for i, r in enumerate(rows))
+        for _ in range(r1):
+            out.append(acc)
+            acc = ((acc << r2) | (acc >> ((r1 - 1) * r2))) & full
+        rows = [((r << 1) | (r >> (r2 - 1))) & mask for r in rows]
+    return out
+
+
+def least_rotation(arr):
+    """The least packed double rotation: equal exactly for arrays that
+    are shifts of each other."""
+    return min(cell_rotations(arr))
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_LOG:
         return

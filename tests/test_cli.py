@@ -82,6 +82,21 @@ class TestConstructVerify:
         code, out, _ = run(capsys, "verify", "--in", str(path))
         assert code == 0 and "stage shift-add: pass" in out
 
+    def test_pseudo_random_array_verifies_promptly(self, tmp_path, capsys):
+        # one 1 x 131071 array: the closure compares 35 vectors, not
+        # the sums of its 131071 shifts
+        path = tmp_path / "pra17.txt"
+        code, _, _ = run(
+            capsys, "construct", "--poly", "x^17+x^3+1",
+            "--r1", "1", "--r2", "131071", "--n1", "1", "--n2", "17",
+            "--out", str(path),
+        )
+        assert code == 0
+        started = perf_counter()
+        code, out, _ = run(capsys, "verify", "--in", str(path))
+        assert code == 0 and "stage shift-add: pass" in out
+        assert perf_counter() - started < 5.0
+
     def test_construct_stdout(self, capsys):
         code, out, _ = run(
             capsys, "construct", "--poly", "x^4+x+1", "--r1", "3", "--r2", "5"
@@ -232,6 +247,15 @@ class TestRefusedInputs:
             "--r1", "3", "--r2", "7", "--kmax", kmax,
         )
         assert code == 2 and "kmax" in err
+
+    @pytest.mark.parametrize("r2", ["9", "21"])
+    def test_conjecture_noncoprime_refused(self, capsys, r2):
+        # 3 x 9 has no degree-6 candidate, 3 x 21 has some: both refused
+        code, out, err = run(
+            capsys, "conjecture", "--n1", "2", "--n2", "3", "--r1", "3", "--r2", r2,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: r1 and r2 must be coprime\n"
 
     def test_exponent_above_cap(self, capsys):
         for argv in (

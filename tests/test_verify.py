@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import cell_rotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,23 +86,6 @@ class TestCensus:
             assert window_census(rotated, 2, 3).passed == base
 
 
-def cell_rotations(arr):
-    """Packed value of shift(dv, dh) at entry dh*r1 + dv, cell (i, j)
-    at bit i*r2 + j, built row by row from the array's text lines."""
-    r1, r2 = arr.r1, arr.r2
-    rows = [int(line[::-1], 2) for line in arr.to_lines()]
-    mask = (1 << r2) - 1
-    full = (1 << (r1 * r2)) - 1
-    out = []
-    for _ in range(r2):
-        acc = sum(r << (i * r2) for i, r in enumerate(rows))
-        for _ in range(r1):
-            out.append(acc)
-            acc = ((acc << r2) | (acc >> ((r1 - 1) * r2))) & full
-        rows = [((r << 1) | (r >> (r2 - 1))) & mask for r in rows]
-    return out
-
-
 def reference_closure(arrays, params=None):
     """All-pairs closure: every codeword plus every shift of every
     codeword is zero or a shift of a codeword."""
@@ -145,15 +129,22 @@ def reference_closure(arrays, params=None):
 _CLOSURE_WITNESS = re.compile(r"array (\d+) \+ array (\d+) shifted by \((\d+),(\d+)\) ")
 
 
-def check_closure(arrays):
-    """shift_add_closure against the reference; a failure must name a
-    nonzero sum that is no shift of any codeword, and a pass must have
-    checked one sum per nonzero element of the span."""
-    got = shift_add_closure(arrays)
-    assert got.passed == reference_closure(arrays).passed, arrays
+def check_closure(arrays, params, expected=None):
+    """shift_add_closure against the reference verdict (``expected``,
+    else ``reference_closure``) on a code that passes the census, and
+    its refusal of one that does not, which returns None.  A failure
+    must name a nonzero sum that is no shift of any codeword, and a
+    pass must have compared m + 2*n1*n2 vectors."""
+    if not window_census(arrays, params.n1, params.n2, params).passed:
+        with pytest.raises(ValueError, match="passes the census"):
+            shift_add_closure(arrays, params)
+        return None
+    got = shift_add_closure(arrays, params)
+    if expected is None:
+        expected = reference_closure(arrays).passed
+    assert got.passed == expected, arrays
     if got.passed:
-        span = {0}.union(*map(cell_rotations, arrays))
-        assert got.detail["pairs_checked"] == len(span) - 1
+        assert got.detail == {"checked": len(arrays) + 2 * params.window_area}
         return got
     ia, ib, dv, dh = map(int, _CLOSURE_WITNESS.match(got.witness.message).groups())
     assert (got.witness.array_index, got.witness.position) == (ia, (dv, dh))
@@ -164,10 +155,15 @@ def check_closure(arrays):
     return got
 
 
+def window_shapes(r1, r2, area):
+    """Every n1 x n2 window of the given area that fits an r1 x r2 array."""
+    return [(n1, area // n1) for n1 in _divisors(area) if n1 <= r1 and area // n1 <= r2]
+
+
 @st.composite
 def small_array_sets(draw):
     """1-4 arrays of 1-5 x 1-5 cells, sizes not always coprime, with
-    zero arrays and shifted copies among them."""
+    zero arrays and shifted copies among them, and a window that fits."""
     r1, r2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     grid = st.lists(st.lists(st.integers(0, 1), min_size=r2, max_size=r2), min_size=r1, max_size=r1)
     zero = st.just([[0] * r2] * r1)
@@ -177,7 +173,8 @@ def small_array_sets(draw):
     ]
     if len(arrays) > 1 and draw(st.booleans()):
         arrays[-1] = arrays[0].shift(draw(st.integers(0, r1 - 1)), draw(st.integers(0, r2 - 1)))
-    return arrays
+    params = CodeParams(r1, r2, draw(st.integers(1, r1)), draw(st.integers(1, r2)))
+    return arrays, params
 
 
 def folded_uniform_codes(max_degree):
@@ -195,67 +192,149 @@ def folded_uniform_codes(max_degree):
                 yield f, fold_zero_factor(zf, r1, r2)
 
 
+def punctured_de_bruijn(n, rng):
+    """A de Bruijn sequence of order n, read off a random Eulerian
+    circuit of the order-n de Bruijn graph, with one 0 removed from its
+    run of n zeros: every nonzero n-bit word occurs once, cyclically."""
+    mask = (1 << (n - 1)) - 1
+    unused = {v: rng.sample([0, 1], 2) for v in range(1 << (n - 1))}
+    path, circuit = [0], []
+    while path:  # Hierholzer: walk unused edges, back up when stuck
+        v = path[-1]
+        if unused[v]:
+            path.append((v << 1 | unused[v].pop()) & mask)
+        else:
+            circuit.append(path.pop())
+    bits = "".join(str(v & 1) for v in reversed(circuit[:-1]))
+    start = (bits + bits).index("0" * n)
+    return CyclicSequence.from_bits((bits + bits)[start + 1 : start + len(bits)])
+
+
+def cycle_covers(n, length):
+    """Every set of binary cycles of one length, n <= length, whose
+    n-bit windows are the nonzero n-bit words, each once."""
+    cycles = []
+    for v in range(1 << length):
+        s = format(v, f"0{length}b")
+        words = {int((s + s)[i : i + n], 2) for i in range(length)}
+        if s == min(s[i:] + s[:i] for i in range(length)) and 0 not in words and len(words) == length:
+            cycles.append((s, words))
+
+    def covers(left, chosen):
+        if not left:
+            yield chosen
+            return
+        word = min(left)
+        for s, words in cycles:
+            if word in words and words <= left:
+                yield from covers(left - words, chosen + [s])
+
+    return list(covers(set(range(1, 1 << n)), []))
+
+
 class TestClosure:
     def test_single_pra(self, pra_3x5):
-        assert shift_add_closure([pra_3x5]).passed
+        assert shift_add_closure([pra_3x5], CodeParams(3, 5, 2, 2)).passed
 
     def test_prac(self, prac_3x7):
-        assert shift_add_closure(prac_3x7).passed
+        assert shift_add_closure(prac_3x7, CodeParams(3, 7, 2, 3)).passed
 
     def test_bit_flip_breaks_closure(self, pra_3x5):
-        bad = flip(pra_3x5, 0, 0)
-        rep = check_closure([bad])
-        assert not rep.passed and rep.witness is not None
+        # the flip also breaks the census, so the closure refuses the code
+        assert check_closure([flip(pra_3x5, 0, 0)], CodeParams(3, 5, 2, 2)) is None
 
     def test_dimension_mismatch(self, pra_3x5):
         with pytest.raises(ValueError):
-            shift_add_closure([pra_3x5, TorusArray(np.zeros((2, 5), dtype=np.uint8))])
+            shift_add_closure(
+                [pra_3x5, TorusArray(np.zeros((2, 5), dtype=np.uint8))], CodeParams(3, 5, 2, 2)
+            )
 
     # sequences of length l are checked as their 1 x l folds
     def test_single_msequence(self):
-        assert shift_add_closure([fold(SPAN4, 1, 15)]).passed
+        assert shift_add_closure([fold(SPAN4, 1, 15)], CodeParams(1, 15, 1, 4)).passed
 
     def test_zero_factor_cycles(self):
         zf = zero_factor(parse("x^6+x^5+x^4+x^2+1"))
-        assert check_closure(list(fold_zero_factor(zf, 1, 21))).passed
+        assert check_closure(list(fold_zero_factor(zf, 1, 21)), CodeParams(1, 21, 1, 6)).passed
 
     def test_counterexample(self):
+        # eight windows for a window of area 2: refused before any sum
         pair = [fold(CyclicSequence.from_bits(s), 1, 4) for s in ("0011", "0101")]
-        assert not check_closure(pair).passed
+        assert check_closure(pair, CodeParams(1, 4, 1, 2)) is None
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             shift_add_closure(
-                [fold(CyclicSequence.from_bits(s), 1, len(s)) for s in ("011", "0101")]
+                [fold(CyclicSequence.from_bits(s), 1, len(s)) for s in ("011", "0101")],
+                CodeParams(1, 3, 1, 2),
             )
 
     def test_pairs_checked_on_the_45_codeword_code(self):
         f = parse("x^12+x^10+x^9+x+1")
-        rep = shift_add_closure(fold_zero_factor(zero_factor(f), 7, 13))
-        assert rep.passed and rep.detail["pairs_checked"] == (1 << 12) - 1
+        rep = shift_add_closure(fold_zero_factor(zero_factor(f), 7, 13), CodeParams(7, 13, 3, 4))
+        assert rep.passed and rep.detail == {"checked": 45 + 2 * 12}
 
     @settings(max_examples=400, deadline=None)
     @given(small_array_sets())
-    def test_matches_reference_on_small_sets(self, arrays):
-        check_closure(arrays)
+    def test_matches_reference_on_small_sets(self, drawn):
+        check_closure(*drawn)
 
     def test_matches_reference_on_folded_uniform_codes(self):
-        # whole, minus one array, and one bit flipped
+        # whole at every window shape, minus one array, and one bit flipped
         rng = random.Random(5)
-        corrupted = failed = 0
+        passing = refused = 0
         for f, arrays in folded_uniform_codes(10):
+            r1, r2 = arrays[0].r1, arrays[0].r2
+            shapes = [
+                CodeParams(r1, r2, *shape)
+                for shape in window_shapes(r1, r2, f.degree)
+                if window_census(arrays, *shape).passed
+            ]
+            if not shapes:
+                continue
+            expected = reference_closure(arrays).passed
+            assert expected, f
+            for p in shapes:
+                check_closure(arrays, p, expected)
+            passing += len(shapes)
+            p = shapes[0]
             k = rng.randrange(len(arrays))
             others = [a for i, a in enumerate(arrays) if i != k]
-            bad = flip(arrays[k], rng.randrange(arrays[k].r1), rng.randrange(arrays[k].r2))
-            variants = [list(arrays), others + [bad]]
+            bad = flip(arrays[k], rng.randrange(r1), rng.randrange(r2))
+            refused += check_closure(others + [bad], p) is None
             if others:
-                variants.append(others)
-            assert check_closure(variants[0]).passed, f
-            for v in variants[1:]:
-                corrupted += 1
-                failed += not check_closure(v).passed
-        # only the 1 x 1 code of x + 1, flipped to the zero array, stays closed
-        assert failed == corrupted - 1
+                refused += check_closure(others, p) is None
+        assert passing > 1500 and refused > 1000
+
+    def test_cycle_covers(self):
+        # codes of several 1 x l arrays: three linear ones, and four of
+        # 1 x 9 arrays whose witnesses may name two different arrays
+        verdicts = []
+        for n, length in [(4, 5), (6, 7), (6, 9)]:
+            for cover in cycle_covers(n, length):
+                arrays = [fold(CyclicSequence.from_bits(s), 1, length) for s in cover]
+                verdicts.append(check_closure(arrays, CodeParams(1, length, 1, n)).passed)
+        assert sorted(verdicts) == [False] * 4 + [True] * 3
+
+    def test_punctured_de_bruijn_codes(self):
+        # sequences with the window property of an m-sequence, mostly
+        # not linear, unfolded and at every coprime fold that passes
+        rng = random.Random(11)
+        verdicts = []
+        for n in range(3, 9):
+            length = (1 << n) - 1
+            for _ in range(16):
+                seq = punctured_de_bruijn(n, rng)
+                for r1 in _divisors(length):
+                    r2 = length // r1
+                    if math.gcd(r1, r2) != 1:
+                        continue
+                    arr = fold(seq, r1, r2)
+                    for shape in window_shapes(r1, r2, n):
+                        got = check_closure([arr], CodeParams(r1, r2, *shape))
+                        if got is not None:
+                            verdicts.append(got.passed)
+        assert verdicts.count(True) > 30 and verdicts.count(False) > 150
 
 
 class TestVerifyPrac:
@@ -449,9 +528,11 @@ class TestBitTablePath:
 
 class TestClosureAlwaysHolds:
     def test_all_irreducibles_up_to_degree_10(self):
-        # folded zero factors are closed under shift-and-add even when
-        # the window census fails, for every coprime exponent split
-        checked = 0
+        # folded zero factors are closed under shift-and-add even at
+        # window shapes whose census fails, for every coprime exponent
+        # split: the closure decides the shapes that pass the census,
+        # the reference the codes with a shape that fails it
+        decided = {"closure": 0, "reference": 0}
         for bits in range(0b111, 1 << 11, 2):
             f = BinaryPolynomial(bits)
             if f.degree < 2 or not is_irreducible(f):
@@ -465,7 +546,17 @@ class TestClosureAlwaysHolds:
             if not splits:
                 splits = [(1, e)]
             zf = zero_factor(f)
-            arrays = fold_zero_factor(zf, *splits[0])
-            assert shift_add_closure(arrays).passed, f
-            checked += 1
-        assert checked > 200
+            r1, r2 = splits[0]
+            arrays = fold_zero_factor(zf, r1, r2)
+            census_fails = False
+            for shape in window_shapes(r1, r2, f.degree):
+                p = CodeParams(r1, r2, *shape)
+                if window_census(arrays, *shape, p).passed:
+                    assert shift_add_closure(arrays, p).passed, (f, p)
+                    decided["closure"] += 1
+                else:
+                    census_fails = True
+            if census_fails:
+                assert reference_closure(arrays).passed, f
+                decided["reference"] += 1
+        assert decided["closure"] > 400 and decided["reference"] > 40, decided
