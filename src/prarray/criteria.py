@@ -22,10 +22,17 @@ The decision procedures are exact:
   route, a different computation on the same window-cell elements;
 * ``sufficient_conditions``   -- the divisibility/distinct-residue
   conditions that guarantee a PRA/PRAC (sufficient, not necessary).
+
+The three rank routes share one cached, stepped computation per
+(f, params), ``_cells``: whether f is irreducible, the order of x, and
+the window-cell elements x^p mod f, one multiplication a cell.  The
+set-polynomial and trace tests rank those elements; ``det_test`` ranks
+their trace columns instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -36,12 +43,13 @@ from .gf2poly import (
     InternalCheckError,
     _bit_reverse,
     _gf2_kernel,
+    _is_irreducible_int,
+    _mulmod,
     _powmod,
     _trace_mask,
     _x_order,
     classify,
     enumerate_irreducible,
-    is_irreducible,
     lcm as poly_lcm,
 )
 from .folding import CodeParams, fold_zero_factor
@@ -227,12 +235,6 @@ def window_positions(params):
     return PositionSet(params, pos)
 
 
-def _window_vectors(fb, positions):
-    """x^p mod fb for each position p: the window-cell field elements
-    that every rank test here ranks, as raw ints."""
-    return [_powmod(2, p, fb) for p in positions]
-
-
 def _cell_positions(params):
     """Exponent i*nu*r2 + j*mu*r1 of beta^i * gamma^j at each window cell,
     row-major, where mu*r1 + nu*r2 = 1: the k with k = i mod r1 and
@@ -250,6 +252,67 @@ def _cell_positions(params):
     ]
 
 
+class _Cells:
+    """The field work that the rank criteria share for one (f, params):
+    whether f is irreducible, the order of x mod f, and the window-cell
+    vectors.  Each part is computed on first use, so every criterion
+    still refuses in its own order."""
+
+    def __init__(self, fb, params):
+        self.fb = fb
+        self.params = params
+
+    @functools.cached_property
+    def irreducible(self):
+        return _is_irreducible_int(self.fb)
+
+    @functools.cached_property
+    def x_order(self):
+        return _x_order(self.fb)
+
+    @functools.cached_property
+    def vectors(self):
+        """x^p mod f at each window position p, row-major, as raw ints;
+        f must be irreducible.  Stepped with one _mulmod a cell: cell
+        (i, j+1) is cell (i, j) times x^(mu*r1), and row i+1 starts at
+        row i times x^(nu*r2), exponents mod e = r1*r2.  A step whose
+        position passes e also takes x^-e, which is 1 when the order of
+        x divides e."""
+        fb, params = self.fb, self.params
+        positions = _cell_positions(params)
+        e = params.r1 * params.r2
+        _, mu, nu = bezout(params.r1, params.r2)
+        # x^-e, as x^(2^n - 1) = 1 for irreducible f other than x (whose
+        # one cell takes no step); setpoly_test allows any order of x
+        unwrap = _powmod(2, -e % ((1 << (fb.bit_length() - 1)) - 1), fb)
+
+        def steps(d):
+            # (x^d, x^(d - e)), indexed by whether the step passes e
+            step = _powmod(2, d, fb)
+            return step, _mulmod(step, unwrap, fb)
+
+        right, down = steps(mu * params.r1 % e), steps(nu * params.r2 % e)
+        vectors = []
+        start = 1
+        for i in range(params.n1):
+            row = i * params.n2
+            if i:
+                start = _mulmod(start, down[positions[row] < positions[row - params.n2]], fb)
+            cur = start
+            vectors.append(cur)
+            for k in range(row + 1, row + params.n2):
+                cur = _mulmod(cur, right[positions[k] < positions[k - 1]], fb)
+                vectors.append(cur)
+        return tuple(vectors)
+
+
+@functools.lru_cache(maxsize=64)
+def _cells(fb, params):
+    """The shared cell work of (f, params); three criteria on one case
+    compute it once."""
+    return _Cells(fb, params)
+
+
 def setpoly_test(f, pos, exhaustive=False):
     """Does folding the sequences of irreducible f give a PRAC, by the
     set-polynomial divisibility criterion?
@@ -258,14 +321,15 @@ def setpoly_test(f, pos, exhaustive=False):
     i.e. iff the powers of a root of f at those positions are linearly
     independent over GF(2).
     """
-    if not is_irreducible(f):
+    cells = _cells(f.bits, pos.params)
+    if not cells.irreducible:
         raise ValueError("the set-polynomial criterion needs an irreducible polynomial")
     positions = pos.positions
     if len(positions) != f.degree:
         raise ValueError(
             f"need {f.degree} positions for degree {f.degree}, got {len(positions)}"
         )
-    vectors = _window_vectors(f.bits, positions)
+    vectors = cells.vectors
     rank, kernel = _gf2_kernel(vectors)
     passed = rank == len(positions)
     witness = None
@@ -319,15 +383,14 @@ def det_test(factors, params):
         )
     e = params.r1 * params.r2
     for p in factors:
-        if not is_irreducible(p):
+        cells = _cells(p.bits, params)
+        if not cells.irreducible:
             raise ValueError(f"modulus {p} is not irreducible")
-        order = _x_order(p.bits)
-        if order != e:
-            raise ValueError(f"factor {p} has exponent {order}, need {e}")
-    positions = _cell_positions(params)
+        if cells.x_order != e:
+            raise ValueError(f"factor {p} has exponent {cells.x_order}, need {e}")
     cols = []
     for p in factors:
-        cols.extend(_trace_columns(p.bits, n, _window_vectors(p.bits, positions)))
+        cols.extend(_trace_columns(p.bits, n, _cells(p.bits, params).vectors))
     rank, kernel = _gf2_kernel(cols)
     passed = rank == k * n
     witness = None
@@ -365,7 +428,8 @@ def trace_independence_test(f, params):
     """Dual form of the determinant criterion for one irreducible f:
     the window-cell root powers beta^i * gamma^j must be linearly
     independent over GF(2)."""
-    if not is_irreducible(f):
+    cells = _cells(f.bits, params)
+    if not cells.irreducible:
         raise ValueError("the trace criterion needs an irreducible polynomial")
     n = f.degree
     if n < 2:
@@ -373,10 +437,9 @@ def trace_independence_test(f, params):
     if n != params.window_area:
         raise ValueError(f"degree {n} must equal n1*n2 = {params.window_area}")
     e = params.r1 * params.r2
-    order = _x_order(f.bits)
-    if order != e:
-        raise ValueError(f"{f} has exponent {order}, need {e}")
-    rank, kernel = _gf2_kernel(_window_vectors(f.bits, _cell_positions(params)))
+    if cells.x_order != e:
+        raise ValueError(f"{f} has exponent {cells.x_order}, need {e}")
+    rank, kernel = _gf2_kernel(cells.vectors)
     passed = rank == n
     witness = None
     if not passed:

@@ -201,11 +201,16 @@ def _fold_indices(r1, r2):
 
 
 def _fold_bits(bits, r1, r2):
-    """Fold an (m, r1*r2) bit matrix of sequences into m arrays at once,
-    the entries of one read-only (m, r1, r2) grid stack."""
+    """Fold a read-only (m, r1*r2) bit matrix of sequences into m arrays
+    at once, the entries of one read-only (m, r1, r2) grid stack.  With
+    r1 = 1 or r2 = 1 cell (i, j) holds bit i*r2 + j, so the stack is a
+    view of bits."""
     if math.gcd(r1, r2) != 1:
         raise ValueError(f"fold needs coprime dimensions, got {r1} and {r2}")
-    grids = _read_only(bits.take(_fold_indices(r1, r2), axis=1)).reshape(-1, r1, r2)
+    if r1 == 1 or r2 == 1:
+        grids = bits.reshape(-1, r1, r2)
+    else:
+        grids = _read_only(bits.take(_fold_indices(r1, r2), axis=1)).reshape(-1, r1, r2)
     return tuple(_stack_entry(grids, i) for i in range(len(grids)))
 
 
@@ -215,7 +220,8 @@ def fold(seq, r1, r2):
     if len(seq) != ell:
         raise ValueError(f"sequence length {len(seq)} != r1*r2 = {ell}")
     raw = np.frombuffer(seq.bits.to_bytes((ell + 7) // 8, "little"), dtype=np.uint8)
-    return _fold_bits(np.unpackbits(raw, count=ell, bitorder="little")[None], r1, r2)[0]
+    bits = _read_only(np.unpackbits(raw, count=ell, bitorder="little"))
+    return _fold_bits(bits[None], r1, r2)[0]
 
 
 def unfold(arr):

@@ -102,18 +102,6 @@ class CyclicSequence:
         bits = ((self.bits << t) | (self.bits >> (ell - t))) & mask
         return CyclicSequence(bits, ell)
 
-    def canonical(self):
-        """Deterministic representative among all rotations (least packed value)."""
-        ell = self.length
-        mask = (1 << ell) - 1
-        b = self.bits
-        best = b
-        for _ in range(ell - 1):
-            b = ((b << 1) | (b >> (ell - 1))) & mask
-            if b < best:
-                best = b
-        return CyclicSequence(best, ell)
-
     def __add__(self, other):
         return bitadd(self, other)
 

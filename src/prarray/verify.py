@@ -125,7 +125,10 @@ def _block_codes(grids, n1, n2):
     """Codes of all windows of a (b, r1, r2) grid stack, flat in
     (array, row, column) order."""
     b, r1, r2 = grids.shape
-    ext = np.pad(grids, ((0, 0), (0, n1 - 1), (0, n2 - 1)), mode="wrap")
+    # wrapped by n1 - 1 rows and n2 - 1 columns, which n1 <= r1 and
+    # n2 <= r2 allow
+    ext = np.concatenate((grids, grids[:, : n1 - 1]), axis=1)
+    ext = np.concatenate((ext, ext[:, :, : n2 - 1]), axis=2)
     codes = np.zeros((b, r1, r2), dtype=np.uint32)
     for a in range(n1):
         for c in range(n2):

@@ -30,6 +30,18 @@ def least_rotation(arr):
     return min(cell_rotations(arr))
 
 
+def canonical(seq):
+    """The least packed rotation of a cyclic sequence: equal exactly for
+    sequences that are rotations of each other."""
+    ell = seq.length
+    mask = (1 << ell) - 1
+    b = best = seq.bits
+    for _ in range(ell - 1):
+        b = ((b << 1) | (b >> (ell - 1))) & mask
+        best = min(best, b)
+    return best
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_LOG:
         return

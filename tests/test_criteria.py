@@ -5,7 +5,9 @@ from conftest import least_rotation
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from prarray import criteria
 from prarray.criteria import (
+    _cells,
     classify_construction,
     conjecture_search,
     det_test,
@@ -20,6 +22,7 @@ from prarray.gf2field import FieldContext
 from prarray.gf2poly import (
     BinaryPolynomial,
     _divisors,
+    _powmod,
     count_irreducible_with_exponent,
     exponent,
     is_irreducible,
@@ -291,6 +294,109 @@ class TestTraceIndependence:
                     trace_independence_test(f, params).passed
                     == det_test([f], params).passed
                 )
+
+
+def _coprime_splits(e):
+    return [(r1, e // r1) for r1 in _divisors(e) if math.gcd(r1, e // r1) == 1]
+
+
+# the degree-6 product of the two irreducible cubics
+_REDUCIBLE = P("x^3+x+1") * P("x^3+x^2+1")
+# irreducible; the order of x is far above the 65535 that is stepped
+# for past degree 128
+_DEGREE_129 = P("x^129+x^5+1")
+
+
+class TestSharedCells:
+    """The window-cell work that the three criteria share through one
+    cache per (f, params)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_stepped_vectors_match_powmod(self, data):
+        d = data.draw(st.integers(1, 16))
+        f = BinaryPolynomial(data.draw(st.integers(1 << d, (1 << (d + 1)) - 1)) | 1)
+        assume(is_irreducible(f))
+        # every admissible split and window shape, then windows of a
+        # code whose r1*r2 is not the exponent of f
+        cases = [
+            CodeParams(r1, r2, n1, d // n1)
+            for r1, r2 in _coprime_splits(exponent(f))
+            for n1 in _divisors(d)
+            if n1 <= r1 and d // n1 <= r2
+        ]
+        for r1, r2 in _coprime_splits(data.draw(st.integers(1, 5000))):
+            cases.append(
+                CodeParams(r1, r2, data.draw(st.integers(1, min(r1, 4))),
+                           data.draw(st.integers(1, min(r2, 4))))
+            )
+        for params in cases:
+            want = tuple(_powmod(2, p, f.bits) for p in window_positions(params).positions)
+            assert _cells(f.bits, params).vectors == want, (f, params)
+
+    def test_one_case_does_the_field_work_once(self, monkeypatch):
+        calls = {"_is_irreducible_int": 0, "_x_order": 0}
+        for name in calls:
+            def counted(fb, real=getattr(criteria, name), name=name):
+                calls[name] += 1
+                return real(fb)
+
+            monkeypatch.setattr(criteria, name, counted)
+        _cells.cache_clear()
+        f, params = P("x^12+x^10+x^9+x+1"), CodeParams(7, 13, 3, 4)
+        setpoly_test(f, window_positions(params))
+        trace_independence_test(f, params)
+        det_test([f], params)
+        assert calls == {"_is_irreducible_int": 1, "_x_order": 1}
+        assert _cells.cache_info().misses == 1
+
+    # each input also breaks every later check that it can, so a
+    # message pins the order of the checks as well; setpoly_test never
+    # sees a window that does not fit, as window_positions refuses it
+    @pytest.mark.parametrize(
+        "call, message, reads_cells",
+        [
+            (lambda: setpoly_test(_REDUCIBLE, window_positions(CodeParams(3, 5, 2, 2))),
+             "the set-polynomial criterion needs an irreducible polynomial", True),
+            (lambda: setpoly_test(P("x^4+x+1"), window_positions(CodeParams(13, 35, 3, 4))),
+             "need 4 positions for degree 4, got 12", True),
+            (lambda: trace_independence_test(_REDUCIBLE, CodeParams(1, 5, 2, 1)),
+             "the trace criterion needs an irreducible polynomial", True),
+            (lambda: trace_independence_test(P("x+1"), CodeParams(1, 3, 2, 1)),
+             "degree must be at least 2", True),
+            (lambda: trace_independence_test(P("x^4+x+1"), CodeParams(1, 35, 3, 4)),
+             "degree 4 must equal n1*n2 = 12", True),
+            (lambda: trace_independence_test(P("x^6+x^5+1"), CodeParams(1, 9, 2, 3)),
+             "x^6+x^5+1 has exponent 63, need 9", True),
+            (lambda: trace_independence_test(_DEGREE_129, CodeParams(1, 3, 3, 43)),
+             "above degree 128, only exponents up to 65535 are supported (factor of degree 129)",
+             True),
+            (lambda: trace_independence_test(P("x^6+x^3+1"), CodeParams(1, 9, 2, 3)),
+             "residues out of range", True),
+            (lambda: det_test([P("x+1")], CodeParams(1, 3, 2, 1)),
+             "factors must have degree at least 2", False),
+            (lambda: det_test([P("x^12+x^10+x^9+x+1")], CodeParams(1, 13, 3, 3)),
+             "k*n = 12 must equal n1*n2 = 9", False),
+            (lambda: det_test([_REDUCIBLE], CodeParams(1, 3, 2, 3)),
+             "modulus x^6+x^5+x^4+x^3+x^2+x+1 is not irreducible", True),
+            (lambda: det_test([P("x^6+x^5+1")], CodeParams(1, 21, 2, 3)),
+             "factor x^6+x^5+1 has exponent 63, need 21", True),
+            (lambda: det_test([_DEGREE_129], CodeParams(1, 3, 3, 43)),
+             "above degree 128, only exponents up to 65535 are supported (factor of degree 129)",
+             True),
+            (lambda: det_test([P("x^6+x^3+1")], CodeParams(1, 9, 2, 3)),
+             "residues out of range", True),
+        ],
+    )
+    def test_refusals_keep_their_order_and_message(self, call, message, reads_cells):
+        for _ in range(2):
+            hits = _cells.cache_info().hits
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert str(refused.value) == message
+        # a refusal after the cache is read came from the first call's
+        # entry the second time
+        assert (_cells.cache_info().hits > hits) == reads_cells
 
 
 class TestSufficientConditions:

@@ -2,6 +2,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 from conftest import least_rotation
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from prarray.folding import (
     CodeParams,
     TorusArray,
+    _fold_indices,
     fold,
     fold_zero_factor,
     read_arrays,
@@ -88,6 +90,24 @@ class TestFoldReference:
                 assert arrays == tuple(fold(c, r1, r2) for c in zf.cycles), (f, r1)
                 checked += 1
         assert checked > 500
+
+    @pytest.mark.parametrize("r1, r2", [(1, 21), (21, 1)])
+    def test_identity_fold_is_a_view(self, deg6_exp21, r1, r2):
+        # with r1 or r2 equal to 1 the fold reads the zero factor's own
+        # read-only matrix: no copy and no cached index
+        zf = zero_factor(deg6_exp21[0])
+        cached = _fold_indices.cache_info()
+        arrays = fold_zero_factor(zf, r1, r2)
+        one = fold(zf.cycles[0], r1, r2)
+        assert _fold_indices.cache_info() == cached
+        assert arrays == tuple(reference_fold(c, r1, r2) for c in zf.cycles)
+        assert one == reference_fold(zf.cycles[0], r1, r2)
+        assert np.shares_memory(arrays[0].grid, zf.bits)
+        for grid in (arrays[0].grid, arrays[-1].grid, one.grid):
+            with pytest.raises(ValueError):
+                grid[0, 0] = 1
+            with pytest.raises(ValueError):
+                grid.flags.writeable = True
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import canonical
 
 from prarray.gf2poly import (
     BinaryPolynomial,
@@ -25,7 +26,7 @@ def seq(text):
 
 
 def canon_set(cycles):
-    return {c.canonical() for c in cycles}
+    return {canonical(c) for c in cycles}
 
 
 class TestGenerate:
@@ -59,14 +60,14 @@ class TestZeroFactor:
     def test_primitive_single_cycle(self):
         zf = zero_factor(parse("x^2+x+1"))
         assert len(zf.cycles) == 1
-        assert zf.cycles[0].canonical() == seq("011").canonical()
+        assert canonical(zf.cycles[0]) == canonical(seq("011"))
 
     def test_nine_cycles(self):
         zf = zero_factor(parse("x^3+x^2+1") * parse("x^3+x+1"))
         assert len(zf.cycles) == 9 and zf.exponent == 7
         names = canon_set(zf.cycles)
-        assert seq("0011101").canonical() in names
-        assert seq("0010111").canonical() in names
+        assert canonical(seq("0011101")) in names
+        assert canonical(seq("0010111")) in names
 
     def test_serialization_one_cycle_per_line(self):
         zf = zero_factor(parse("x^6+x^5+x^4+x^2+1"))
@@ -172,7 +173,7 @@ class TestBitOps:
         # to a cycle of the degree-6 exponent-21 polynomial
         prod = bitmul(seq("011"), seq("1001011"))
         assert len(prod) == 21
-        assert prod.canonical() == seq("000001010010011001011").canonical()
+        assert canonical(prod) == canonical(seq("000001010010011001011"))
 
     def test_add_self_is_zero(self):
         a = seq("0110101")

@@ -20,8 +20,10 @@ from prarray.gf2poly import (
 )
 from prarray.lfsr import CyclicSequence, zero_factor
 from prarray.verify import (
+    _CENSUS_AREA_CAP,
     VerdictReport,
     Witness,
+    _block_codes,
     shift_add_closure,
     verify_prac,
     window_census,
@@ -230,6 +232,29 @@ def cycle_covers(n, length):
                 yield from covers(left - words, chosen + [s])
 
     return list(covers(set(range(1, 1 << n)), []))
+
+
+def padded_codes(grids, n1, n2):
+    """Window codes read from a stack wrapped by np.pad."""
+    b, r1, r2 = grids.shape
+    ext = np.pad(grids, ((0, 0), (0, n1 - 1), (0, n2 - 1)), mode="wrap").astype(np.uint32)
+    codes = np.zeros((b, r1, r2), dtype=np.uint32)
+    for a in range(n1):
+        for c in range(n2):
+            codes = codes << 1 | ext[:, a : a + r1, c : c + r2]
+    return codes.ravel()
+
+
+class TestBlockCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_np_pad(self, data):
+        b, r1, r2 = (data.draw(st.integers(1, k)) for k in (6, 9, 9))
+        n1 = data.draw(st.integers(1, r1))
+        n2 = data.draw(st.integers(1, min(r2, _CENSUS_AREA_CAP // n1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        grids = rng.integers(0, 2, size=(b, r1, r2), dtype=np.uint8)
+        assert np.array_equal(_block_codes(grids, n1, n2), padded_codes(grids, n1, n2))
 
 
 class TestClosure:
