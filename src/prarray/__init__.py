@@ -5,7 +5,19 @@ window property by folding the cycles of uniform-exponent polynomials
 over GF(2) along CRT diagonals, and verifies them by independent
 criteria: a brute-force window census, shift-and-add closure, the
 set-polynomial divisibility test, and the determinant/trace criterion.
+
+It has two layers.  The int algebra (``gf2poly``, ``gf2field``,
+``lfsr``'s sequence operations and ``criteria``) works on Python ints
+and never imports numpy: the vee product, the classification of
+product constructions, enumeration by exponent and the rank criteria.
+The numpy grid oracle (``zero_factor``, ``folding`` and ``verify``:
+zero factors, folds, array files, the census and the closure) builds
+and checks whole codes as bit matrices.  Its names are resolved here on
+first use, so ``import prarray`` leaves numpy unloaded until a caller
+reaches the oracle.
 """
+
+from importlib import import_module
 
 from .gf2poly import (
     BinaryPolynomial,
@@ -34,19 +46,12 @@ from .lfsr import (
     generate,
     zero_factor,
 )
-from .folding import (
-    CodeParams,
-    TorusArray,
-    fold,
-    fold_zero_factor,
-    read_arrays,
-    unfold,
-    write_arrays,
-)
-from .verify import VerdictReport, Witness, shift_add_closure, verify_prac, window_census
 from .criteria import (
+    CodeParams,
     ConstructionRecord,
     PositionSet,
+    VerdictReport,
+    Witness,
     classify_construction,
     conjecture_search,
     det_test,
@@ -56,6 +61,26 @@ from .criteria import (
     vee,
     window_positions,
 )
+
+# oracle names and the module that defines them, imported on first use
+_ORACLE = {
+    "TorusArray": "folding",
+    "fold": "folding",
+    "fold_zero_factor": "folding",
+    "read_arrays": "folding",
+    "unfold": "folding",
+    "write_arrays": "folding",
+    "shift_add_closure": "verify",
+    "verify_prac": "verify",
+    "window_census": "verify",
+}
+
+
+def __getattr__(name):
+    if name in _ORACLE:
+        return getattr(import_module(f".{_ORACLE[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -8,6 +8,10 @@ Structured output (--format json) is a single document with the fields
 command, inputs, params, verdicts, witnesses, counts and wall_time_s;
 identical invocations produce identical documents apart from the
 timing fields, wall_time_s and the elapsed_s of each verdict.
+
+vee, enumerate, classify and every refusal run on the int algebra
+alone; the handlers that fold, read or census arrays import the numpy
+grid oracle when they reach it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import sys
 import time
 
 from . import criteria
-from .folding import CodeParams, fold_zero_factor, read_arrays, write_arrays
+from .criteria import CodeParams
 from .gf2poly import (
     InternalCheckError,
     ParseError,
@@ -27,8 +31,7 @@ from .gf2poly import (
     factor,
     parse,
 )
-from .lfsr import _ZERO_FACTOR_DEGREE_CAP, zero_factor
-from .verify import verify_prac
+from .lfsr import _ZERO_FACTOR_DEGREE_CAP
 
 
 class _UsageError(ValueError):
@@ -117,6 +120,9 @@ def _cmd_construct(args):
     cls = _require_uniform(poly, args.r1, args.r2)
     if poly.degree > _ZERO_FACTOR_DEGREE_CAP:
         raise _UsageError(f"construct is capped at degree {_ZERO_FACTOR_DEGREE_CAP}")
+    from .folding import fold_zero_factor, write_arrays
+    from .lfsr import zero_factor
+
     run = _Run("construct", {"poly": str(poly), "r1": args.r1, "r2": args.r2})
     zf = zero_factor(poly)
     arrays = fold_zero_factor(zf, args.r1, args.r2)
@@ -143,6 +149,9 @@ def _cmd_construct(args):
 
 
 def _cmd_verify(args):
+    from .folding import read_arrays
+    from .verify import verify_prac
+
     try:
         with open(args.infile, encoding="ascii") as fh:
             arrays, header = read_arrays(fh)

@@ -28,6 +28,13 @@ The three rank routes share one cached, stepped computation per
 the window-cell elements x^p mod f, one multiplication a cell.  The
 set-polynomial and trace tests rank those elements; ``det_test`` ranks
 their trace columns instead.
+
+The module works on ints alone.  It also defines the types every
+verdict is reported in (``CodeParams``, ``Witness``, ``VerdictReport``)
+and the census's area cap, so that ``folding`` and ``verify`` import
+them from here and not the other way round: numpy and the grid oracle
+load only inside ``_fold_census``, the one step that folds and
+censuses a code.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gf2field import bezout
 from .gf2poly import (
@@ -52,9 +59,133 @@ from .gf2poly import (
     enumerate_irreducible,
     lcm as poly_lcm,
 )
-from .folding import CodeParams, fold_zero_factor
-from .lfsr import _ZERO_FACTOR_DEGREE_CAP, berlekamp_massey, bitmul, generate, zero_factor
-from .verify import _CENSUS_AREA_CAP, VerdictReport, Witness, window_census
+from .lfsr import _ZERO_FACTOR_DEGREE_CAP, berlekamp_massey, bitmul, generate
+
+_CENSUS_AREA_CAP = 28  # the census's occupancy table stays under 32 MiB
+
+
+@dataclass(frozen=True)
+class CodeParams:
+    """Array code parameters: r1 x r2 arrays, n1 x n2 windows."""
+
+    r1: int
+    r2: int
+    n1: int
+    n2: int
+
+    def __post_init__(self):
+        if min(self.r1, self.r2, self.n1, self.n2) < 1:
+            raise ValueError("parameters must be positive")
+
+    @property
+    def window_area(self):
+        return self.n1 * self.n2
+
+    @property
+    def nonzero_windows(self):
+        return (1 << self.window_area) - 1
+
+    def codeword_count(self):
+        """Required code size: (2^(n1*n2) - 1) / (r1*r2)."""
+        total = self.nonzero_windows
+        if total % (self.r1 * self.r2):
+            raise ValueError("r1*r2 does not divide 2^(n1*n2) - 1")
+        return total // (self.r1 * self.r2)
+
+    def violation(self):
+        """First violated size/divisibility condition, or None."""
+        if math.gcd(self.r1, self.r2) != 1:
+            return f"gcd(r1, r2) = {math.gcd(self.r1, self.r2)} != 1"
+        if not (self.r1 > self.n1 or self.r1 == self.n1 == 1):
+            return f"need r1 > n1 (or r1 = n1 = 1), got r1={self.r1}, n1={self.n1}"
+        if not (self.r2 > self.n2 or self.r2 == self.n2 == 1):
+            return f"need r2 > n2 (or r2 = n2 = 1), got r2={self.r2}, n2={self.n2}"
+        if self.nonzero_windows % (self.r1 * self.r2):
+            return f"r1*r2 = {self.r1 * self.r2} does not divide 2^{self.window_area} - 1"
+        return None
+
+    def __str__(self):
+        return f"({self.r1},{self.r2};{self.n1},{self.n2})"
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Where a verification failed."""
+
+    kind: str
+    message: str
+    array_index: int | None = None
+    position: tuple | None = None
+    window_bits: str | None = None
+    code: int | None = None
+
+    def to_kv(self, prefix="witness"):
+        out = {f"{prefix}.kind": self.kind, f"{prefix}.message": self.message}
+        if self.array_index is not None:
+            out[f"{prefix}.array"] = str(self.array_index)
+        if self.position is not None:
+            out[f"{prefix}.position"] = ",".join(str(v) for v in self.position)
+        if self.window_bits is not None:
+            out[f"{prefix}.window"] = self.window_bits
+        if self.code is not None:
+            out[f"{prefix}.code"] = str(self.code)
+        return out
+
+
+@dataclass(frozen=True)
+class VerdictReport:
+    """Outcome of one verification criterion."""
+
+    criterion: str
+    passed: bool
+    params: CodeParams | None = None
+    witness: Witness | None = None
+    detail: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self):
+        return "pass" if self.passed else "fail"
+
+    def to_kv(self):
+        out = {"criterion": self.criterion, "verdict": self.verdict}
+        if self.params is not None:
+            out.update(
+                {
+                    "params.r1": str(self.params.r1),
+                    "params.r2": str(self.params.r2),
+                    "params.n1": str(self.params.n1),
+                    "params.n2": str(self.params.n2),
+                }
+            )
+        if self.witness is not None:
+            out.update(self.witness.to_kv())
+        for key, val in sorted(self.detail.items()):
+            if key == "stages":
+                val = ";".join(f"{s['criterion']}={s['verdict']}" for s in val)
+            elif isinstance(val, (list, tuple)):
+                val = ";".join(str(v) for v in val)
+            out[f"detail.{key}"] = str(val)
+        return out
+
+    def to_text(self):
+        head = f"{self.verdict.upper()} {self.criterion}"
+        if self.params is not None:
+            head += f" {self.params}"
+        lines = [head]
+        if self.witness is not None:
+            lines.append(f"  witness: {self.witness.message}")
+            if self.witness.position is not None:
+                lines.append(f"  at array {self.witness.array_index}, position {self.witness.position}")
+            if self.witness.window_bits is not None:
+                lines.append(f"  window bits: {self.witness.window_bits}")
+        for key, val in sorted(self.detail.items()):
+            if key == "stages":
+                for stage in val:
+                    lines.append(f"  stage {stage['criterion']}: {stage['verdict']}")
+            else:
+                lines.append(f"  {key}: {val}")
+        return "\n".join(lines)
+
 
 _TYPE_RANK = {"reducible": 0, "INP": 1, "primitive": 2}
 # admissible (unordered input types) -> allowed product types
@@ -571,8 +702,13 @@ def _conjecture_entry(k, combo, product, params):
 
 def _fold_census(f, params):
     """Window census of the folded zero factor of the uniform f, or
-    None when the window area or deg(f) is above the brute-force caps."""
+    None when the window area or deg(f) is above the brute-force caps.
+    The grid oracle is imported here, when a census is first run."""
     if params.window_area > _CENSUS_AREA_CAP or f.degree > _ZERO_FACTOR_DEGREE_CAP:
         return None
+    from .folding import fold_zero_factor
+    from .lfsr import zero_factor
+    from .verify import window_census
+
     arrays = fold_zero_factor(zero_factor(f), params.r1, params.r2)
     return window_census(arrays, params.n1, params.n2, params)

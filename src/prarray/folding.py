@@ -16,55 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .criteria import CodeParams
 from .lfsr import CyclicSequence, _pack_rows
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Array code parameters: r1 x r2 arrays, n1 x n2 windows."""
-
-    r1: int
-    r2: int
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if min(self.r1, self.r2, self.n1, self.n2) < 1:
-            raise ValueError("parameters must be positive")
-
-    @property
-    def window_area(self):
-        return self.n1 * self.n2
-
-    @property
-    def nonzero_windows(self):
-        return (1 << self.window_area) - 1
-
-    def codeword_count(self):
-        """Required code size: (2^(n1*n2) - 1) / (r1*r2)."""
-        total = self.nonzero_windows
-        if total % (self.r1 * self.r2):
-            raise ValueError("r1*r2 does not divide 2^(n1*n2) - 1")
-        return total // (self.r1 * self.r2)
-
-    def violation(self):
-        """First violated size/divisibility condition, or None."""
-        if math.gcd(self.r1, self.r2) != 1:
-            return f"gcd(r1, r2) = {math.gcd(self.r1, self.r2)} != 1"
-        if not (self.r1 > self.n1 or self.r1 == self.n1 == 1):
-            return f"need r1 > n1 (or r1 = n1 = 1), got r1={self.r1}, n1={self.n1}"
-        if not (self.r2 > self.n2 or self.r2 == self.n2 == 1):
-            return f"need r2 > n2 (or r2 = n2 = 1), got r2={self.r2}, n2={self.n2}"
-        if self.nonzero_windows % (self.r1 * self.r2):
-            return f"r1*r2 = {self.r1 * self.r2} does not divide 2^{self.window_area} - 1"
-        return None
-
-    def __str__(self):
-        return f"({self.r1},{self.r2};{self.n1},{self.n2})"
 
 
 class TorusArray:
@@ -205,6 +161,8 @@ def _fold_bits(bits, r1, r2):
     at once, the entries of one read-only (m, r1, r2) grid stack.  With
     r1 = 1 or r2 = 1 cell (i, j) holds bit i*r2 + j, so the stack is a
     view of bits."""
+    if r1 < 1 or r2 < 1:
+        raise ValueError(f"fold needs positive dimensions, got {r1} and {r2}")
     if math.gcd(r1, r2) != 1:
         raise ValueError(f"fold needs coprime dimensions, got {r1} and {r2}")
     if r1 == 1 or r2 == 1:
@@ -225,11 +183,15 @@ def fold(seq, r1, r2):
 
 
 def unfold(arr):
-    """Inverse of fold; needs coprime dimensions."""
+    """Inverse of fold; needs coprime dimensions.  With r1 = 1 or
+    r2 = 1 the grid, read row-major, is the sequence."""
     if math.gcd(arr.r1, arr.r2) != 1:
         raise ValueError("unfold needs coprime dimensions")
-    bits = np.empty((1, arr.r1 * arr.r2), dtype=np.uint8)
-    bits[0, _fold_indices(arr.r1, arr.r2)] = arr.grid.ravel()
+    if arr.r1 == 1 or arr.r2 == 1:
+        bits = arr.grid.reshape(1, -1)
+    else:
+        bits = np.empty((1, arr.r1 * arr.r2), dtype=np.uint8)
+        bits[0, _fold_indices(arr.r1, arr.r2)] = arr.grid.ravel()
     return CyclicSequence(_pack_rows(bits)[0], bits.shape[1])
 
 

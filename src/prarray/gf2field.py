@@ -16,12 +16,9 @@ import math
 
 from .gf2poly import (
     BinaryPolynomial,
-    _divmod,
     _mod,
-    _mul,
     _mulmod,
     _order,
-    _square,
     _trace_mask,
     is_irreducible,
 )
@@ -114,20 +111,6 @@ class FieldElement:
         self._check(other)
         return FieldElement(self.ctx, _mulmod(self.bits, other.bits, self.ctx.modulus.bits))
 
-    def inverse(self):
-        if self.bits == 0:
-            raise ZeroDivisionError("zero element has no inverse")
-        # extended Euclid in GF(2)[x]
-        a, b = self.bits, self.ctx.modulus.bits
-        s0, s1 = 1, 0
-        while b:
-            q, r = _divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, s0 ^ _mul(q, s1)
-        if a != 1:
-            raise ValueError("modulus is not irreducible")  # cannot happen
-        return FieldElement(self.ctx, _mod(s0, self.ctx.modulus.bits))
-
     def __pow__(self, k):
         if k < 0:
             if self.bits == 0:
@@ -152,29 +135,6 @@ class FieldElement:
     def trace(self):
         """Sum of Frobenius conjugates, as a GF(2) bit."""
         return (self.bits & self.ctx.trace_mask()).bit_count() & 1
-
-    def minimal_polynomial(self):
-        """Irreducible polynomial over GF(2) with this element as a root."""
-        fb = self.ctx.modulus.bits
-        orbit = [self.bits]
-        cur = _mod(_square(self.bits), fb)
-        while cur != self.bits:
-            orbit.append(cur)
-            cur = _mod(_square(cur), fb)
-        # multiply out prod (z + r) with coefficients in the field
-        coeffs = [1]
-        for r in orbit:
-            nxt = [0] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                nxt[i + 1] ^= c
-                nxt[i] ^= _mulmod(r, c, fb)
-            coeffs = nxt
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError("orbit product has a coefficient outside GF(2)")
-            bits |= c << i
-        return BinaryPolynomial(bits)
 
     def __str__(self):
         width = max(self.ctx.n, 1)

@@ -664,9 +664,11 @@ def enumerate_irreducible(degree, exponent_value):
     """All irreducible polynomials with the given degree and exponent.
 
     Empty unless degree == ord2(exponent): the degree of an irreducible
-    polynomial is determined by its exponent.  Exponents above 65535
-    are refused.
+    polynomial is determined by its exponent.  Degrees below 1 and
+    exponents above 65535 are refused.
     """
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, got {degree}")
     e = exponent_value
     if e < 1 or e % 2 == 0:
         raise ValueError("exponent must be odd and positive")

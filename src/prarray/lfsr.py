@@ -7,7 +7,9 @@ Sequence bits are packed into an integer with ``a_0`` at bit 0.
 Batched form: a zero factor is a read-only (m, e) uint8 bit matrix,
 one row per cycle, column k holding bit k, which ``zero_factor`` fills
 in numpy blocks by doubling, without a per-state Python walk.
-``ZeroFactor.cycles`` packs its rows into integers on first use.
+``ZeroFactor.cycles`` packs its rows into integers on first use.  The
+sequence operations work on ints alone, so numpy is imported only by
+the functions that build or pack a bit matrix.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gf2poly import (
     BinaryPolynomial,
@@ -25,6 +26,9 @@ from .gf2poly import (
     _divisors,
     classify,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CyclicSequence:
@@ -188,6 +192,8 @@ _ZERO_FACTOR_DEGREE_CAP = 24  # all 2^n register states are generated and marked
 
 def _pack_rows(bits):
     """Each row of a 2-D 0/1 matrix as an int, column k at bit k."""
+    import numpy as np
+
     packed = np.packbits(bits, axis=1, bitorder="little")
     nbytes = packed.shape[1]
     buf = packed.tobytes()
@@ -196,6 +202,8 @@ def _pack_rows(bits):
 
 def _linear_tables(images):
     """8-bit lookup tables of the GF(2)-linear map sending bit i to images[i]."""
+    import numpy as np
+
     tables = []
     for lo in range(0, len(images), 8):
         t = np.zeros(1, dtype=np.uint32)
@@ -227,6 +235,8 @@ def zero_factor(f):
     [L, 2L) by applying M^L to columns [0, L) for the step map M, and
     keeps the rows whose seed is the row minimum.
     """
+    import numpy as np
+
     cls = classify(f)
     if not cls.is_uniform:
         raise ValueError(f"{f} does not have a uniform exponent (kind: {cls.kind})")

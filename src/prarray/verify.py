@@ -24,93 +24,13 @@ All criteria share this encoding so witnesses are comparable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .folding import CodeParams, _grid_shape, _grid_stack
+from .criteria import _CENSUS_AREA_CAP, CodeParams, VerdictReport, Witness
+from .folding import _grid_shape, _grid_stack
 
-_CENSUS_AREA_CAP = 28  # occupancy table stays under 32 MiB
 _CENSUS_BLOCK_WINDOWS = 1 << 20  # windows coded per block of whole arrays
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Where a verification failed."""
-
-    kind: str
-    message: str
-    array_index: int | None = None
-    position: tuple | None = None
-    window_bits: str | None = None
-    code: int | None = None
-
-    def to_kv(self, prefix="witness"):
-        out = {f"{prefix}.kind": self.kind, f"{prefix}.message": self.message}
-        if self.array_index is not None:
-            out[f"{prefix}.array"] = str(self.array_index)
-        if self.position is not None:
-            out[f"{prefix}.position"] = ",".join(str(v) for v in self.position)
-        if self.window_bits is not None:
-            out[f"{prefix}.window"] = self.window_bits
-        if self.code is not None:
-            out[f"{prefix}.code"] = str(self.code)
-        return out
-
-
-@dataclass(frozen=True)
-class VerdictReport:
-    """Outcome of one verification criterion."""
-
-    criterion: str
-    passed: bool
-    params: CodeParams | None = None
-    witness: Witness | None = None
-    detail: dict = field(default_factory=dict)
-
-    @property
-    def verdict(self):
-        return "pass" if self.passed else "fail"
-
-    def to_kv(self):
-        out = {"criterion": self.criterion, "verdict": self.verdict}
-        if self.params is not None:
-            out.update(
-                {
-                    "params.r1": str(self.params.r1),
-                    "params.r2": str(self.params.r2),
-                    "params.n1": str(self.params.n1),
-                    "params.n2": str(self.params.n2),
-                }
-            )
-        if self.witness is not None:
-            out.update(self.witness.to_kv())
-        for key, val in sorted(self.detail.items()):
-            if key == "stages":
-                val = ";".join(f"{s['criterion']}={s['verdict']}" for s in val)
-            elif isinstance(val, (list, tuple)):
-                val = ";".join(str(v) for v in val)
-            out[f"detail.{key}"] = str(val)
-        return out
-
-    def to_text(self):
-        head = f"{self.verdict.upper()} {self.criterion}"
-        if self.params is not None:
-            head += f" {self.params}"
-        lines = [head]
-        if self.witness is not None:
-            lines.append(f"  witness: {self.witness.message}")
-            if self.witness.position is not None:
-                lines.append(f"  at array {self.witness.array_index}, position {self.witness.position}")
-            if self.witness.window_bits is not None:
-                lines.append(f"  window bits: {self.witness.window_bits}")
-        for key, val in sorted(self.detail.items()):
-            if key == "stages":
-                for stage in val:
-                    lines.append(f"  stage {stage['criterion']}: {stage['verdict']}")
-            else:
-                lines.append(f"  {key}: {val}")
-        return "\n".join(lines)
 
 
 def _blocks(grids):

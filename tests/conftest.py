@@ -1,6 +1,6 @@
 import pytest
 
-from prarray.gf2poly import parse
+from prarray.gf2poly import BinaryPolynomial, _divmod, _mod, _mul, _mulmod, _square, parse
 
 
 # (number, description, outcome, seconds) rows filled by the acceptance tests
@@ -40,6 +40,42 @@ def canonical(seq):
         b = ((b << 1) | (b >> (ell - 1))) & mask
         best = min(best, b)
     return best
+
+
+def field_inverse(a):
+    """Multiplicative inverse of a nonzero field element, by extended
+    Euclid in GF(2)[x]."""
+    if a.bits == 0:
+        raise ZeroDivisionError("zero element has no inverse")
+    fb = a.ctx.modulus.bits
+    r0, r1 = a.bits, fb
+    s0, s1 = 1, 0
+    while r1:
+        q, r = _divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 ^ _mul(q, s1)
+    assert r0 == 1, "modulus is not irreducible"
+    return a.ctx.element(_mod(s0, fb))
+
+
+def minimal_polynomial(a):
+    """Irreducible polynomial over GF(2) with the field element a as a
+    root: the product of z + r over the Frobenius orbit of a."""
+    fb = a.ctx.modulus.bits
+    orbit = [a.bits]
+    cur = _mod(_square(a.bits), fb)
+    while cur != a.bits:
+        orbit.append(cur)
+        cur = _mod(_square(cur), fb)
+    coeffs = [1]
+    for r in orbit:
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] ^= c
+            nxt[i] ^= _mulmod(r, c, fb)
+        coeffs = nxt
+    assert all(c in (0, 1) for c in coeffs), "orbit product has a coefficient outside GF(2)"
+    return BinaryPolynomial(sum(c << i for i, c in enumerate(coeffs)))
 
 
 def pytest_terminal_summary(terminalreporter):

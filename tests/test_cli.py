@@ -1,8 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from time import perf_counter
 
 import pytest
 
+import prarray
 from prarray.cli import main
 
 
@@ -302,6 +307,18 @@ class TestRefusedInputs:
         assert code == 2
         assert err == "error: census infeasible: window area or degree above the brute-force caps\n"
 
+    def test_construct_nonpositive_dimensions(self, capsys):
+        # (-3)(-5) = 15 is the exponent of x^4+x+1, so only the fold refuses
+        code, out, err = run(capsys, "construct", "--poly", "x^4+x+1", "--r1", "-3", "--r2", "-5")
+        assert code == 2 and out == ""
+        assert err == "error: fold needs positive dimensions, got -3 and -5\n"
+
+    @pytest.mark.parametrize("degree, exponent", [("-3", "7"), ("0", "1")])
+    def test_enumerate_degree_below_one(self, capsys, degree, exponent):
+        code, out, err = run(capsys, "enumerate", "--degree", degree, "--exponent", exponent)
+        assert code == 2 and out == ""
+        assert err == f"error: degree must be at least 1, got {degree}\n"
+
     @pytest.mark.parametrize("half", [("--n1", "2"), ("--n2", "2")])
     def test_construct_half_window_refused(self, tmp_path, capsys, half):
         path = tmp_path / "arrays.txt"
@@ -312,3 +329,95 @@ class TestRefusedInputs:
         assert code == 2 and out == ""
         assert err == "error: construct needs both --n1 and --n2, or neither\n"
         assert not path.exists()
+
+
+def fresh(code, *argv):
+    """Run code in a new interpreter that imports prarray from this
+    checkout; argv becomes sys.argv[1:]."""
+    src = os.path.dirname(os.path.dirname(prarray.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+
+
+# prints the document, then "<exit code> <numpy loaded>" as the last line
+CLI_PROBE = (
+    "import sys\n"
+    "from prarray.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+
+
+def fresh_cli(*argv):
+    """(exit code, numpy loaded, document or None) of main(argv) in a
+    new interpreter."""
+    proc = fresh(CLI_PROBE, *argv, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    *doc, last = proc.stdout.splitlines()
+    code, numpy_loaded = last.split()
+    return int(code), numpy_loaded == "True", json.loads("\n".join(doc)) if doc else None
+
+
+class TestImportLayers:
+    """The int algebra runs without numpy; only the grid oracle loads it."""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            pytest.param(["vee", "--f1", "x^4+x+1", "--f2", "x^3+x+1"], 0, id="vee-12"),
+            pytest.param(["vee", "--f1", "x^4+x^3+x^2+x+1", "--f2", "x^6+x^3+1"], 0, id="vee-24"),
+            pytest.param(["enumerate", "--degree", "8", "--exponent", "51"], 0, id="enumerate-8"),
+            pytest.param(["enumerate", "--degree", "10", "--exponent", "93"], 0, id="enumerate-10"),
+            pytest.param(["classify", "--f1", "x^3+x+1", "--f2", "x^4+x+1"], 0, id="classify-3x4"),
+            pytest.param(["classify", "--f1", "x^4+x+1", "--f2", "x^5+x^2+1"], 0, id="classify-4x5"),
+            # the refused inputs of the benchmark's cli workload
+            pytest.param(["vee", "--f1", "x^4+y+1", "--f2", "x^3+x+1"], 2, id="refused-parse"),
+            pytest.param(["construct", "--poly", "x^4+x^2+1", "--r1", "3", "--r2", "5"], 2,
+                         id="refused-nonuniform"),
+            pytest.param(["check-fold", "--poly", "x^4+x+1", "--r1", "3", "--r2", "7",
+                          "--n1", "2", "--n2", "2"], 2, id="refused-exponent"),
+        ],
+    )
+    def test_algebra_commands_leave_numpy_unloaded(self, argv, want):
+        code, numpy_loaded, _ = fresh_cli(*argv)
+        assert code == want
+        assert not numpy_loaded
+
+    def test_bare_import_and_every_public_name(self):
+        proc = fresh(
+            "import sys, prarray\n"
+            "print('numpy' in sys.modules)\n"
+            "print([n for n in prarray.__all__ if getattr(prarray, n, None) is None])\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert proc.stdout.splitlines() == ["False", "[]", "True"]
+
+    @staticmethod
+    def digest(doc, **replace):
+        doc = dict(doc, **replace)
+        doc.pop("wall_time_s")
+        doc["verdicts"] = [{k: v for k, v in d.items() if k != "elapsed_s"} for d in doc["verdicts"]]
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+    def test_oracle_commands_keep_their_documents(self, tmp_path):
+        # digests of the documents as these commands printed them when
+        # every module was imported at start-up
+        path = str(tmp_path / "code.txt")
+        code, numpy_loaded, doc = fresh_cli(
+            "construct", "--poly", "x^4+x+1", "--r1", "3", "--r2", "5",
+            "--n1", "2", "--n2", "2", "--out", path,
+        )
+        assert (code, numpy_loaded) == (0, True)
+        assert self.digest(doc) == "fb2422b73330b226"
+        code, numpy_loaded, doc = fresh_cli("verify", "--in", path)
+        assert (code, numpy_loaded) == (0, True)
+        assert self.digest(doc, inputs={"infile": "code.txt"}) == "b5ac7bdda63c521a"
+        code, numpy_loaded, doc = fresh_cli(
+            "check-fold", "--poly", "x^6+x^5+x^4+x^2+1", "--r1", "3", "--r2", "7",
+            "--n1", "2", "--n2", "3", "--criterion", "all",
+        )
+        assert (code, numpy_loaded) == (0, True)
+        assert self.digest(doc) == "85e04c857fecbe13"

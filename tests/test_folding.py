@@ -56,6 +56,15 @@ class TestFold:
         with pytest.raises(ValueError):
             fold(CyclicSequence(1, 36), 6, 6)
 
+    def test_nonpositive_dimensions_rejected(self):
+        # each product is the length, so only the dimension check refuses
+        zf = zero_factor(parse("x^4+x+1"))
+        with pytest.raises(ValueError, match="fold needs positive dimensions, got -3 and -5"):
+            fold_zero_factor(zf, -3, -5)
+        for r1, r2 in ((-1, -15), (-15, -1), (-3, -5)):
+            with pytest.raises(ValueError, match="fold needs positive dimensions"):
+                fold(SPAN4, r1, r2)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fold(SPAN4, 3, 7)
@@ -139,6 +148,17 @@ class TestUnfold:
     def test_noncoprime_rejected(self):
         with pytest.raises(ValueError):
             unfold(arr("0000", "0000"))
+
+    @pytest.mark.parametrize("r1, r2", [(1, 1), (1, 1021), (1021, 1)])
+    def test_identity_unfold_builds_no_index(self, r1, r2):
+        # with r1 or r2 equal to 1 the grid read row-major is the sequence
+        rng = random.Random(r1 + 2 * r2)
+        cells = [[rng.randrange(2) for _ in range(r2)] for _ in range(r1)]
+        cached = _fold_indices.cache_info()
+        seq = unfold(TorusArray(cells))
+        assert _fold_indices.cache_info() == cached
+        ell = r1 * r2
+        assert (len(seq), seq.bits) == (ell, sum(cells[k % r1][k % r2] << k for k in range(ell)))
 
 
 class TestShift:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import field_inverse, minimal_polynomial
 from prarray.gf2field import FieldContext, bezout, crt_solve
 from prarray.gf2poly import BinaryPolynomial, is_irreducible, parse
 
@@ -67,7 +68,7 @@ class TestArithmetic:
         ctx = FieldContext(first_irreducible(6))
         for bits in range(1, 1 << 6):
             a = ctx.element(bits)
-            assert a * a.inverse() == ctx.one
+            assert a * field_inverse(a) == ctx.one
 
 
 class TestOrder:
@@ -118,18 +119,18 @@ class TestTrace:
 class TestMinimalPolynomial:
     def test_root_powers_in_fixed_degree12_field(self):
         ctx = FieldContext(M12)
-        assert (ctx.alpha**273).minimal_polynomial() == parse("x^4+x+1")
-        assert (ctx.alpha**585).minimal_polynomial() == parse("x^3+x+1")
+        assert minimal_polynomial(ctx.alpha**273) == parse("x^4+x+1")
+        assert minimal_polynomial(ctx.alpha**585) == parse("x^3+x+1")
 
     def test_one(self):
-        assert GF4.one.minimal_polynomial() == parse("x+1")
+        assert minimal_polynomial(GF4.one) == parse("x+1")
 
     def test_class_of_x_recovers_modulus(self):
         for bits in range(1 << 2 | 1, 1 << 9, 2):
             f = BinaryPolynomial(bits)
             if not is_irreducible(f):
                 continue
-            assert FieldContext(f).alpha.minimal_polynomial() == f
+            assert minimal_polynomial(FieldContext(f).alpha) == f
 
 
 class TestSerialization:

@@ -333,6 +333,12 @@ class TestCounting:
     def test_enumerate_wrong_degree_is_empty(self):
         assert enumerate_irreducible(3, 5) == []
 
+    @pytest.mark.parametrize("degree, e", [(0, 1), (-3, 7), (0, 2), (-1, 1000000000039)])
+    def test_enumerate_degree_below_one(self, degree, e):
+        # refused before the exponent is looked at
+        with pytest.raises(ValueError, match=f"degree must be at least 1, got {degree}"):
+            enumerate_irreducible(degree, e)
+
     def test_enumerate_exponent_cap(self):
         for degree, e in ((40, 1000000000039), (16, 65537)):
             with pytest.raises(ValueError, match="65535"):
