@@ -50,6 +50,9 @@ def _params_from(args):
 
 
 def _require_uniform(poly, r1, r2):
+    # refused before any classification or fold work
+    if r1 < 1 or r2 < 1:
+        raise _UsageError(f"fold needs positive dimensions, got {r1} and {r2}")
     cls = classify(poly)
     if not cls.is_uniform:
         raise _UsageError(f"{poly} does not have a uniform exponent (kind {cls.kind})")

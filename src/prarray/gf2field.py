@@ -19,6 +19,7 @@ from .gf2poly import (
     _mod,
     _mulmod,
     _order,
+    _powmod,
     _trace_mask,
     is_irreducible,
 )
@@ -116,15 +117,7 @@ class FieldElement:
             if self.bits == 0:
                 raise ZeroDivisionError("zero element with negative exponent")
             k %= self.order()
-        r = self.ctx.one
-        base = self
-        while k:
-            if k & 1:
-                r = r * base
-            k >>= 1
-            if k:
-                base = base * base
-        return r
+        return FieldElement(self.ctx, _powmod(self.bits, k, self.ctx.modulus.bits))
 
     def order(self):
         """Least t >= 1 with self^t = 1; divides 2^n - 1."""

@@ -15,6 +15,23 @@ Two text notations are supported:
 
 ``parse`` accepts both; formatting emits the symbolic form by default
 and the compact form on request.
+
+The raw kernels pick their path from operand sizes alone:
+
+* ``_mul`` runs bit-serially over the shorter operand when it fits in a
+  machine word (64 bits); when both are wider, it steps through the
+  shorter one in 4-bit windows over the 16 multiples of the other.
+* ``_square`` spreads bytes through a 256-entry table up to a word, and
+  above that interleaves zeros into the binary digits at C level
+  (``format``, a ``bytearray`` slice and ``int(..., 2)``).
+* ``_mod`` clears 8 bits a step with a 256-entry table of multiples of
+  the modulus when the modulus has more than 32 bits and the degree
+  gap is at least 32.  Tables are kept for the last 8 moduli only.
+  Smaller moduli, smaller degree gaps (as in ``_gcd``) and the last
+  < 8 bits are cleared one bit at a time.
+* ``_powmod`` raises x by squaring and shifting, left to right over the
+  exponent: multiplying by x is a shift and one conditional XOR.  Other
+  bases use square-and-multiply.
 """
 
 from __future__ import annotations
@@ -42,13 +59,31 @@ def _degree(a):
     return a.bit_length() - 1
 
 
+# The size rule of the kernel paths; see the module docstring.
+_WORD = 64
+_TABLE_MIN = 32
+
+
 def _mul(a, b):
+    if a.bit_length() < b.bit_length():
+        a, b = b, a
+    if b >> _WORD == 0:
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            a <<= 1
+            b >>= 1
+        return r
+    # both wider than a word: b in 4-bit windows, over the 16 multiples of a
+    w = [0, a] + [0] * 14
+    for i in range(2, 16, 2):
+        w[i] = w[i >> 1] << 1
+        w[i + 1] = w[i] ^ a
     r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
+    for byte in b.to_bytes((b.bit_length() + 7) // 8, "big"):
+        r = (r << 4) ^ w[byte >> 4]
+        r = (r << 4) ^ w[byte & 15]
     return r
 
 
@@ -65,6 +100,12 @@ def _square(a):
     # squaring over GF(2) just spreads the bits out
     if a < 256:
         return _SPREAD[a]
+    if a >> _WORD:
+        # interleave a zero after every binary digit, all in C
+        digits = format(a, "b").encode()
+        spread = bytearray(b"0") * (2 * len(digits) - 1)
+        spread[::2] = digits
+        return int(spread, 2)
     out = 0
     shift = 0
     for byte in a.to_bytes((a.bit_length() + 7) // 8, "little"):
@@ -73,11 +114,33 @@ def _square(a):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _mod_table(b):
+    """The 256 multiples of b by polynomials of degree < 8, indexed by
+    their top 8 bits (bits deg b to deg b + 7)."""
+    k = b.bit_length() - 1
+    table = [0] * 256
+    for t in range(1, 256):
+        m = b << (t.bit_length() - 1)
+        # m has the top bit of t; the rest comes from a smaller entry
+        table[t] = m ^ table[t ^ (m >> k)]
+    return table
+
+
 def _mod(a, b):
     if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
     db = b.bit_length()
     da = a.bit_length()
+    if db > _TABLE_MIN and da - db >= _TABLE_MIN:
+        # clear the top 8 bits of a per step with one table multiple
+        table = _mod_table(b)
+        k = db - 1
+        p = da - 8
+        while p >= k:
+            a ^= table[a >> p] << (p - k)
+            p -= 8
+        da = a.bit_length()
     while da >= db:
         a ^= b << (da - db)
         da = a.bit_length()
@@ -109,8 +172,20 @@ def _mulmod(a, b, m):
 
 
 def _powmod(base, e, m):
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
     r = _mod(1, m) if m.bit_length() <= 1 else 1
     base = _mod(base, m)
+    if base == 2:
+        # powers of x: square and shift, left to right over e
+        n = m.bit_length() - 1
+        for bit in format(e, "b"):
+            r = _mod(_square(r), m)
+            if bit == "1":
+                r <<= 1
+                if r >> n:
+                    r ^= m
+        return r
     while e:
         if e & 1:
             r = _mod(_mul(r, base), m)

@@ -78,6 +78,50 @@ def minimal_polynomial(a):
     return BinaryPolynomial(sum(c << i for i, c in enumerate(coeffs)))
 
 
+# Bit-serial GF(2)[x] kernels on raw ints: the reference the
+# word-at-a-time paths in gf2poly are checked against.
+
+def serial_mul(a, b):
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
+
+
+def serial_square(a):
+    out = 0
+    for i in range(a.bit_length()):
+        if a >> i & 1:
+            out |= 1 << (2 * i)
+    return out
+
+
+def serial_mod(a, b):
+    if b == 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    db = b.bit_length()
+    da = a.bit_length()
+    while da >= db:
+        a ^= b << (da - db)
+        da = a.bit_length()
+    return a
+
+
+def serial_powmod(base, e, m):
+    r = serial_mod(1, m) if m.bit_length() <= 1 else 1
+    base = serial_mod(base, m)
+    while e:
+        if e & 1:
+            r = serial_mod(serial_mul(r, base), m)
+        e >>= 1
+        if e:
+            base = serial_mod(serial_square(base), m)
+    return r
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_LOG:
         return

@@ -308,10 +308,25 @@ class TestRefusedInputs:
         assert err == "error: census infeasible: window area or degree above the brute-force caps\n"
 
     def test_construct_nonpositive_dimensions(self, capsys):
-        # (-3)(-5) = 15 is the exponent of x^4+x+1, so only the fold refuses
+        # (-3)(-5) = 15 is the exponent of x^4+x+1, so only the sign refuses
         code, out, err = run(capsys, "construct", "--poly", "x^4+x+1", "--r1", "-3", "--r2", "-5")
         assert code == 2 and out == ""
         assert err == "error: fold needs positive dimensions, got -3 and -5\n"
+
+    def test_construct_nonpositive_dimensions_before_zero_factor(self, capsys, monkeypatch):
+        # (-1)(-16777215) is the exponent of this primitive degree-24
+        # polynomial, whose zero factor takes seconds and ~190 MiB
+        from prarray import lfsr
+
+        def walked(*args, **kwargs):
+            raise AssertionError("zero_factor ran before the refusal")
+
+        monkeypatch.setattr(lfsr, "zero_factor", walked)
+        code, out, err = run(
+            capsys, "construct", "--poly", "x^24+x^7+x^2+x+1", "--r1", "-1", "--r2", "-16777215"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: fold needs positive dimensions, got -1 and -16777215\n"
 
     @pytest.mark.parametrize("degree, exponent", [("-3", "7"), ("0", "1")])
     def test_enumerate_degree_below_one(self, capsys, degree, exponent):

@@ -4,11 +4,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import serial_mod, serial_mul, serial_powmod, serial_square
+from prarray import gf2poly
+from prarray.gf2field import FieldContext
 from prarray.gf2poly import (
     ONE,
     X,
     BinaryPolynomial,
     ParseError,
+    _mod,
+    _mod_table,
+    _mul,
+    _mulmod,
+    _powmod,
+    _square,
     classify,
     count_irreducible_with_exponent,
     enumerate_irreducible,
@@ -101,6 +110,98 @@ class TestArithmetic:
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.degree < b.degree
+
+
+# Bit lengths on both sides of each size rule in gf2poly: the spread
+# table (8 bits), the reduction table (_TABLE_MIN) and the word
+# (_WORD), then degrees up to 2000.
+_EDGES = sorted(
+    {w + d for w in (8, gf2poly._TABLE_MIN, gf2poly._WORD, 2 * gf2poly._WORD) for d in (-1, 0, 1, 2)}
+    | {0, 1, 2}
+    | {1999, 2000, 2001}
+)
+
+
+def _of_length(width):
+    if width == 0:
+        return st.just(0)
+    return st.integers(0, (1 << (width - 1)) - 1).map(lambda low: (1 << (width - 1)) | low)
+
+
+def polys(max_bits=2001):
+    """Raw polynomials of degree -1 (zero) to max_bits - 1."""
+    width = st.one_of(st.sampled_from([w for w in _EDGES if w <= max_bits]), st.integers(0, max_bits))
+    return width.flatmap(_of_length)
+
+
+def moduli(max_bits=2001):
+    """Nonzero moduli: dense ones, trinomials x^n + x^k + 1, and x + 1."""
+    trinomial = st.integers(2, max_bits - 1).flatmap(
+        lambda n: st.integers(1, n - 1).map(lambda k: (1 << n) | (1 << k) | 1)
+    )
+    return st.one_of(polys(max_bits).filter(bool), trinomial, st.just(0b11))
+
+
+class TestKernels:
+    """The word-at-a-time kernels equal the bit-serial references."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys(), polys())
+    def test_mul(self, a, b):
+        assert _mul(a, b) == serial_mul(a, b) == _mul(b, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys())
+    def test_square(self, a):
+        assert _square(a) == serial_square(a) == serial_mul(a, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys(), moduli())
+    def test_mod(self, a, m):
+        assert _mod(a, m) == serial_mod(a, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(moduli(), st.data())
+    def test_mod_below_and_far_above_the_modulus(self, m, data):
+        n = m.bit_length() - 1
+        below = data.draw(st.integers(0, (1 << n) - 1))
+        assert _mod(below, m) == below
+        # degree at least twice the modulus degree
+        far = data.draw(st.integers(2 * n, 2 * n + 300).flatmap(lambda d: _of_length(d + 1)))
+        assert _mod(far, m) == serial_mod(far, m)
+        assert _mulmod(far, below, m) == serial_mod(serial_mul(far, below), m)
+        # degree gaps on both sides of the table threshold
+        gap = data.draw(st.integers(-2, 2).map(lambda d: gf2poly._TABLE_MIN + d))
+        near = data.draw(_of_length(m.bit_length() + gap))
+        assert _mod(near, m) == serial_mod(near, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(st.just(2), st.just(0), polys(700)),
+        st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, (1 << 24) - 1)),
+        moduli(600),
+    )
+    def test_powmod(self, base, e, m):
+        assert _powmod(base, e, m) == serial_powmod(base, e, m)
+
+    @pytest.mark.parametrize("a", [0, 1, 1 << 40, (1 << 3000) | 1])
+    def test_mod_by_zero_raises(self, a):
+        with pytest.raises(ZeroDivisionError):
+            _mod(a, 0)
+
+    @pytest.mark.parametrize("base", [2, 0b111])
+    def test_powmod_negative_exponent_raises(self, base):
+        # the bit loop of the reference never ends on e < 0
+        with pytest.raises(ValueError, match="negative exponent -1"):
+            _powmod(base, -1, 0b10011)
+
+    def test_tables_kept_for_few_moduli(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            m = rng.getrandbits(300) | (1 << 300) | 1
+            a = rng.getrandbits(600)
+            assert _mod(a, m) == serial_mod(a, m)
+        assert _mod_table.cache_info().currsize <= 8
 
 
 class TestGcd:
@@ -343,6 +444,21 @@ class TestCounting:
         for degree, e in ((40, 1000000000039), (16, 65537)):
             with pytest.raises(ValueError, match="65535"):
                 enumerate_irreducible(degree, e)
+
+    def test_enumerate_large_modulus(self):
+        # 1537 = 29 * 53 and ord2(1537) = 364: the equal-degree split runs
+        # on the degree-1456 cyclotomic polynomial
+        lst = enumerate_irreducible(364, 1537)
+        assert len(lst) == 4 == count_irreducible_with_exponent(1537)
+        x_e_minus_1 = (1 << 1537) | 1
+        for p in lst:
+            assert p.degree == 364
+            assert is_irreducible(p)
+            assert exponent(p) == 1537
+            assert serial_mod(x_e_minus_1, p.bits) == 0
+            ctx = FieldContext(p)
+            assert ctx.alpha**1537 == ctx.one
+            assert all(ctx.alpha ** (1537 // q) != ctx.one for q in (29, 53))
 
     def test_enumerate_members_have_degree_and_exponent(self):
         for e in range(3, 128, 2):
