@@ -4,30 +4,35 @@ The central construction is the product polynomial ``vee(f1, f2)`` whose
 roots are all pairwise products of roots of f1 and f2.  It is computed
 by two independent routes that must agree:
 
-(a) the characteristic polynomial (Berkowitz, division-free) of the
-    Kronecker product of the two companion matrices;
+(a) the minimal polynomial of xy in GF(2)[x,y]/(f1(x), f2(y)): the
+    first linear dependency, found by the shared GF(2) kernel, among
+    the n1*n2 + 1 powers of xy (a Krylov sequence in the tensor ring);
 (b) the least common multiple of Berlekamp-Massey minimal polynomials
-    of bitwise products of shifted generator sequences.
+    of bitwise products of shifted generator sequences, each read from
+    a prefix of 2*n1*n2 bits.
+
+Both cost a polynomial in the degrees, not in the exponents.
 
 The decision procedures are exact:
 
 * ``setpoly_test``   -- does an irreducible f divide the set polynomial
   of the window positions?  Equivalently: are the powers of a root of f
   at those positions linearly independent over GF(2)?
-* ``trace_independence_test`` -- the dual basis form of det_test for a
-  single irreducible polynomial: the same rank computation as
-  ``setpoly_test``, reported two ways;
+* ``trace_independence_test`` -- the same independence question for a
+  single irreducible f, with the determinant criterion's preconditions
+  and report; it reads the rank that ``setpoly_test`` computes;
 * ``det_test``       -- determinant criterion over several quotient
   fields at once (works for products of irreducibles); the trace-form
-  route, a different computation on the same window-cell elements;
+  route, a different computation on the same window-cell elements, and
+  the cross-check of the other two;
 * ``sufficient_conditions``   -- the divisibility/distinct-residue
   conditions that guarantee a PRA/PRAC (sufficient, not necessary).
 
 The three rank routes share one cached, stepped computation per
-(f, params), ``_cells``: whether f is irreducible, the order of x, and
-the window-cell elements x^p mod f, one multiplication a cell.  The
-set-polynomial and trace tests rank those elements; ``det_test`` ranks
-their trace columns instead.
+(f, params), ``_cells``: whether f is irreducible, the order of x, the
+window-cell elements x^p mod f, one multiplication a cell, and their
+rank.  The set-polynomial and trace tests report that one rank;
+``det_test`` ranks the elements' trace columns instead.
 
 The module works on ints alone.  It also defines the types every
 verdict is reported in (``CodeParams``, ``Witness``, ``VerdictReport``)
@@ -48,7 +53,6 @@ from .gf2field import bezout
 from .gf2poly import (
     BinaryPolynomial,
     InternalCheckError,
-    _bit_reverse,
     _gf2_kernel,
     _is_irreducible_int,
     _mulmod,
@@ -59,7 +63,7 @@ from .gf2poly import (
     enumerate_irreducible,
     lcm as poly_lcm,
 )
-from .lfsr import _ZERO_FACTOR_DEGREE_CAP, berlekamp_massey, bitmul, generate
+from .lfsr import _ZERO_FACTOR_DEGREE_CAP, berlekamp_massey, generate
 
 _CENSUS_AREA_CAP = 28  # the census's occupancy table stays under 32 MiB
 
@@ -247,89 +251,56 @@ def _base_type(kind):
     return "reducible" if kind == "reducible-uniform" else kind
 
 
-def _companion_rows(f):
-    # rows of the companion matrix whose characteristic polynomial is f
-    n = f.degree
-    rows = []
-    for i in range(n):
-        r = 1 << (i - 1) if i else 0
-        if f.bits >> i & 1:
-            r |= 1 << (n - 1)
-        rows.append(r)
-    return rows
-
-
-def _kronecker(a_rows, na, b_rows, nb):
-    rows = []
-    for ia in range(na):
-        for ib in range(nb):
-            r = 0
-            arow = a_rows[ia]
-            for ja in range(na):
-                if arow >> ja & 1:
-                    r |= b_rows[ib] << (ja * nb)
-            rows.append(r)
-    return rows
-
-
-def _charpoly(rows, n):
-    """Characteristic polynomial over GF(2) by the Berkowitz method."""
-    vec = 1  # coefficient vector, leading coefficient at bit 0
-    for m in range(1, n + 1):
-        top = n - m
-        a = rows[top] >> top & 1
-        r_mask = (rows[top] >> (top + 1)) & ((1 << (m - 1)) - 1)
-        c_mask = 0
-        for i in range(m - 1):
-            c_mask |= (rows[top + 1 + i] >> top & 1) << i
-        sub = [(rows[top + 1 + i] >> (top + 1)) & ((1 << (m - 1)) - 1) for i in range(m - 1)]
-        t = 1 | (a << 1)
-        w = c_mask
-        for s in range(2, m + 1):
-            t |= ((r_mask & w).bit_count() & 1) << s
-            if s < m:
-                nw = 0
-                for i in range(m - 1):
-                    if (sub[i] & w).bit_count() & 1:
-                        nw |= 1 << i
-                w = nw
-        prod = 0
-        tt = t
-        shift = 0
-        while tt:
-            if tt & 1:
-                prod ^= vec << shift
-            tt >>= 1
-            shift += 1
-        vec = prod & ((1 << (m + 1)) - 1)
-    return BinaryPolynomial(_bit_reverse(vec, n + 1))
-
-
 def _vee_by_matrix(f1, f2):
-    a_rows = _companion_rows(f1)
-    b_rows = _companion_rows(f2)
-    rows = _kronecker(a_rows, f1.degree, b_rows, f2.degree)
-    return _charpoly(rows, f1.degree * f2.degree)
+    """Minimal polynomial of xy in GF(2)[x,y]/(f1(x), f2(y)): the first
+    GF(2) dependency among the powers 1, xy, (xy)^2, ...  An element is
+    one int of n1 blocks of n2 bits, block i the coefficient of x^i as
+    a polynomial in y, so multiplying by xy is the Kronecker product of
+    the two companion matrices."""
+    n1, n2 = f1.degree, f2.degree
+    n = n1 * n2
+    full = (1 << n) - 1
+    block_ones = full // ((1 << n2) - 1)  # bit 0 of every block
+    taps1 = [i * n2 for i in range(n1) if f1.bits >> i & 1]
+    taps2 = [j for j in range(n2) if f2.bits >> j & 1]
+    powers = [1]
+    for _ in range(n):
+        v = powers[-1] << 1  # times y: y^n2 leaves each block
+        wrap = v >> n2 & block_ones
+        v ^= wrap << n2
+        for j in taps2:
+            v ^= wrap << j
+        top = v >> (n - n2)  # times x: x^n1 leaves the top block
+        v = v << n2 & full
+        for i in taps1:
+            v ^= top << i
+        powers.append(v)
+    _, kernel = _gf2_kernel(powers)
+    g = kernel[0]
+    # coprime exponents make the n products of roots distinct
+    if g.bit_length() - 1 != n:
+        raise InternalCheckError(f"xy has a minimal polynomial of degree "
+                                 f"{g.bit_length() - 1}, expected {n}")
+    return BinaryPolynomial(g)
 
 
-def _impulse(f, length):
-    seed = [0] * (f.degree - 1) + [1]
-    return generate(f, seed, length)
-
-
-def _vee_by_sequences(f1, f2, e1, e2):
-    # lcm of minimal polynomials of products of shifted base sequences;
-    # shifts 0..deg-1 of each base span all generated sequences
+def _vee_by_sequences(f1, f2):
+    """lcm of the Berlekamp-Massey polynomials of products of an
+    f1-sequence and an f2-sequence.  The shifts 0..deg-1 of each impulse
+    sequence span its sequences, and a product has linear complexity at
+    most n1*n2, so the first 2*n1*n2 bits of each product suffice."""
     target = f1.degree * f2.degree
-    need = max(2 * target, 2)
-    base1 = _impulse(f1, e1)
-    base2 = _impulse(f2, e2)
+    need = 2 * target
+    mask = (1 << need) - 1
+    base1, base2 = (
+        generate(f, [0] * (f.degree - 1) + [1], need + f.degree).bits for f in (f1, f2)
+    )
     acc = BinaryPolynomial(1)
     for s in range(f1.degree):
-        a = base1.rotate(s)
+        a = base1 >> s & mask
         for t in range(f2.degree):
-            prod = bitmul(a, base2.rotate(t))
-            acc = poly_lcm(acc, berlekamp_massey(prod.take(need)))
+            prod = a & base2 >> t
+            acc = poly_lcm(acc, berlekamp_massey([prod >> k & 1 for k in range(need)]))
             if acc.degree == target:
                 return acc
     raise InternalCheckError(
@@ -341,7 +312,9 @@ def vee(f1, f2):
     """Polynomial whose roots are products of roots of f1 and f2.
 
     Both inputs need uniform exponents and the exponents must be
-    coprime.  Computed by two independent methods which must agree.
+    coprime; then the n1*n2 products are distinct and g has degree
+    n1*n2.  Computed by both routes, (a) the minimal polynomial of xy
+    and (b) Berlekamp-Massey on sequence products, which must agree.
     """
     c1 = _uniform_class(f1, "f1")
     c2 = _uniform_class(f2, "f2")
@@ -350,7 +323,7 @@ def vee(f1, f2):
             f"exponents {c1.exponent} and {c2.exponent} are not coprime"
         )
     by_matrix = _vee_by_matrix(f1, f2)
-    by_sequences = _vee_by_sequences(f1, f2, c1.exponent, c2.exponent)
+    by_sequences = _vee_by_sequences(f1, f2)
     if by_matrix != by_sequences:
         raise InternalCheckError(
             f"vee methods disagree: matrix {by_matrix}, sequences {by_sequences}"
@@ -385,9 +358,9 @@ def _cell_positions(params):
 
 class _Cells:
     """The field work that the rank criteria share for one (f, params):
-    whether f is irreducible, the order of x mod f, and the window-cell
-    vectors.  Each part is computed on first use, so every criterion
-    still refuses in its own order."""
+    whether f is irreducible, the order of x mod f, the window-cell
+    vectors and their rank.  Each part is computed on first use, so
+    every criterion still refuses in its own order."""
 
     def __init__(self, fb, params):
         self.fb = fb
@@ -436,6 +409,12 @@ class _Cells:
                 vectors.append(cur)
         return tuple(vectors)
 
+    @functools.cached_property
+    def rank_kernel(self):
+        """(rank, kernel) of the window-cell vectors, which the
+        set-polynomial and trace tests both report."""
+        return _gf2_kernel(self.vectors)
+
 
 @functools.lru_cache(maxsize=64)
 def _cells(fb, params):
@@ -461,7 +440,7 @@ def setpoly_test(f, pos, exhaustive=False):
             f"need {f.degree} positions for degree {f.degree}, got {len(positions)}"
         )
     vectors = cells.vectors
-    rank, kernel = _gf2_kernel(vectors)
+    rank, kernel = cells.rank_kernel
     passed = rank == len(positions)
     witness = None
     detail = {"positions": sorted(positions), "rank": rank}
@@ -556,9 +535,12 @@ def _trace_columns(fb, n, vectors):
 
 
 def trace_independence_test(f, params):
-    """Dual form of the determinant criterion for one irreducible f:
+    """Determinant criterion for one irreducible f, by its dual form:
     the window-cell root powers beta^i * gamma^j must be linearly
-    independent over GF(2)."""
+    independent over GF(2).  That is the rank ``setpoly_test`` reads
+    from the shared cells, here with the determinant criterion's
+    preconditions and report; the trace-form cross-check is
+    ``det_test``."""
     cells = _cells(f.bits, params)
     if not cells.irreducible:
         raise ValueError("the trace criterion needs an irreducible polynomial")
@@ -570,7 +552,7 @@ def trace_independence_test(f, params):
     e = params.r1 * params.r2
     if cells.x_order != e:
         raise ValueError(f"{f} has exponent {cells.x_order}, need {e}")
-    rank, kernel = _gf2_kernel(cells.vectors)
+    rank, kernel = cells.rank_kernel
     passed = rank == n
     witness = None
     if not passed:

@@ -1,6 +1,15 @@
 import pytest
 
-from prarray.gf2poly import BinaryPolynomial, _divmod, _mod, _mul, _mulmod, _square, parse
+from prarray.gf2poly import (
+    BinaryPolynomial,
+    _bit_reverse,
+    _divmod,
+    _mod,
+    _mul,
+    _mulmod,
+    _square,
+    parse,
+)
 
 
 # (number, description, outcome, seconds) rows filled by the acceptance tests
@@ -120,6 +129,73 @@ def serial_powmod(base, e, m):
         if e:
             base = serial_mod(serial_square(base), m)
     return r
+
+
+# The characteristic polynomial of the Kronecker product of the two
+# companion matrices, by the division-free Berkowitz method: the
+# reference the two vee routes in criteria are checked against.
+
+def _companion_rows(f):
+    # rows of the companion matrix whose characteristic polynomial is f
+    n = f.degree
+    rows = []
+    for i in range(n):
+        r = 1 << (i - 1) if i else 0
+        if f.bits >> i & 1:
+            r |= 1 << (n - 1)
+        rows.append(r)
+    return rows
+
+
+def _kronecker(a_rows, na, b_rows, nb):
+    rows = []
+    for ia in range(na):
+        for ib in range(nb):
+            r = 0
+            arow = a_rows[ia]
+            for ja in range(na):
+                if arow >> ja & 1:
+                    r |= b_rows[ib] << (ja * nb)
+            rows.append(r)
+    return rows
+
+
+def _charpoly(rows, n):
+    """Characteristic polynomial over GF(2) by the Berkowitz method."""
+    vec = 1  # coefficient vector, leading coefficient at bit 0
+    for m in range(1, n + 1):
+        top = n - m
+        a = rows[top] >> top & 1
+        r_mask = (rows[top] >> (top + 1)) & ((1 << (m - 1)) - 1)
+        c_mask = 0
+        for i in range(m - 1):
+            c_mask |= (rows[top + 1 + i] >> top & 1) << i
+        sub = [(rows[top + 1 + i] >> (top + 1)) & ((1 << (m - 1)) - 1) for i in range(m - 1)]
+        t = 1 | (a << 1)
+        w = c_mask
+        for s in range(2, m + 1):
+            t |= ((r_mask & w).bit_count() & 1) << s
+            if s < m:
+                nw = 0
+                for i in range(m - 1):
+                    if (sub[i] & w).bit_count() & 1:
+                        nw |= 1 << i
+                w = nw
+        prod = 0
+        tt = t
+        shift = 0
+        while tt:
+            if tt & 1:
+                prod ^= vec << shift
+            tt >>= 1
+            shift += 1
+        vec = prod & ((1 << (m + 1)) - 1)
+    return BinaryPolynomial(_bit_reverse(vec, n + 1))
+
+
+def reference_vee(f1, f2):
+    rows = _kronecker(_companion_rows(f1), f1.degree, _companion_rows(f2), f2.degree)
+    return _charpoly(rows, f1.degree * f2.degree)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from time import perf_counter
@@ -327,6 +328,28 @@ class TestRefusedInputs:
         )
         assert code == 2 and out == ""
         assert err == "error: fold needs positive dimensions, got -1 and -16777215\n"
+
+    @pytest.mark.parametrize("command", ["vee", "classify"])
+    def test_product_above_order_cap_is_prompt(self, capsys, command):
+        # both primitive; g has degree 182, whose order of x is not
+        # sought past the cap, and finding g itself once ran past 60 s
+        def expired(signum, frame):
+            raise TimeoutError(f"{command} ran past 10 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            code, out, err = run(
+                capsys, command, "--f1", "x^13+x^4+x^3+x+1", "--f2", "x^14+x^10+x^6+x+1"
+            )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: above degree 128, only exponents up to 65535 are supported "
+            "(factor of degree 182)\n"
+        )
 
     @pytest.mark.parametrize("degree, exponent", [("-3", "7"), ("0", "1")])
     def test_enumerate_degree_below_one(self, capsys, degree, exponent):

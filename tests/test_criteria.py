@@ -1,7 +1,8 @@
 import math
+from time import perf_counter
 
 import pytest
-from conftest import least_rotation
+from conftest import least_rotation, reference_vee
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from prarray.gf2poly import (
     BinaryPolynomial,
     _divisors,
     _powmod,
+    classify,
     count_irreducible_with_exponent,
     exponent,
     is_irreducible,
@@ -34,6 +36,17 @@ from prarray.verify import window_census
 
 def P(text):
     return parse(text)
+
+
+# every uniform f of degree 1 to 8, with its exponent
+_UNIFORM_UP_TO_8 = [
+    (f, c.exponent)
+    for f, c in (
+        (f, classify(f))
+        for f in (BinaryPolynomial(b) for b in range(3, 1 << 9, 2))
+    )
+    if c.is_uniform
+]
 
 
 class TestVee:
@@ -78,6 +91,33 @@ class TestVee:
     def test_nonuniform_rejected(self):
         with pytest.raises(ValueError):
             vee(P("x^2+x+1") * P("x^3+x+1"), P("x^4+x+1"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_both_routes_match_the_kronecker_charpoly(self, data):
+        f1, e1 = data.draw(st.sampled_from(_UNIFORM_UP_TO_8))
+        f2, e2 = data.draw(st.sampled_from(_UNIFORM_UP_TO_8))
+        assume(math.gcd(e1, e2) == 1)
+        want = reference_vee(f1, f2)
+        assert vee(f1, f2) == want
+        assert criteria._vee_by_matrix(f1, f2) == want
+        assert criteria._vee_by_sequences(f1, f2) == want
+
+    def test_degrees_13_by_14_promptly(self):
+        # both primitive: the route through full-period sequences of
+        # length e1*e2 ran past 60 s here
+        f1, f2 = P("x^13+x^4+x^3+x+1"), P("x^14+x^10+x^6+x+1")
+        start = perf_counter()
+        g = vee(f1, f2)
+        assert perf_counter() - start < 1.0
+        assert g.degree == 182 and is_irreducible(g)
+
+    def test_degrees_23_by_24_promptly(self):
+        f1, f2 = P("x^23+x^5+1"), P("x^24+x^7+x^2+x+1")
+        start = perf_counter()
+        g = vee(f1, f2)
+        assert perf_counter() - start < 2.0
+        assert g.degree == 552
 
 
 class TestWindowPositions:
@@ -335,7 +375,7 @@ class TestSharedCells:
             assert _cells(f.bits, params).vectors == want, (f, params)
 
     def test_one_case_does_the_field_work_once(self, monkeypatch):
-        calls = {"_is_irreducible_int": 0, "_x_order": 0}
+        calls = {"_is_irreducible_int": 0, "_x_order": 0, "_gf2_kernel": 0}
         for name in calls:
             def counted(fb, real=getattr(criteria, name), name=name):
                 calls[name] += 1
@@ -347,7 +387,9 @@ class TestSharedCells:
         setpoly_test(f, window_positions(params))
         trace_independence_test(f, params)
         det_test([f], params)
-        assert calls == {"_is_irreducible_int": 1, "_x_order": 1}
+        # one elimination ranks the cells for setpoly and trace, one the
+        # trace columns of det_test
+        assert calls == {"_is_irreducible_int": 1, "_x_order": 1, "_gf2_kernel": 2}
         assert _cells.cache_info().misses == 1
 
     # each input also breaks every later check that it can, so a
