@@ -28,7 +28,6 @@ from .gf2poly import (
     ParseError,
     classify,
     enumerate_irreducible,
-    factor,
     parse,
 )
 from .lfsr import _ZERO_FACTOR_DEGREE_CAP
@@ -43,10 +42,6 @@ def _poly_arg(text):
         return parse(text)
     except ParseError as exc:
         raise _UsageError(f"bad polynomial {text!r}: {exc}") from exc
-
-
-def _params_from(args):
-    return CodeParams(args.r1, args.r2, args.n1, args.n2)
 
 
 def _require_uniform(poly, r1, r2):
@@ -183,8 +178,8 @@ def _cmd_verify(args):
 def _cmd_vee(args):
     f1 = _poly_arg(args.f1)
     f2 = _poly_arg(args.f2)
-    g = criteria.vee(f1, f2)
-    kinds = [classify(p).kind for p in (f1, f2, g)]
+    g, c1, c2 = criteria._vee_and_classes(f1, f2)
+    kinds = [c1.kind, c2.kind, classify(g).kind]
     run = _Run("vee", {"f1": str(f1), "f2": str(f2)})
     run.doc["result"] = {
         "symbolic": str(g),
@@ -204,10 +199,9 @@ _EXACT_CRITERIA = ("set-polynomial", "determinant", "census")
 
 
 def _cmd_check_fold(args):
-    poly = None
+    factors = None
     if args.poly:
         poly = _poly_arg(args.poly)
-        factors = factor(poly)
     elif args.factors:
         factors = [_poly_arg(t) for t in args.factors.split(",")]
         poly = factors[0]
@@ -215,8 +209,9 @@ def _cmd_check_fold(args):
             poly = poly * p
     else:
         raise _UsageError("check-fold needs --poly or --factors")
-    params = _params_from(args)
-    _require_uniform(poly, args.r1, args.r2)
+    params = CodeParams(args.r1, args.r2, args.n1, args.n2)
+    cls = _require_uniform(poly, args.r1, args.r2)
+    factors = factors or cls.factors
     if poly.degree != params.window_area:
         raise _UsageError(
             f"degree {poly.degree} must equal n1*n2 = {params.window_area}"

@@ -30,9 +30,9 @@ The decision procedures are exact:
 
 The three rank routes share one cached, stepped computation per
 (f, params), ``_cells``: whether f is irreducible, the order of x, the
-window-cell elements x^p mod f, one multiplication a cell, and their
-rank.  The set-polynomial and trace tests report that one rank;
-``det_test`` ranks the elements' trace columns instead.
+window-cell positions p and elements x^p mod f, one multiplication a
+cell, and their rank.  The set-polynomial and trace tests report that
+one rank; ``det_test`` ranks the elements' trace columns instead.
 
 The module works on ints alone.  It also defines the types every
 verdict is reported in (``CodeParams``, ``Witness``, ``VerdictReport``)
@@ -63,7 +63,7 @@ from .gf2poly import (
     enumerate_irreducible,
     lcm as poly_lcm,
 )
-from .lfsr import _ZERO_FACTOR_DEGREE_CAP, berlekamp_massey, generate
+from .lfsr import _ZERO_FACTOR_DEGREE_CAP, CyclicSequence, berlekamp_massey, generate
 
 _CENSUS_AREA_CAP = 28  # the census's occupancy table stays under 32 MiB
 
@@ -300,7 +300,7 @@ def _vee_by_sequences(f1, f2):
         a = base1 >> s & mask
         for t in range(f2.degree):
             prod = a & base2 >> t
-            acc = poly_lcm(acc, berlekamp_massey([prod >> k & 1 for k in range(need)]))
+            acc = poly_lcm(acc, berlekamp_massey(CyclicSequence(prod, need)))
             if acc.degree == target:
                 return acc
     raise InternalCheckError(
@@ -308,14 +308,9 @@ def _vee_by_sequences(f1, f2):
     )
 
 
-def vee(f1, f2):
-    """Polynomial whose roots are products of roots of f1 and f2.
-
-    Both inputs need uniform exponents and the exponents must be
-    coprime; then the n1*n2 products are distinct and g has degree
-    n1*n2.  Computed by both routes, (a) the minimal polynomial of xy
-    and (b) Berlekamp-Massey on sequence products, which must agree.
-    """
+def _vee_and_classes(f1, f2):
+    """(vee(f1, f2), class of f1, class of f2): the input gate classifies
+    each input once, and callers that report the kinds reuse it."""
     c1 = _uniform_class(f1, "f1")
     c2 = _uniform_class(f2, "f2")
     if math.gcd(c1.exponent, c2.exponent) != 1:
@@ -328,7 +323,18 @@ def vee(f1, f2):
         raise InternalCheckError(
             f"vee methods disagree: matrix {by_matrix}, sequences {by_sequences}"
         )
-    return by_matrix
+    return by_matrix, c1, c2
+
+
+def vee(f1, f2):
+    """Polynomial whose roots are products of roots of f1 and f2.
+
+    Both inputs need uniform exponents and the exponents must be
+    coprime; then the n1*n2 products are distinct and g has degree
+    n1*n2.  Computed by both routes, (a) the minimal polynomial of xy
+    and (b) Berlekamp-Massey on sequence products, which must agree.
+    """
+    return _vee_and_classes(f1, f2)[0]
 
 
 def window_positions(params):
@@ -375,6 +381,10 @@ class _Cells:
         return _x_order(self.fb)
 
     @functools.cached_property
+    def positions(self):
+        return tuple(_cell_positions(self.params))
+
+    @functools.cached_property
     def vectors(self):
         """x^p mod f at each window position p, row-major, as raw ints;
         f must be irreducible.  Stepped with one _mulmod a cell: cell
@@ -382,8 +392,7 @@ class _Cells:
         row i times x^(nu*r2), exponents mod e = r1*r2.  A step whose
         position passes e also takes x^-e, which is 1 when the order of
         x divides e."""
-        fb, params = self.fb, self.params
-        positions = _cell_positions(params)
+        fb, params, positions = self.fb, self.params, self.positions
         e = params.r1 * params.r2
         _, mu, nu = bezout(params.r1, params.r2)
         # x^-e, as x^(2^n - 1) = 1 for irreducible f other than x (whose
@@ -429,7 +438,8 @@ def setpoly_test(f, pos, exhaustive=False):
 
     Pass iff f does not divide the set polynomial of the positions,
     i.e. iff the powers of a root of f at those positions are linearly
-    independent over GF(2).
+    independent over GF(2).  The positions must be the window cells of
+    ``pos.params``, row-major, as ``window_positions`` gives them.
     """
     cells = _cells(f.bits, pos.params)
     if not cells.irreducible:
@@ -439,6 +449,8 @@ def setpoly_test(f, pos, exhaustive=False):
         raise ValueError(
             f"need {f.degree} positions for degree {f.degree}, got {len(positions)}"
         )
+    if tuple(positions) != cells.positions:
+        raise ValueError(f"positions {pos} are not the window cells of {pos.params}")
     vectors = cells.vectors
     rank, kernel = cells.rank_kernel
     passed = rank == len(positions)
@@ -608,9 +620,7 @@ def classify_construction(f1, f2):
     """
     if f1.degree < 2 or f2.degree < 2:
         raise ValueError("construction classification needs degrees >= 2")
-    c1 = _uniform_class(f1, "f1")
-    c2 = _uniform_class(f2, "f2")
-    g = vee(f1, f2)
+    g, c1, c2 = _vee_and_classes(f1, f2)
     cg = classify(g)
     t1, t2, tg = _base_type(c1.kind), _base_type(c2.kind), _base_type(cg.kind)
     if tg == "primitive":

@@ -32,6 +32,9 @@ The raw kernels pick their path from operand sizes alone:
 * ``_powmod`` raises x by squaring and shifting, left to right over the
   exponent: multiplying by x is a shift and one conditional XOR.  Other
   bases use square-and-multiply.
+
+``classify`` is the one place that factors a polynomial and takes the
+orders of x modulo its factors; ``exponent`` reads its result.
 """
 
 from __future__ import annotations
@@ -456,17 +459,8 @@ def factor(f):
     """
     if f.degree < 1:
         raise ValueError("cannot factor a constant polynomial")
-    return [BinaryPolynomial(p) for p in sorted(_factor_int(f.bits))]
-
-
-def _factor_int(fb):
-    out = []
-    while fb & 1 == 0:
-        out.append(2)
-        fb >>= 1
-    if fb > 1:
-        out.extend(_factor_squarefree_tower(fb))
-    return out
+    k = (f.bits & -f.bits).bit_length() - 1  # x^k divides f
+    return [BinaryPolynomial(p) for p in sorted([2] * k + _factor_squarefree_tower(f.bits >> k))]
 
 
 def _factor_squarefree_tower(fb):
@@ -582,19 +576,6 @@ def _x_order(pb):
     return _order(2, pb)
 
 
-def exponent(f):
-    """Least e with f | x^e - 1, for squarefree f with f(0) = 1: the lcm
-    of the orders of x modulo the irreducible factors of f."""
-    if f.degree < 1:
-        raise ValueError("exponent needs degree >= 1")
-    if f.constant_term == 0:
-        raise ValueError("exponent needs a nonzero constant term")
-    facs = _factor_int(f.bits)
-    if len(set(facs)) != len(facs):
-        raise ValueError("exponent is only supported for squarefree polynomials")
-    return math.lcm(*(_x_order(p) for p in facs))
-
-
 class PolynomialClass:
     """Structure classification: kind, exponent (when defined), factors."""
 
@@ -626,24 +607,38 @@ class PolynomialClass:
 
 
 def classify(f):
-    """Classify f as primitive / INP / reducible-(non)uniform."""
+    """Classify f as primitive / INP / reducible-(non)uniform from one
+    factorisation; the exponent of a squarefree f is the lcm of the
+    orders of x modulo its factors, and None otherwise."""
     if f.degree < 1:
         raise ValueError("classification needs degree >= 1")
     if f.constant_term == 0:
         raise ValueError("classification needs a nonzero constant term")
     facs = factor(f)
-    if len(facs) == 1:
-        e = exponent(f)
-        kind = "primitive" if e == (1 << f.degree) - 1 else "INP"
-        return PolynomialClass(kind, e, facs)
-    distinct = len(set(facs)) == len(facs)
-    if not distinct:
+    if len(set(facs)) != len(facs):
         return PolynomialClass("reducible-nonuniform", None, facs)
-    exps = [exponent(p) for p in facs]
-    degs = {p.degree for p in facs}
-    if len(set(exps)) == 1 and len(degs) == 1:
-        return PolynomialClass("reducible-uniform", exps[0], facs)
-    return PolynomialClass("reducible-nonuniform", math.lcm(*exps), facs)
+    orders = {_x_order(p.bits) for p in facs}
+    e = math.lcm(*orders)
+    if len(facs) == 1:
+        kind = "primitive" if e == (1 << f.degree) - 1 else "INP"
+    elif len(orders) == 1:  # one order fixes the degree, ord2 of it
+        kind = "reducible-uniform"
+    else:
+        kind = "reducible-nonuniform"
+    return PolynomialClass(kind, e, facs)
+
+
+def exponent(f):
+    """Least e with f | x^e - 1, for squarefree f with f(0) = 1: the
+    exponent that ``classify`` finds."""
+    if f.degree < 1:
+        raise ValueError("exponent needs degree >= 1")
+    if f.constant_term == 0:
+        raise ValueError("exponent needs a nonzero constant term")
+    e = classify(f).exponent
+    if e is None:
+        raise ValueError("exponent is only supported for squarefree polynomials")
+    return e
 
 
 def ord2(e):

@@ -313,28 +313,26 @@ def bitmul(a, b):
 
 
 def berlekamp_massey(seq):
-    """Minimal characteristic polynomial reproducing a finite bit sequence."""
+    """Minimal characteristic polynomial reproducing a finite bit sequence.
+
+    The bits are read once into an int with a_0 at the top, so the
+    window a_k, a_(k-1), ... is one shift of it, and each discrepancy
+    is the parity of the connection polynomial against that window."""
     if isinstance(seq, CyclicSequence):
-        bits = [seq.bit(k) for k in range(len(seq))]
-    elif isinstance(seq, str):
-        bits = [int(ch) for ch in seq.strip()]
+        n = seq.length
+        rev = int(format(seq.bits, f"0{n}b")[::-1], 2)
     else:
-        bits = [int(b) for b in seq]
-    n = len(bits)
+        bits = "".join(str(int(b)) for b in (seq.strip() if isinstance(seq, str) else seq))
+        if bits.strip("01"):
+            raise ValueError("sequence must be bits")
+        n = len(bits)
+        rev = int(bits, 2) if bits else 0
     c = 1  # current connection polynomial, constant term 1
     b = 1  # previous connection polynomial
     span = 0
     m = -1
     for k in range(n):
-        d = bits[k]
-        cc = c >> 1
-        i = 1
-        while cc and i <= span:
-            if cc & 1:
-                d ^= bits[k - i]
-            cc >>= 1
-            i += 1
-        if d:
+        if (c & rev >> (n - 1 - k)).bit_count() & 1:
             t = c
             c ^= b << (k - m)
             if 2 * span <= k:

@@ -198,6 +198,33 @@ def reference_vee(f1, f2):
     return _charpoly(rows, f1.degree * f2.degree)
 
 
+def reference_berlekamp_massey(bits):
+    """Connection polynomial of a list of bits, each discrepancy summed
+    bit by bit over the current span."""
+    n = len(bits)
+    c = 1
+    b = 1
+    span = 0
+    m = -1
+    for k in range(n):
+        d = bits[k]
+        cc = c >> 1
+        i = 1
+        while cc and i <= span:
+            if cc & 1:
+                d ^= bits[k - i]
+            cc >>= 1
+            i += 1
+        if d:
+            t = c
+            c ^= b << (k - m)
+            if 2 * span <= k:
+                span = k + 1 - span
+                b = t
+                m = k
+    return BinaryPolynomial(c)
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_LOG:
         return

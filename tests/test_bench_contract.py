@@ -1,15 +1,19 @@
-"""The names the benchmark harness reads from the package.
+"""The names and results the benchmark harness reads from the package.
 
 ``perfbench/spans.py`` wraps public functions and reads private hooks
 by name, and a traced run reports a missing private hook as absent
 rather than failing.  These tests resolve every such name, so a
 refactor that drops or renames one fails here, and check that each
-metric the hooks produce is declared in ``BENCHMARK.json``.
+metric the hooks produce is declared in ``BENCHMARK.json``.  They also
+run the cheap operations of ``perfbench/workloads.py``, which check
+their own outputs, so a changed name, return shape or checked result
+fails here rather than in a benchmark run.
 """
 
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,14 +23,16 @@ import prarray
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-spans = _load_spans()
+spans = _load("spans")
+workloads = _load("workloads")
 PER_LAYER = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
 
 
@@ -60,3 +66,43 @@ def test_field_order_resolves_and_is_declared():
     assert callable(prarray.gf2field.FieldElement.order)
     assert {"gf2field.order.calls", "gf2field.order.busy_s"} <= PER_LAYER
 
+
+
+class TestWorkloadOperations:
+    """Each operation raises ``CheckFailed`` when an output disagrees
+    with its oracle or golden value; the records are what the run
+    digest is taken over."""
+
+    @pytest.mark.parametrize(
+        "poly, e, params",
+        [  # the two warm-up cases of perfbench/worker.py
+            ("x^6+x^5+x^4+x^2+1", 21, (3, 7, 2, 3)),
+            ("x^10+x^3+1", 1023, (3, 341, 2, 5)),
+        ],
+    )
+    def test_sweep_case(self, poly, e, params):
+        f = prarray.parse(poly)
+        params = prarray.CodeParams(*params)
+        record = workloads._sweep_case(f, e, params, {})
+        assert record[:3] == [f.compact(), str(params), True]
+        assert record[3:] == [None, None, None]
+
+    @pytest.mark.parametrize("f1, f2, g", workloads.VEE_GOLDENS)
+    def test_vee_golden(self, f1, f2, g):
+        assert workloads._vee_golden_op(f1, f2, g) == [f1, f2, prarray.parse(g).compact()]
+
+    def test_classify(self):
+        f1, f2 = prarray.parse("x^3+x+1"), prarray.parse("x^4+x+1")
+        assert workloads._classify_op(f1, f2) == [
+            "1011", "10011", prarray.vee(f1, f2).compact(), ["primitive", "primitive", "INP"],
+            "(7,15;3,4)",
+        ]
+
+    def test_exponent(self):
+        e, n, count, first = workloads._exponent_op(73)
+        assert (e, n, count) == (73, 9, 8)
+        assert first == [p.compact() for p in prarray.enumerate_irreducible(9, 73)[:4]]
+
+    def test_det_code(self):
+        g, rank = workloads._det_code_op(workloads.DET_CODES[0])
+        assert prarray.parse(g).degree == rank == 48

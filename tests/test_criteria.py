@@ -6,8 +6,10 @@ from conftest import least_rotation, reference_vee
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prarray import criteria
+from prarray import criteria, gf2poly
+from prarray.cli import main
 from prarray.criteria import (
+    PositionSet,
     _cells,
     classify_construction,
     conjecture_search,
@@ -182,6 +184,17 @@ class TestSetPolynomial:
         pos = window_positions(CodeParams(13, 35, 3, 4))
         with pytest.raises(ValueError):
             setpoly_test(P("x^4+x+1"), pos)
+
+    def test_positions_other_than_the_window_cells_refused(self):
+        # 1 + x^5 + x^10 = 0 mod x^4+x+1, so these positions are
+        # dependent; the window cells of (3,5;2,2) are 0, 6, 10, 1
+        params = CodeParams(3, 5, 2, 2)
+        assert window_positions(params).positions == (0, 6, 10, 1)
+        with pytest.raises(ValueError, match="not the window cells"):
+            setpoly_test(P("x^4+x+1"), PositionSet(params, (0, 5, 10, 3)))
+        with pytest.raises(ValueError, match="not the window cells"):
+            setpoly_test(P("x^4+x+1"), PositionSet(params, (0, 10, 6, 1)))
+        assert setpoly_test(P("x^4+x+1"), window_positions(params)).passed
 
 
 class TestDeterminant:
@@ -509,6 +522,35 @@ class TestClassification:
         kv = rec.to_kv()
         assert kv["g"] == "x^12+x^9+x^5+x^4+x^3+x+1"
         assert kv["g.type"] == "INP" and kv["params.r1"] == "15"
+
+
+class TestOneFactorisation:
+    """Each polynomial a call decides on is factored once: classify
+    factors once, and vee's input gate hands its classes on."""
+
+    @pytest.mark.parametrize(
+        "call, runs",
+        [
+            (lambda: classify(P("x^7+x+1")), 1),
+            (lambda: classify(P("x^3+x+1") * P("x^3+x^2+1")), 1),
+            (lambda: classify_construction(P("x^7+x+1"), P("x^9+x^4+1")), 3),
+            (lambda: main(["vee", "--f1", "x^7+x+1", "--f2", "x^9+x^4+1"]) == 0, 3),
+            (lambda: main(["check-fold", "--poly", "x^12+x^10+x^9+x+1", "--r1", "7",
+                           "--r2", "13", "--n1", "3", "--n2", "4"]) == 0, 2),
+        ],
+        ids=["irreducible", "uniform-product", "construction", "cli-vee", "cli-check-fold"],
+    )
+    def test_berlekamp_runs(self, monkeypatch, capsys, call, runs):
+        calls = []
+        berlekamp = gf2poly._berlekamp_squarefree
+
+        def counted(fb):
+            calls.append(fb)
+            return berlekamp(fb)
+
+        monkeypatch.setattr(gf2poly, "_berlekamp_squarefree", counted)
+        assert call()
+        assert len(calls) == runs
 
 
 class TestHierarchies:

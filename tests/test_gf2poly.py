@@ -354,6 +354,7 @@ class TestExponent:
             cur = (cur * X) % f
             e += 1
         assert exponent(f) == e
+        assert classify(f).exponent == e
 
     def test_degree67_primitive(self):
         assert exponent(P("x^67+x^5+x^2+x+1")) == (1 << 67) - 1
@@ -384,6 +385,14 @@ class TestClassify:
     def test_reducible_nonuniform(self):
         cls = classify(P("x^2+x+1") * P("x^3+x+1"))
         assert cls.kind == "reducible-nonuniform"
+
+    def test_square_above_degree_cap_has_no_exponent(self):
+        # a repeated factor leaves the exponent undefined, so the order
+        # of x, refused at this degree, is never sought
+        f = P("x^129+x^5+1")
+        cls = classify(f * f)
+        assert cls.kind == "reducible-nonuniform" and cls.exponent is None
+        assert cls.factors == (f, f)
 
     def test_uniform_products_of_equal_exponent_pairs(self):
         # distinct irreducibles sharing degree and exponent multiply to

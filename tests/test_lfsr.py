@@ -1,7 +1,9 @@
 import random
 
 import pytest
-from conftest import canonical
+from conftest import canonical, reference_berlekamp_massey
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prarray.gf2poly import (
     BinaryPolynomial,
@@ -222,6 +224,28 @@ class TestBerlekampMassey:
     def test_msequence_recovery(self):
         s = generate(parse("x^4+x+1"), "0001", 30)
         assert berlekamp_massey(s) == parse("x^4+x+1")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 1), max_size=200) | st.integers(0, 40).flatmap(
+        # a linear-recurring prefix: its span stops growing
+        lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n).map(lambda s: s * 5)))
+    def test_packed_matches_bit_by_bit_reference(self, bits):
+        want = reference_berlekamp_massey(bits)
+        assert berlekamp_massey(bits) == want
+        assert berlekamp_massey(iter(bits)) == want
+        assert berlekamp_massey("".join(map(str, bits))) == want
+        if bits:
+            packed = sum(b << k for k, b in enumerate(bits))
+            assert berlekamp_massey(CyclicSequence(packed, len(bits))) == want
+
+    def test_empty_sequence(self):
+        assert berlekamp_massey([]) == parse("1")
+        assert berlekamp_massey("") == parse("1")
+
+    @pytest.mark.parametrize("bad", [[0, 2, 1], [-1, 1], "0121", "1 0"])
+    def test_non_bits_refused(self, bad):
+        with pytest.raises(ValueError):
+            berlekamp_massey(bad)
 
     def test_divides_generator(self):
         # exhaustively for small degrees, sampled seeds for larger ones
