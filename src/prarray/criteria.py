@@ -29,10 +29,13 @@ The decision procedures are exact:
   conditions that guarantee a PRA/PRAC (sufficient, not necessary).
 
 The three rank routes share one cached, stepped computation per
-(f, params), ``_cells``: whether f is irreducible, the order of x, the
-window-cell positions p and elements x^p mod f, one multiplication a
-cell, and their rank.  The set-polynomial and trace tests report that
-one rank; ``det_test`` ranks the elements' trace columns instead.
+(f, params), ``_cells``: the window-cell positions p and elements
+x^p mod f, one multiplication a cell, and their rank.  The
+set-polynomial and trace tests report that one rank; ``det_test`` ranks
+the elements' trace columns instead.  Whether f is irreducible and the
+order of x depend on f alone: ``_cells`` reads them from ``gf2poly``,
+which keeps them for its last eight polynomials, so the consecutive
+cases of one f compute them once.
 
 The module works on ints alone.  It also defines the types every
 verdict is reported in (``CodeParams``, ``Witness``, ``VerdictReport``)
@@ -364,9 +367,10 @@ def _cell_positions(params):
 
 class _Cells:
     """The field work that the rank criteria share for one (f, params):
-    whether f is irreducible, the order of x mod f, the window-cell
-    vectors and their rank.  Each part is computed on first use, so
-    every criterion still refuses in its own order."""
+    whether f is irreducible and the order of x mod f (both cached per
+    polynomial in gf2poly), the window-cell vectors and their rank.
+    Each part is computed on first use, so every criterion still
+    refuses in its own order."""
 
     def __init__(self, fb, params):
         self.fb = fb

@@ -35,6 +35,8 @@ The raw kernels pick their path from operand sizes alone:
 
 ``classify`` is the one place that factors a polynomial and takes the
 orders of x modulo its factors; ``exponent`` reads its result.
+``classify``, ``_is_irreducible_int`` and ``_x_order`` keep their last
+eight results, so consecutive calls on one polynomial compute them once.
 """
 
 from __future__ import annotations
@@ -436,6 +438,10 @@ def is_irreducible(f):
     return _is_irreducible_int(f.bits)
 
 
+# irreducibility and the order of x depend on the polynomial alone, and
+# consecutive calls on one polynomial (the rank criteria at each of its
+# window shapes) share them; eight entries keep these caches small
+@functools.lru_cache(maxsize=8)
 def _is_irreducible_int(fb):
     n = _degree(fb)
     if n < 1:
@@ -556,6 +562,7 @@ def _order(a, fb):
     return t
 
 
+@functools.lru_cache(maxsize=8)
 def _x_order(pb):
     """Order of x modulo the irreducible pb; refused above degree
     _ORDER_DEGREE_CAP unless it is at most _EXPONENT_CAP."""
@@ -593,9 +600,13 @@ class PolynomialClass:
     def __init__(self, kind, exponent, factors):
         if kind not in self.KINDS:
             raise ValueError(f"unknown kind {kind!r}")
-        self.kind = kind
-        self.exponent = exponent
-        self.factors = tuple(factors)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "factors", tuple(factors))
+
+    def __setattr__(self, name, value):
+        # classify hands one cached instance to every caller
+        raise AttributeError("PolynomialClass is immutable")
 
     def __repr__(self):
         return f"PolynomialClass(kind={self.kind!r}, exponent={self.exponent})"
@@ -606,6 +617,9 @@ class PolynomialClass:
         return self.kind in ("primitive", "INP", "reducible-uniform")
 
 
+# a caller that classifies f and then builds its zero factor, which
+# classifies f again, factors it once
+@functools.lru_cache(maxsize=8)
 def classify(f):
     """Classify f as primitive / INP / reducible-(non)uniform from one
     factorisation; the exponent of a squarefree f is the lcm of the

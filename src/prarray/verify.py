@@ -10,11 +10,17 @@ when reading the (0, 0) window, one to one on the shifts, is linear.
 closure check.
 
 Both checks read the arrays' (m, r1, r2) grid stack in blocks of whole
-arrays of about 2^20 windows.  The census codes each block's windows
-and sorts them, and one 2^(n1*n2)-bit occupancy table catches codes
-repeated across blocks.  At every window area the witness is the first
-zero window, else the smallest repeated code with its count, else the
-smallest absent code.
+arrays of about 2^20 windows.  A block's windows are coded row by row:
+the n2-bit code of each window row first, then n1 row codes stacked
+into each window code, n1 + n2 shifted ORs in all.  The census looks
+for a zero window in each block's codes, then sorts them in place for
+repeats inside the block.  Only a code of more than one block keeps a
+2^(n1*n2)-bit occupancy table, which later blocks meet and earlier
+blocks fill, bit by bit in place.  The witness is
+the first zero window, else the smallest repeated code with its count.
+No code can be missing otherwise: the census first demands exactly
+2^(n1*n2) - 1 windows, and that many nonzero area-bit codes, no two
+alike, are all of them.
 
 Window encoding: a window is read row-major from its top-left anchor
 and interpreted as a binary number, first-read bit most significant.
@@ -43,17 +49,31 @@ def _blocks(grids):
 
 def _block_codes(grids, n1, n2):
     """Codes of all windows of a (b, r1, r2) grid stack, flat in
-    (array, row, column) order."""
+    (array, row, column) order.
+
+    The n2-bit code of each row of a window is built first (n2 shifted
+    ORs), then n1 row codes are stacked into each window code (n1 more),
+    wrapping toroidally, which n1 <= r1 and n2 <= r2 allow."""
     b, r1, r2 = grids.shape
-    # wrapped by n1 - 1 rows and n2 - 1 columns, which n1 <= r1 and
-    # n2 <= r2 allow
-    ext = np.concatenate((grids, grids[:, : n1 - 1]), axis=1)
-    ext = np.concatenate((ext, ext[:, :, : n2 - 1]), axis=2)
-    codes = np.zeros((b, r1, r2), dtype=np.uint32)
-    for a in range(n1):
-        for c in range(n2):
-            codes <<= 1
-            codes |= ext[:, a : a + r1, c : c + r2]
+    ext = np.concatenate((grids, grids[:, :, : n2 - 1]), axis=2)
+    # row codes take a narrow type unless they are the window codes
+    # themselves: with n1 > 1 the area cap of 28 leaves n2 <= 14
+    row_type = np.uint32 if n1 == 1 else np.uint16 if n2 > 8 else np.uint8
+    rows = np.empty((b, r1 + n1 - 1, r2), dtype=row_type)
+    body = rows[:, :r1]
+    body[...] = grids
+    for c in range(1, n2):
+        body <<= 1
+        body |= ext[:, :, c : c + r2]
+    if n1 == 1:
+        return rows.ravel()
+    rows[:, r1:] = rows[:, : n1 - 1]
+    # a copy, never a view: with b = 1 the body is contiguous, and
+    # shifting a view would shift the row codes still to be read
+    codes = body.astype(np.uint32)
+    for a in range(1, n1):
+        codes <<= n2
+        codes |= rows[:, a : a + r1]
     return codes.ravel()
 
 
@@ -61,11 +81,12 @@ def window_census(arrays, n1, n2, params=None):
     """Slide all n1 x n2 windows; each nonzero pattern exactly once, zero never.
 
     One pass codes the windows of blocks of whole arrays (about 2^20
-    windows a block), sorts each block for zeros and in-block repeats,
-    and finds repeats across blocks in a 2^(n1*n2)-bit occupancy table.
-    The witness is the first zero window if there is one, else the
-    second occurrence of the smallest repeated code with its count
-    (a second pass), else the smallest absent code.
+    windows a block), checks each block for zeros and sorts it for
+    in-block repeats; a code of several blocks finds repeats across
+    them in a 2^(n1*n2)-bit occupancy table.  The witness is the first zero window
+    if there is one, else the second occurrence of the smallest repeated
+    code with its count (a second pass).  With the window count right
+    and neither, every nonzero code occurs.
     """
     arrays = list(arrays)
     if n1 < 1 or n2 < 1:
@@ -102,30 +123,36 @@ def window_census(arrays, n1, n2, params=None):
         window = format(code, f"0{area}b")
         return Witness(kind, message, idx, divmod(cell, r2), window, code)
 
-    # one bit per window pattern: 32 MiB at the area cap of 28
-    table = np.zeros((expected >> 3) + 1, dtype=np.uint8)
+    blocks = list(_blocks(grids))
+    if len(blocks) > 1:
+        # one bit per window pattern: 32 MiB at the area cap of 28
+        table = np.zeros((expected >> 3) + 1, dtype=np.uint8)
     repeats = []
-    for lo, block in _blocks(grids):
+    for lo, block in blocks:
         codes = _block_codes(block, n1, n2)
-        ordered = np.sort(codes)
-        if ordered[0] == 0:
-            at = lo * cells + int(np.argmin(codes))
-            return fail(window_witness("zero-window", "all-zero window present", at, 0))
-        again = ordered[1:] == ordered[:-1]
+        at = int(np.argmin(codes))
+        if codes[at] == 0:
+            return fail(window_witness("zero-window", "all-zero window present", lo * cells + at, 0))
+        codes.sort()
+        again = codes[1:] == codes[:-1]
         if again.any():
-            repeats.append(int(ordered[1:][again][0]))
-            ordered = ordered[np.concatenate([[True], ~again])]
-        byte = ordered >> 3
-        mask = (1 << (ordered & 7)).astype(np.uint8)
-        clash = table[byte] & mask
-        if clash.any():
-            repeats.append(int(ordered[np.argmax(clash != 0)]))
-        first = np.flatnonzero(np.concatenate([[True], byte[1:] != byte[:-1]]))
-        table[byte[first]] |= np.bitwise_or.reduceat(mask, first)
+            repeats.append(int(codes[1:][again][0]))
+        if len(blocks) == 1:
+            continue
+        # the first block has nothing to meet in the table, and no block
+        # follows the last to meet what it would record
+        byte = codes >> 3
+        mask = np.left_shift(np.uint8(1), (codes & 7).astype(np.uint8))
+        if lo:
+            clash = table[byte] & mask
+            if clash.any():
+                repeats.append(int(codes[np.argmax(clash != 0)]))
+        if lo != blocks[-1][0]:
+            np.bitwise_or.at(table, byte, mask)
     if repeats:
         code = min(repeats)
         occurrences = 0
-        for lo, block in _blocks(grids):
+        for lo, block in blocks:
             hits = np.flatnonzero(_block_codes(block, n1, n2) == code)
             if occurrences < 2 <= occurrences + hits.size:
                 at = lo * cells + int(hits[1 - occurrences])
@@ -138,12 +165,8 @@ def window_census(arrays, n1, n2, params=None):
                 code,
             )
         )
-    table[0] |= 1  # code 0 is known absent
-    if int(np.bitwise_count(table).sum()) != expected + 1:
-        byte = int(np.argmax(table != 0xFF))
-        bits = int(table[byte])
-        code = byte << 3 | ((bits + 1) & ~bits).bit_length() - 1
-        return fail(Witness("missing-window", f"window code {code} never occurs", code=code))
+    # 2^area - 1 windows, none zero and no two alike, read every nonzero
+    # area-bit code: no code can be missing
     detail["distinct_nonzero"] = expected
     return VerdictReport("census", True, params, None, detail)
 

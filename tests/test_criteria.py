@@ -28,6 +28,7 @@ from prarray.gf2poly import (
     _powmod,
     classify,
     count_irreducible_with_exponent,
+    enumerate_irreducible,
     exponent,
     is_irreducible,
     parse,
@@ -405,6 +406,36 @@ class TestSharedCells:
         assert calls == {"_is_irreducible_int": 1, "_x_order": 1, "_gf2_kernel": 2}
         assert _cells.cache_info().misses == 1
 
+    def test_one_polynomial_does_its_field_facts_once(self):
+        # irreducibility and the order of x depend on f alone: every
+        # criterion-9 case of one f reads them from gf2poly's caches
+        f = P("x^12+x^6+x^4+x+1")
+        e = exponent(f)
+        cases = [
+            CodeParams(r1, e // r1, n1, f.degree // n1)
+            for r1 in _divisors(e)
+            for n1 in _divisors(f.degree)
+            if CodeParams(r1, e // r1, n1, f.degree // n1).violation() is None
+        ]
+        assert len(cases) > 20
+        cached = (gf2poly._is_irreducible_int, gf2poly._x_order)
+        for fn in cached:
+            fn.cache_clear()
+        _cells.cache_clear()
+        for params in cases:
+            setpoly_test(f, window_positions(params))
+            trace_independence_test(f, params)
+            det_test([f], params)
+        assert [fn.cache_info().misses for fn in cached] == [1, 1]
+        assert _cells.cache_info().misses == len(cases)
+        # and the caches stay small: a pass over many polynomials carries
+        # little from one pass to the next
+        for g in enumerate_irreducible(8, 255):
+            classify(g)
+        for fn in (*cached, gf2poly.classify):
+            info = fn.cache_info()
+            assert info.maxsize == 8 and info.currsize <= 8
+
     # each input also breaks every later check that it can, so a
     # message pins the order of the checks as well; setpoly_test never
     # sees a window that does not fit, as window_positions refuses it
@@ -526,7 +557,9 @@ class TestClassification:
 
 class TestOneFactorisation:
     """Each polynomial a call decides on is factored once: classify
-    factors once, and vee's input gate hands its classes on."""
+    factors once, vee's input gate hands its classes on, and a caller
+    that classifies again, as zero_factor does after check-fold's
+    uniformity check, reads classify's cache."""
 
     @pytest.mark.parametrize(
         "call, runs",
@@ -536,7 +569,7 @@ class TestOneFactorisation:
             (lambda: classify_construction(P("x^7+x+1"), P("x^9+x^4+1")), 3),
             (lambda: main(["vee", "--f1", "x^7+x+1", "--f2", "x^9+x^4+1"]) == 0, 3),
             (lambda: main(["check-fold", "--poly", "x^12+x^10+x^9+x+1", "--r1", "7",
-                           "--r2", "13", "--n1", "3", "--n2", "4"]) == 0, 2),
+                           "--r2", "13", "--n1", "3", "--n2", "4"]) == 0, 1),
         ],
         ids=["irreducible", "uniform-product", "construction", "cli-vee", "cli-check-fold"],
     )
@@ -549,6 +582,9 @@ class TestOneFactorisation:
             return berlekamp(fb)
 
         monkeypatch.setattr(gf2poly, "_berlekamp_squarefree", counted)
+        # earlier tests may have classified these polynomials already
+        for cached in (gf2poly.classify, gf2poly._x_order, gf2poly._is_irreducible_int):
+            cached.cache_clear()
         assert call()
         assert len(calls) == runs
 

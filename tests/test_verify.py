@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 from conftest import cell_rotations
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prarray.folding import CodeParams, TorusArray, fold, fold_zero_factor
@@ -255,6 +255,29 @@ class TestBlockCodes:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         grids = rng.integers(0, 2, size=(b, r1, r2), dtype=np.uint8)
         assert np.array_equal(_block_codes(grids, n1, n2), padded_codes(grids, n1, n2))
+
+    # each edge of the row-code build: one array (whose row codes are
+    # contiguous, so stacking them in place would overwrite rows still
+    # to be read), one-row and one-column windows, and windows as tall
+    # or as wide as the arrays
+    @pytest.mark.parametrize("edge", ["b=1", "n1=1", "n2=1", "n1=r1", "n2=r2"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_array_reference(self, edge, data):
+        b = 1 if edge == "b=1" else data.draw(st.integers(1, 4))
+        # rows up to 14 wide reach the 16-bit row codes
+        r1, r2 = data.draw(st.integers(2 if edge == "b=1" else 1, 5)), data.draw(st.integers(1, 14))
+        n1 = {"n1=1": 1, "n1=r1": r1}.get(edge) or data.draw(
+            st.integers(2 if edge == "b=1" else 1, r1)
+        )
+        n2 = {"n2=1": 1, "n2=r2": r2}.get(edge) or data.draw(st.integers(1, r2))
+        assume(n1 * n2 <= _CENSUS_AREA_CAP)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        grids = rng.integers(0, 2, size=(b, r1, r2), dtype=np.uint8)
+        want = np.concatenate(
+            [reference_window_codes(TorusArray(g), n1, n2).ravel() for g in grids]
+        )
+        assert np.array_equal(_block_codes(grids, n1, n2), want), (b, r1, r2, n1, n2)
 
 
 class TestClosure:
@@ -532,6 +555,29 @@ class TestBitTablePath:
         normal, packed = self._both(monkeypatch, arrays, 2, 3)
         assert not normal.passed and not packed.passed
         assert normal.witness.kind == packed.witness.kind == "duplicate-window"
+
+    @pytest.mark.parametrize(
+        "last, kind",
+        [
+            (lambda arrays: arrays[4], None),
+            (lambda arrays: arrays[0].shift(1, 2), "duplicate-window"),  # across the blocks
+            (lambda arrays: arrays[3].shift(1, 2), "duplicate-window"),  # inside the last
+            (lambda arrays: TorusArray(np.zeros((3, 17), dtype=np.uint8)), "zero-window"),
+        ],
+        ids=["pass", "repeat-across", "repeat-in-last", "zero-in-last"],
+    )
+    def test_two_blocks(self, monkeypatch, last, kind):
+        # five 3 x 17 arrays in blocks of three and two: only the first
+        # block fills the table, and only the last block meets it
+        import prarray.verify as v
+
+        arrays = list(fold_zero_factor(zero_factor(parse("x^8+x^4+x^3+x+1")), 3, 17))
+        arrays[4] = last(arrays)
+        monkeypatch.setattr(v, "_CENSUS_BLOCK_WINDOWS", 3 * 51)
+        assert [lo for lo, _ in v._blocks(np.stack([a.grid for a in arrays]))] == [0, 3]
+        got = window_census(arrays, 2, 4)
+        assert got == reference_census(arrays, 2, 4)
+        assert (got.witness.kind if got.witness else None) == kind
 
     def test_area23_code(self):
         # 178,481 arrays of 1 x 47 in nine blocks
