@@ -36,7 +36,7 @@ from .gf2poly import (
     ord2,
     parse,
 )
-from .gf2field import FieldContext, FieldElement, bezout, crt_solve
+from .gf2field import FieldContext, FieldElement, bezout
 from .lfsr import (
     CyclicSequence,
     ZeroFactor,
@@ -107,7 +107,6 @@ __all__ = [
     "classify_construction",
     "conjecture_search",
     "count_irreducible_with_exponent",
-    "crt_solve",
     "det_test",
     "enumerate_irreducible",
     "exponent",

@@ -99,14 +99,14 @@ class _Run:
             self.doc["witnesses"].append(rep.witness.to_kv())
         self.text.append(rep.to_text())
 
-    def emit(self, args):
+    def emit(self, fmt, path=None):
         self.doc["wall_time_s"] = round(time.perf_counter() - self.started, 6)
-        if args.format == "json":
+        if fmt == "json":
             payload = json.dumps(self.doc, indent=2, sort_keys=True) + "\n"
         else:
             payload = "\n".join(self.text) + "\n"
-        if args.out:
-            _write_out(args.out, lambda fh: fh.write(payload))
+        if path:
+            _write_out(path, lambda fh: fh.write(payload))
         else:
             sys.stdout.write(payload)
 
@@ -129,20 +129,15 @@ def _cmd_construct(args):
         header = CodeParams(args.r1, args.r2, args.n1, args.n2)
         run.set_params(header)
     run.doc["counts"] = {"arrays": len(arrays), "exponent": cls.exponent}
-    run.doc["arrays"] = [a.to_lines() for a in arrays]
+    if args.format == "json":
+        run.doc["arrays"] = [a.to_lines() for a in arrays]
     if args.out:
         _write_out(args.out, lambda fh: write_arrays(fh, arrays, header))
         run.text.append(f"wrote {len(arrays)} arrays to {args.out}")
-        if args.format == "json":
-            run.doc["wall_time_s"] = round(time.perf_counter() - run.started, 6)
-            sys.stdout.write(json.dumps(run.doc, indent=2, sort_keys=True) + "\n")
-        else:
-            sys.stdout.write(run.text[-1] + "\n")
-    else:
-        if args.format == "json":
-            run.emit(args)
-        else:
-            write_arrays(sys.stdout, arrays, header)
+    elif args.format == "text":
+        write_arrays(sys.stdout, arrays, header)
+        return 0
+    run.emit(args.format)
     return 0
 
 
@@ -171,7 +166,7 @@ def _cmd_verify(args):
     run.add_report(rep, time.perf_counter() - started)
     run.doc["verdicts"].extend(rep.detail["stages"])
     run.doc["counts"] = {"arrays": len(arrays)}
-    run.emit(args)
+    run.emit(args.format, args.out)
     return 0 if rep.passed else 1
 
 
@@ -191,7 +186,7 @@ def _cmd_vee(args):
     run.text.append(f"f2 ({kinds[1]}): {f2}")
     run.text.append(f"f1 v f2 ({kinds[2]}): {g}")
     run.text.append(f"compact: {g.compact()}")
-    run.emit(args)
+    run.emit(args.format, args.out)
     return 0
 
 
@@ -267,7 +262,7 @@ def _cmd_check_fold(args):
                 "note: the sufficient conditions are one-directional; "
                 "their failure does not refute the exact verdicts"
             )
-    run.emit(args)
+    run.emit(args.format, args.out)
     return 0 if overall else 1
 
 
@@ -283,7 +278,7 @@ def _cmd_enumerate(args):
         f"and exponent {args.exponent}"
     )
     run.text.extend(f"  {p}" for p in polys)
-    run.emit(args)
+    run.emit(args.format, args.out)
     return 0
 
 
@@ -299,7 +294,7 @@ def _cmd_classify(args):
     )
     run.text.append(f"g = {record.g}")
     run.text.append(f"params: {record.params}")
-    run.emit(args)
+    run.emit(args.format, args.out)
     return 0
 
 
@@ -327,7 +322,7 @@ def _cmd_conjecture(args):
         run.text.insert(0, f"note: n1 < r1 < 2*n1 does not hold for n1={args.n1}, r1={args.r1}")
     if result.counterexamples:
         run.text.append(f"counterexamples found: {len(result.counterexamples)}")
-    run.emit(args)
+    run.emit(args.format, args.out)
     return 1 if result.counterexamples else 0
 
 

@@ -461,15 +461,10 @@ def setpoly_test(f, pos, exhaustive=False):
     witness = None
     detail = {"positions": sorted(positions), "rank": rank}
     if not passed:
-        subset = sorted(
-            (positions[i] for i in range(len(positions)) if kernel[0] >> i & 1),
-            reverse=True,
-        )
-        terms = "+".join("x^%d" % p if p > 1 else ("x" if p == 1 else "1") for p in subset)
-        witness = Witness(
-            "set-polynomial", f"f divides the set-polynomial factor {terms}"
-        )
-        detail["dependent_positions"] = sorted(subset)
+        subset = sorted(positions[i] for i in range(len(positions)) if kernel[0] >> i & 1)
+        factor = BinaryPolynomial(sum(1 << p for p in subset))
+        witness = Witness("set-polynomial", f"f divides the set-polynomial factor {factor}")
+        detail["dependent_positions"] = subset
     if exhaustive:
         if len(positions) > 20:
             raise ValueError("exhaustive subset scan is capped at 20 positions")

@@ -9,7 +9,7 @@ row, a column, an unfolded sequence): cell (i, j) is bit i*r2 + j.
 
 Array file format: one array is r1 lines of r2 characters from {0,1};
 arrays are separated by a single blank line; an optional first line
-"# r1 r2 n1 n2" carries the parameters.
+"# r1 r2 n1 n2" carries the parameters.  A file maps to one grid stack.
 """
 
 from __future__ import annotations
@@ -55,11 +55,7 @@ class TorusArray:
         lines = [ln.strip() for ln in lines]
         if not lines or any(set(ln) - {"0", "1"} for ln in lines):
             raise ValueError("array lines must be nonempty 0/1 strings")
-        width = len(lines[0])
-        if any(len(ln) != width for ln in lines):
-            raise ValueError("array lines must share one width")
-        cells = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
-        return _from_grid(cells.reshape(len(lines), width) - ord("0"))
+        return _stack_entry(_row_stack(lines, [0]), 0)
 
     def entry(self, i, j):
         return int(self.grid[i % self.r1, j % self.r2])
@@ -128,23 +124,35 @@ def _from_grid(grid):
     return _stack_entry(_read_only(grid)[None], 0)
 
 
-def _grid_shape(arrays):
-    """(r1, r2) of nonempty arrays that must share one shape."""
-    stack = arrays[0]._stack
-    if any(a._stack is not stack for a in arrays) and len({a.grid.shape for a in arrays}) > 1:
-        raise ValueError("arrays must share dimensions")
-    return stack.shape[1:]
+def _entries(grids):
+    """The arrays of a read-only 0/1 uint8 (m, r1, r2) grid stack."""
+    return tuple(_stack_entry(grids, i) for i in range(len(grids)))
 
 
 def _grid_stack(arrays):
-    """The (m, r1, r2) stack of the grids of arrays of one shape; a
-    whole folded code in fold order is its own stack."""
+    """The (m, r1, r2) stack of the grids of nonempty arrays of one shape;
+    a whole folded or read code in order is its own stack."""
     stack = arrays[0]._stack
     if len(arrays) == len(stack) and all(
         a._stack is stack and a._index == i for i, a in enumerate(arrays)
     ):
         return stack
+    if len({a.grid.shape for a in arrays}) > 1:
+        raise ValueError("arrays must share dimensions")
     return np.stack([a.grid for a in arrays])
+
+
+def _row_stack(rows, starts):
+    """The read-only (m, r1, r2) grid stack of nonempty 0/1 rows, array
+    k being rows[starts[k]:starts[k + 1]]."""
+    bounds = list(zip(starts, [*starts[1:], len(rows)]))
+    widths = set(map(len, rows))
+    if len(widths) > 1 and any(len(set(map(len, rows[a:b]))) > 1 for a, b in bounds):
+        raise ValueError("array lines must share one width")
+    if len(widths) > 1 or len({b - a for a, b in bounds}) > 1:
+        raise ValueError("arrays in one file must share dimensions")
+    cells = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+    return _read_only(cells.reshape(len(bounds), bounds[0][1], len(rows[0])) - ord("0"))
 
 
 @functools.lru_cache(maxsize=256)
@@ -169,7 +177,7 @@ def _fold_bits(bits, r1, r2):
         grids = bits.reshape(-1, r1, r2)
     else:
         grids = _read_only(bits.take(_fold_indices(r1, r2), axis=1)).reshape(-1, r1, r2)
-    return tuple(_stack_entry(grids, i) for i in range(len(grids)))
+    return _entries(grids)
 
 
 def fold(seq, r1, r2):
@@ -205,40 +213,51 @@ def fold_zero_factor(zf, r1, r2):
 
 
 def write_arrays(stream, arrays, header=None):
-    """Write arrays in the text format; header is an optional CodeParams."""
-    if header is not None:
-        stream.write(f"# {header.r1} {header.r2} {header.n1} {header.n2}\n")
-    for idx, arr in enumerate(arrays):
-        if idx:
-            stream.write("\n")
-        for line in arr.to_lines():
-            stream.write(line + "\n")
+    """Write arrays of one shape in the text format, in one write;
+    header is an optional CodeParams."""
+    text = "" if header is None else f"# {header.r1} {header.r2} {header.n1} {header.n2}\n"
+    arrays = tuple(arrays)
+    if arrays:
+        try:
+            grids = _grid_stack(arrays)
+        except ValueError:
+            raise ValueError("arrays in one file must share dimensions") from None
+        m, r1, r2 = grids.shape
+        chars = np.full((m, r1 * (r2 + 1) + 1), ord("\n"), dtype=np.uint8)
+        # r1 lines of r2 digits, then the blank line (dropped after the
+        # last array); splitting one axis in two reshapes to a view
+        np.add(grids, ord("0"), out=chars[:, :-1].reshape(m, r1, r2 + 1)[:, :, :r2])
+        text += chars.tobytes()[:-1].decode("ascii")
+    stream.write(text)
 
 
 def read_arrays(stream):
-    """Parse the array file format; returns (arrays, params-or-None)."""
+    """Parse the array file format; returns (arrays, params-or-None),
+    the arrays being the entries of one read-only grid stack."""
     params = None
-    blocks = [[]]
+    rows, starts = [], []
+    gap = True  # no row yet, or a blank line since the last one
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if line.startswith("#"):
+            if params is not None:
+                raise ValueError(f"line {lineno}: a second header")
+            if rows:
+                raise ValueError(f"line {lineno}: header after an array row")
             fields = line[1:].split()
             if len(fields) != 4 or not all(f.isdigit() for f in fields):
                 raise ValueError(f"line {lineno}: header needs four integers")
-            params = CodeParams(*(int(f) for f in fields))
-            continue
-        if not line:
-            if blocks[-1]:
-                blocks.append([])
-            continue
-        if set(line) - {"0", "1"}:
+            try:
+                params = CodeParams(*(int(f) for f in fields))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+        elif not line:
+            gap = True
+        elif set(line) - {"0", "1"}:
             raise ValueError(f"line {lineno}: expected a 0/1 row")
-        blocks[-1].append(line)
-    if not blocks[-1]:
-        blocks.pop()
-    arrays = tuple(TorusArray.from_lines(b) for b in blocks)
-    if arrays:
-        r1, r2 = arrays[0].r1, arrays[0].r2
-        if any(a.r1 != r1 or a.r2 != r2 for a in arrays):
-            raise ValueError("arrays in one file must share dimensions")
-    return arrays, params
+        else:
+            if gap:
+                starts.append(len(rows))
+                gap = False
+            rows.append(line)
+    return (_entries(_row_stack(rows, starts)) if rows else ()), params

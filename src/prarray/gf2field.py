@@ -5,14 +5,11 @@ one context and mixing contexts is a hard error.  This matters because
 the verification criteria work in several quotient rings GF(2)[x]/(f_u)
 at once, and silently coercing between them would corrupt results.
 
-Also hosts two integer helpers: extended Euclid certificates
-(``bezout``, which the criteria use) and the two-modulus Chinese
-remainder solver (``crt_solve``, exported but used by no module here).
+Also hosts the integer helper ``bezout`` (extended Euclid
+certificates), which the criteria use.
 """
 
 from __future__ import annotations
-
-import math
 
 from .gf2poly import (
     BinaryPolynomial,
@@ -150,14 +147,3 @@ def bezout(a, b):
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
     return r0, x0, y0
-
-
-def crt_solve(i, j, r1, r2):
-    """The unique k in [0, r1*r2) with k = i mod r1 and k = j mod r2."""
-    if math.gcd(r1, r2) != 1:
-        raise ValueError(f"moduli {r1} and {r2} are not coprime")
-    if not (0 <= i < r1 and 0 <= j < r2):
-        raise ValueError("residues out of range")
-    g, mu, nu = bezout(r1, r2)
-    # mu*r1 + nu*r2 = 1, so i*nu*r2 + j*mu*r1 hits both residues
-    return (i * nu * r2 + j * mu * r1) % (r1 * r2)

@@ -364,13 +364,16 @@ class BinaryPolynomial:
         return format(self.bits, "b")
 
     def __str__(self):
-        if self.bits == 0:
-            return "0"
+        # str.find skips zero coefficients in C: a set-polynomial witness
+        # has a few terms but a degree up to r1*r2
+        digits = format(self.bits, "b")
         terms = []
-        for i in range(self.degree, -1, -1):
-            if self.bits >> i & 1:
-                terms.append("x^%d" % i if i > 1 else ("x" if i == 1 else "1"))
-        return "+".join(terms)
+        k = digits.find("1")
+        while k >= 0:
+            i = len(digits) - 1 - k
+            terms.append("x^%d" % i if i > 1 else ("x" if i == 1 else "1"))
+            k = digits.find("1", k + 1)
+        return "+".join(terms) or "0"
 
     def __repr__(self):
         return f"BinaryPolynomial({str(self)!r})"

@@ -34,7 +34,7 @@ import itertools
 import numpy as np
 
 from .criteria import _CENSUS_AREA_CAP, CodeParams, VerdictReport, Witness
-from .folding import _grid_shape, _grid_stack
+from .folding import _grid_stack
 
 _CENSUS_BLOCK_WINDOWS = 1 << 20  # windows coded per block of whole arrays
 
@@ -96,7 +96,8 @@ def window_census(arrays, n1, n2, params=None):
         raise ValueError(f"window area {area} exceeds the census cap {_CENSUS_AREA_CAP}")
     r1 = r2 = 0
     if arrays:
-        r1, r2 = _grid_shape(arrays)
+        grids = _grid_stack(arrays)
+        r1, r2 = grids.shape[1:]
         if n1 > r1 or n2 > r2:
             raise ValueError(f"window {n1}x{n2} larger than array {r1}x{r2}")
         if params is None:
@@ -115,7 +116,6 @@ def window_census(arrays, n1, n2, params=None):
                 f"window count {total} != 2^{area} - 1 = {expected}",
             )
         )
-    grids = _grid_stack(arrays)
     cells = r1 * r2
 
     def window_witness(kind, message, at, code):

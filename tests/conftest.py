@@ -225,6 +225,17 @@ def reference_berlekamp_massey(bits):
     return BinaryPolynomial(c)
 
 
+def reference_write_arrays(stream, arrays, header=None):
+    """The array file format written array by array, row by row."""
+    if header is not None:
+        stream.write(f"# {header.r1} {header.r2} {header.n1} {header.n2}\n")
+    for idx, arr in enumerate(arrays):
+        if idx:
+            stream.write("\n")
+        for line in arr.to_lines():
+            stream.write(line + "\n")
+
+
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_LOG:
         return

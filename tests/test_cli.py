@@ -368,6 +368,23 @@ class TestRefusedInputs:
         assert err == "error: construct needs both --n1 and --n2, or neither\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("01\n\n# 1 2 1 1\n10\n", "line 3: header after an array row",
+                         id="header-after-row"),
+            pytest.param("# 1 2 1 1\n01\n# 1 2 1 1\n", "line 3: a second header", id="second-header"),
+            pytest.param("# 0 5 1 1\n01\n", "line 1: parameters must be positive",
+                         id="header-parameters"),
+        ],
+    )
+    def test_verify_bad_header_refused(self, tmp_path, capsys, text, message):
+        path = tmp_path / "arrays.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
 
 def fresh(code, *argv):
     """Run code in a new interpreter that imports prarray from this

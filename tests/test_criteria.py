@@ -171,6 +171,19 @@ class TestSetPolynomial:
             bits |= 1 << p
         assert (BinaryPolynomial(bits) % sect5_polys["f1"]).is_zero
 
+    @pytest.mark.parametrize(
+        "f, factor",
+        [
+            ("x^6+x+1", "x^56+x^28+x+1"),
+            ("x^6+x^5+1", "x^36+x^29+x^28+x"),
+            ("x^6+x^5+x^2+x+1", "x^56+x^36+x^29+x^28+1"),
+            ("x^6+x^5+x^3+x^2+1", "x^36+x^29+x^28"),
+        ],
+    )
+    def test_failure_witness_message(self, f, factor):
+        rep = setpoly_test(P(f), window_positions(CodeParams(7, 9, 2, 3)))
+        assert rep.witness.message == f"f divides the set-polynomial factor {factor}"
+
     def test_exhaustive_mode_agrees(self, sect5_polys):
         p43 = window_positions(CodeParams(13, 35, 4, 3))
         assert not setpoly_test(sect5_polys["f1"], p43, exhaustive=True).passed

@@ -4,13 +4,14 @@ import random
 
 import numpy as np
 import pytest
-from conftest import least_rotation
+from conftest import least_rotation, reference_write_arrays
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from prarray.folding import (
     CodeParams,
     TorusArray,
+    _entries,
     _fold_indices,
     fold,
     fold_zero_factor,
@@ -20,6 +21,7 @@ from prarray.folding import (
 )
 from prarray.gf2poly import BinaryPolynomial, _divisors, classify, parse
 from prarray.lfsr import CyclicSequence, bitmul, generate, zero_factor
+from prarray.verify import verify_prac
 
 
 SPAN4 = CyclicSequence.from_bits("000111101011001")
@@ -379,3 +381,92 @@ class TestArrayFiles:
     def test_empty_file(self):
         arrays, params = read_arrays(io.StringIO(""))
         assert arrays == () and params is None
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda r1: st.integers(1, 8).flatmap(
+                lambda r2: st.lists(grids(r1, r2), min_size=1, max_size=6)
+            )
+        ),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_matches_per_array_writer(self, cells, one_stack, with_header):
+        stack = np.array(cells, dtype=np.uint8)
+        stack.flags.writeable = False
+        m, r1, r2 = stack.shape
+        arrays = _entries(stack) if one_stack else tuple(TorusArray(g) for g in cells)
+        header = CodeParams(r1, r2, 1, 1) if with_header else None
+        buf, want = io.StringIO(), io.StringIO()
+        write_arrays(buf, arrays, header)
+        reference_write_arrays(want, arrays, header)
+        assert buf.getvalue() == want.getvalue()
+        buf.seek(0)
+        back, params = read_arrays(buf)
+        assert back == arrays and params == header
+        assert all(a._stack is back[0]._stack and a._index == i for i, a in enumerate(back))
+        assert back[0]._stack.shape == (m, r1, r2)
+
+    def test_read_code_is_not_restacked(self, monkeypatch):
+        # the 45 arrays read from a file are the entries of one stack;
+        # the closure stacks only its 12 unit arrays
+        arrays = fold_zero_factor(zero_factor(parse("x^12+x^10+x^9+x+1")), 7, 13)
+        buf = io.StringIO()
+        write_arrays(buf, arrays, CodeParams(7, 13, 3, 4))
+        buf.seek(0)
+        back, params = read_arrays(buf)
+        stack = np.stack
+
+        def no_restack(grids, *args, **kwargs):
+            grids = list(grids)
+            if len(grids) == len(back):
+                raise AssertionError("the code read from the file was stacked again")
+            return stack(grids, *args, **kwargs)
+
+        monkeypatch.setattr(np, "stack", no_restack)
+        assert verify_prac(back, params).passed
+
+    def test_header_after_a_row_refused(self):
+        with pytest.raises(ValueError, match="^line 3: header after an array row$"):
+            read_arrays(io.StringIO("01\n\n# 1 2 1 1\n10\n"))
+
+    def test_second_header_refused(self):
+        with pytest.raises(ValueError, match="^line 3: a second header$"):
+            read_arrays(io.StringIO("# 1 2 1 1\n\n# 1 2 1 1\n01\n"))
+
+    def test_header_parameter_error_has_line_number(self):
+        with pytest.raises(ValueError, match="^line 2: parameters must be positive$"):
+            read_arrays(io.StringIO("\n# 0 5 1 1\n01\n"))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("01\n0\n\n0x\n", "line 4: expected a 0/1 row", id="bad-char-after-ragged"),
+            pytest.param("01\n\n011\n\n01\n0\n", "array lines must share one width",
+                         id="ragged-after-mismatch"),
+            pytest.param("01\n\n01\n0\n", "array lines must share one width", id="ragged"),
+            pytest.param("01\n\n011\n", "arrays in one file must share dimensions", id="widths"),
+            pytest.param("01\n\n01\n10\n", "arrays in one file must share dimensions", id="heights"),
+        ],
+    )
+    def test_error_precedence(self, text, message):
+        with pytest.raises(ValueError) as err:
+            read_arrays(io.StringIO(text))
+        assert str(err.value) == message
+
+    def test_write_takes_a_generator(self):
+        arrays = fold_zero_factor(zero_factor(parse("x^4+x+1")), 3, 5)
+        buf, want = io.StringIO(), io.StringIO()
+        write_arrays(buf, (a for a in arrays))
+        reference_write_arrays(want, arrays)
+        assert buf.getvalue() == want.getvalue()
+
+    def test_empty_code_writes_the_header_alone(self):
+        buf = io.StringIO()
+        write_arrays(buf, [], CodeParams(3, 7, 2, 3))
+        assert buf.getvalue() == "# 3 7 2 3\n"
+
+    def test_mixed_shapes_refused(self):
+        with pytest.raises(ValueError, match="^arrays in one file must share dimensions$"):
+            write_arrays(io.StringIO(), [arr("01"), arr("011")])

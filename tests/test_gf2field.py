@@ -3,7 +3,9 @@ import random
 import pytest
 
 from conftest import field_inverse, minimal_polynomial
-from prarray.gf2field import FieldContext, bezout, crt_solve
+from prarray.criteria import CodeParams, _cell_positions, window_positions
+from prarray.folding import _fold_indices
+from prarray.gf2field import FieldContext, bezout
 from prarray.gf2poly import BinaryPolynomial, is_irreducible, parse
 
 
@@ -174,21 +176,24 @@ class TestIntegers:
         with pytest.raises(ValueError):
             bezout(0, 5)
 
+    # the two CRT maps the package runs: window positions at a window
+    # as large as the array, and the fold's cell-to-sequence index
     @pytest.mark.parametrize("i,j,r1,r2,k", [(1, 2, 3, 5, 7), (0, 0, 3, 5, 0), (2, 4, 3, 5, 14)])
     def test_crt_examples(self, i, j, r1, r2, k):
-        assert crt_solve(i, j, r1, r2) == k
+        assert _cell_positions(CodeParams(r1, r2, r1, r2))[i * r2 + j] == k
+        assert _fold_indices(r1, r2)[i * r2 + j] == k
 
     @pytest.mark.parametrize("r1,r2", [(3, 5), (7, 13), (13, 35), (1, 17), (99, 1010)])
     def test_crt_bijection(self, r1, r2):
-        seen = set()
+        ks = _cell_positions(CodeParams(r1, r2, r1, r2))
+        assert ks == _fold_indices(r1, r2).tolist()
         for i in range(r1):
             for j in range(r2):
-                k = crt_solve(i, j, r1, r2)
+                k = ks[i * r2 + j]
                 assert 0 <= k < r1 * r2
                 assert k % r1 == i and k % r2 == j
-                seen.add(k)
-        assert len(seen) == r1 * r2
+        assert len(set(ks)) == r1 * r2
 
     def test_crt_noncoprime(self):
-        with pytest.raises(ValueError):
-            crt_solve(1, 1, 6, 9)
+        with pytest.raises(ValueError, match="coprime"):
+            window_positions(CodeParams(6, 9, 6, 9))

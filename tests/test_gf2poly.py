@@ -63,6 +63,21 @@ class TestParse:
     def test_zero(self):
         assert P("0").is_zero
         assert P("0").degree == -1
+        assert str(P("0")) == "0"
+
+    @given(st.one_of(
+        st.integers(0, 1 << 200),
+        st.lists(st.integers(0, 5000), max_size=30).map(lambda ps: sum(1 << p for p in set(ps))),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_symbolic_form_matches_the_coefficient_scan(self, bits):
+        terms = [
+            "x^%d" % i if i > 1 else ("x" if i == 1 else "1")
+            for i in range(bits.bit_length() - 1, -1, -1)
+            if bits >> i & 1
+        ]
+        assert str(BinaryPolynomial(bits)) == ("+".join(terms) or "0")
+        assert parse(str(BinaryPolynomial(bits))).bits == bits
 
     @pytest.mark.parametrize("bad", ["", "x^", "x2", "2x", "x^1+x^2", "x+x", "1+1", "y+1"])
     def test_malformed(self, bad):
