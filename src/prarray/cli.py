@@ -118,7 +118,7 @@ def _cmd_construct(args):
     cls = _require_uniform(poly, args.r1, args.r2)
     if poly.degree > _ZERO_FACTOR_DEGREE_CAP:
         raise _UsageError(f"construct is capped at degree {_ZERO_FACTOR_DEGREE_CAP}")
-    from .folding import fold_zero_factor, write_arrays
+    from .folding import _grid_stack, _lines, fold_zero_factor, write_arrays
     from .lfsr import zero_factor
 
     run = _Run("construct", {"poly": str(poly), "r1": args.r1, "r2": args.r2})
@@ -130,7 +130,7 @@ def _cmd_construct(args):
         run.set_params(header)
     run.doc["counts"] = {"arrays": len(arrays), "exponent": cls.exponent}
     if args.format == "json":
-        run.doc["arrays"] = [a.to_lines() for a in arrays]
+        run.doc["arrays"] = _lines(_grid_stack(arrays))
     if args.out:
         _write_out(args.out, lambda fh: write_arrays(fh, arrays, header))
         run.text.append(f"wrote {len(arrays)} arrays to {args.out}")

@@ -61,7 +61,7 @@ class TorusArray:
         return int(self.grid[i % self.r1, j % self.r2])
 
     def to_lines(self):
-        return ["".join(map(str, row)) for row in self.grid.tolist()]
+        return _lines(self._stack[self._index : self._index + 1])[0]
 
     def __str__(self):
         return "\n".join(self.to_lines())
@@ -212,6 +212,24 @@ def fold_zero_factor(zf, r1, r2):
     return _fold_bits(zf.bits, r1, r2)
 
 
+def _text(grids):
+    """A nonempty (m, r1, r2) grid stack in the text format without a
+    header, in one numpy pass: r1 lines of r2 digits per array, a blank
+    line between arrays."""
+    m, r1, r2 = grids.shape
+    chars = np.full((m, r1 * (r2 + 1) + 1), ord("\n"), dtype=np.uint8)
+    # r1 lines of r2 digits, then the blank line (dropped after the
+    # last array); splitting one axis in two reshapes to a view
+    np.add(grids, ord("0"), out=chars[:, :-1].reshape(m, r1, r2 + 1)[:, :, :r2])
+    return chars.tobytes()[:-1].decode("ascii")
+
+
+def _lines(grids):
+    """The rows of each array of a nonempty grid stack as 0/1 strings,
+    cut from its text."""
+    return [block.split("\n") for block in _text(grids)[:-1].split("\n\n")]
+
+
 def write_arrays(stream, arrays, header=None):
     """Write arrays of one shape in the text format, in one write;
     header is an optional CodeParams."""
@@ -222,12 +240,7 @@ def write_arrays(stream, arrays, header=None):
             grids = _grid_stack(arrays)
         except ValueError:
             raise ValueError("arrays in one file must share dimensions") from None
-        m, r1, r2 = grids.shape
-        chars = np.full((m, r1 * (r2 + 1) + 1), ord("\n"), dtype=np.uint8)
-        # r1 lines of r2 digits, then the blank line (dropped after the
-        # last array); splitting one axis in two reshapes to a view
-        np.add(grids, ord("0"), out=chars[:, :-1].reshape(m, r1, r2 + 1)[:, :, :r2])
-        text += chars.tobytes()[:-1].decode("ascii")
+        text += _text(grids)
     stream.write(text)
 
 

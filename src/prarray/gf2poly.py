@@ -33,6 +33,16 @@ The raw kernels pick their path from operand sizes alone:
   exponent: multiplying by x is a shift and one conditional XOR.  Other
   bases use square-and-multiply.
 
+``enumerate_irreducible(n, e)`` splits the e-th cyclotomic polynomial
+by trace maps only down one branch, keeping the smaller part, to one
+factor p.  For j prime to e, decimating p's impulse sequence by j gives
+a sequence whose minimal polynomial is that of the j-th power of p's
+root (Golomb, *Shift Register Sequences*; Lidl & Niederreiter, *Finite
+Fields*, ch. 8), so Berlekamp-Massey on the first 2n bits of one
+decimation per cyclotomic coset of 2 mod e finds every factor.  Each
+decimation must have linear complexity n, the results must be distinct
+and phi(e)/n in number, and each must divide x^e - 1.
+
 ``classify`` is the one place that factors a polynomial and takes the
 orders of x modulo its factors; ``exponent`` reads its result.
 ``classify``, ``_is_irreducible_int`` and ``_x_order`` keep their last
@@ -723,28 +733,43 @@ def _trace_mask(fb, n):
     return mask
 
 
-def _split_equal_degree(fb, n, e):
-    """Split a squarefree product of degree-n irreducibles (factors of
-    the e-th cyclotomic polynomial) into its irreducible factors."""
-    out = []
-    stack = [fb]
-    while stack:
-        g = stack.pop()
-        if _degree(g) == n:
-            out.append(g)
-            continue
-        h = _mod(2, g)
+def _berlekamp_massey(rev, length):
+    """(connection polynomial, linear complexity) of the length bits
+    packed in rev with a_0 at the top, so the window a_k, a_(k-1), ...
+    is one shift of rev and each discrepancy is the parity of the
+    connection polynomial against it."""
+    c = 1  # current connection polynomial, constant term 1
+    b = 1  # previous connection polynomial
+    span = 0
+    m = -1
+    for k in range(length):
+        if (c & rev >> (length - 1 - k)).bit_count() & 1:
+            t = c
+            c ^= b << (k - m)
+            if 2 * span <= k:
+                span = k + 1 - span
+                b = t
+                m = k
+    return c, span
+
+
+def _one_factor(fb, n, e):
+    """One irreducible factor of fb, a squarefree product of degree-n
+    irreducibles dividing x^e - 1: each equal-degree split by a trace
+    map keeps its smaller part.  Splits are sought by the traces of x^i
+    for odd i, e of them, which meet every residue mod e; even powers
+    add nothing, as Tr(h^2) = Tr(h)."""
+    while _degree(fb) > n:
+        h = _mod(2, fb)
         for _ in range(e):
-            t = _trace_map(h, g, n)
-            d = _gcd(g, t)
-            if 0 < _degree(d) < _degree(g):
-                stack.append(d)
-                stack.append(_divmod(g, d)[0])
+            d = _gcd(fb, _trace_map(h, fb, n))
+            if 0 < _degree(d) < _degree(fb):
                 break
-            h = _mod(h << 1, g)
+            h = _mod(h << 2, fb)
         else:
             raise InternalCheckError("equal-degree splitting failed to separate factors")
-    return out
+        fb = min(d, _divmod(fb, d)[0], key=_degree)
+    return fb
 
 
 def enumerate_irreducible(degree, exponent_value):
@@ -753,6 +778,12 @@ def enumerate_irreducible(degree, exponent_value):
     Empty unless degree == ord2(exponent): the degree of an irreducible
     polynomial is determined by its exponent.  Degrees below 1 and
     exponents above 65535 are refused.
+
+    One factor p of the cyclotomic polynomial comes from ``_one_factor``;
+    the others are the minimal polynomials of the decimations of p's
+    impulse sequence s by one j in each cyclotomic coset of 2 in the
+    units mod e, found by Berlekamp-Massey on the first 2n bits of
+    s_(jk).
     """
     if degree < 1:
         raise ValueError(f"degree must be at least 1, got {degree}")
@@ -765,12 +796,31 @@ def enumerate_irreducible(degree, exponent_value):
         return []
     if e == 1:
         return [BinaryPolynomial(0b11)]  # x + 1
-    phi = _totient(e)
+    from .lfsr import generate  # lfsr imports this module
+
     n = degree
-    parts = _split_equal_degree(_cyclotomic_int(e), n, e)
-    if len(parts) != phi // n:
+    p = BinaryPolynomial(_one_factor(_cyclotomic_int(e), n, e))
+    # s[k] is bit k of the impulse sequence, read as a str
+    s = format(generate(p, [0] * (n - 1) + [1], e).bits, f"0{e}b")[::-1]
+    parts = []
+    seen = bytearray(e)
+    for j in range(1, e):
+        if seen[j] or math.gcd(j, e) != 1:
+            continue
+        i = j
+        while not seen[i]:
+            seen[i] = 1
+            i = 2 * i % e
+        # s_(jk) for k < 2n, a_0 at the top
+        c, span = _berlekamp_massey(int("".join([s[j * k % e] for k in range(2 * n)]), 2), 2 * n)
+        if span != n:
+            raise InternalCheckError(f"decimation by {j} has linear complexity {span}, not {n}")
+        parts.append(c)
+    if len(parts) != _totient(e) // n:
         raise InternalCheckError("wrong number of cyclotomic factors")
-    for p in parts:
-        if _powmod(2, e, p) != 1:
+    if len(set(parts)) != len(parts):
+        raise InternalCheckError("two decimations gave one polynomial")
+    for c in parts:
+        if _powmod(2, e, c) != 1:
             raise InternalCheckError("cyclotomic factor does not divide x^e - 1")
-    return [BinaryPolynomial(p) for p in sorted(parts)]
+    return [BinaryPolynomial(c) for c in sorted(parts)]

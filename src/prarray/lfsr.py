@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 from .gf2poly import (
     BinaryPolynomial,
     InternalCheckError,
+    _berlekamp_massey,
     _bit_reverse,
     _divisors,
     classify,
@@ -315,9 +316,8 @@ def bitmul(a, b):
 def berlekamp_massey(seq):
     """Minimal characteristic polynomial reproducing a finite bit sequence.
 
-    The bits are read once into an int with a_0 at the top, so the
-    window a_k, a_(k-1), ... is one shift of it, and each discrepancy
-    is the parity of the connection polynomial against that window."""
+    The bits are read once into an int with a_0 at the top, the form
+    ``gf2poly._berlekamp_massey`` runs on."""
     if isinstance(seq, CyclicSequence):
         n = seq.length
         rev = int(format(seq.bits, f"0{n}b")[::-1], 2)
@@ -327,16 +327,4 @@ def berlekamp_massey(seq):
             raise ValueError("sequence must be bits")
         n = len(bits)
         rev = int(bits, 2) if bits else 0
-    c = 1  # current connection polynomial, constant term 1
-    b = 1  # previous connection polynomial
-    span = 0
-    m = -1
-    for k in range(n):
-        if (c & rev >> (n - 1 - k)).bit_count() & 1:
-            t = c
-            c ^= b << (k - m)
-            if 2 * span <= k:
-                span = k + 1 - span
-                b = t
-                m = k
-    return BinaryPolynomial(c)
+    return BinaryPolynomial(_berlekamp_massey(rev, n)[0])

@@ -88,22 +88,30 @@ def window_census(arrays, n1, n2, params=None):
     code with its count (a second pass).  With the window count right
     and neither, every nonzero code occurs.
     """
+    return _census(_stack(arrays), n1, n2, params)
+
+
+def _stack(arrays):
+    """The (m, r1, r2) grid stack of arrays of one shape; (0, 0, 0) for none."""
     arrays = list(arrays)
+    return _grid_stack(arrays) if arrays else np.zeros((0, 0, 0), dtype=np.uint8)
+
+
+def _census(grids, n1, n2, params):
+    """``window_census`` of an (m, r1, r2) grid stack."""
     if n1 < 1 or n2 < 1:
         raise ValueError(f"window {n1}x{n2} must have positive sides")
     area = n1 * n2
     if area > _CENSUS_AREA_CAP:
         raise ValueError(f"window area {area} exceeds the census cap {_CENSUS_AREA_CAP}")
-    r1 = r2 = 0
-    if arrays:
-        grids = _grid_stack(arrays)
-        r1, r2 = grids.shape[1:]
+    m, r1, r2 = grids.shape
+    if m:
         if n1 > r1 or n2 > r2:
             raise ValueError(f"window {n1}x{n2} larger than array {r1}x{r2}")
         if params is None:
             params = CodeParams(r1, r2, n1, n2)
     expected = (1 << area) - 1
-    total = len(arrays) * r1 * r2
+    total = m * r1 * r2
     detail = {"windows_total": total, "windows_expected": expected}
 
     def fail(witness):
@@ -184,18 +192,17 @@ def shift_add_closure(arrays, params):
     span(B) has at most the 2^(n1*n2) elements of the code plus zero.
     ``checked`` counts the vectors compared, m + 2*n1*n2 on a pass.
     """
-    arrays = list(arrays)
-    census = window_census(arrays, params.n1, params.n2, params)
+    grids = _stack(arrays)
+    census = _census(grids, params.n1, params.n2, params)
     if not census.passed:
         raise ValueError(f"closure needs a code that passes the census: {census.witness.message}")
-    return _closure(arrays, params)
+    return _closure(grids, params)
 
 
-def _closure(arrays, params):
-    """``shift_add_closure`` of arrays that pass the census."""
+def _closure(grids, params):
+    """``shift_add_closure`` of the grid stack of a code that passes the census."""
     n1, n2 = params.n1, params.n2
     area = n1 * n2
-    grids = _grid_stack(arrays)
     units = _locate(grids, n1, n2, [1 << k for k in range(area)])
     # B_k is array a moved up u rows and left v columns, for units[k] = (a, u, v)
     basis = np.stack([np.roll(grids[a], (-u, -v), axis=(0, 1)) for a, u, v in units])
@@ -266,10 +273,14 @@ def verify_prac(arrays, params):
     arrays = list(arrays)
     stages = []
     problem = params.violation()
-    if problem is None and any(
-        a.r1 != params.r1 or a.r2 != params.r2 for a in arrays
-    ):
-        problem = "array dimensions do not match the parameters"
+    if problem is None and arrays:
+        # one stack has one shape; arrays of mixed shapes have no stack
+        try:
+            grids = _grid_stack(arrays)
+        except ValueError:
+            grids = None
+        if grids is None or grids.shape[1:] != (params.r1, params.r2):
+            problem = "array dimensions do not match the parameters"
     if problem is None:
         delta = params.codeword_count()
         if len(arrays) != delta:
@@ -284,9 +295,9 @@ def verify_prac(arrays, params):
         )
     )
     if problem is None:
-        stages.append(window_census(arrays, params.n1, params.n2, params))
+        stages.append(_census(grids, params.n1, params.n2, params))
         if stages[-1].passed:
-            stages.append(_closure(arrays, params))
+            stages.append(_closure(grids, params))
     first_fail = next((s for s in stages if not s.passed), None)
     outcome = first_fail if first_fail is not None else stages[-1]
     return VerdictReport(

@@ -2,12 +2,20 @@ import pytest
 
 from prarray.gf2poly import (
     BinaryPolynomial,
+    InternalCheckError,
     _bit_reverse,
+    _cyclotomic_int,
+    _degree,
     _divmod,
+    _gcd,
     _mod,
     _mul,
     _mulmod,
+    _powmod,
     _square,
+    _totient,
+    _trace_map,
+    ord2,
     parse,
 )
 
@@ -223,6 +231,46 @@ def reference_berlekamp_massey(bits):
                 b = t
                 m = k
     return BinaryPolynomial(c)
+
+
+def _split_equal_degree(fb, n, e):
+    """Split a squarefree product of degree-n irreducibles (factors of
+    the e-th cyclotomic polynomial) into its irreducible factors."""
+    out = []
+    stack = [fb]
+    while stack:
+        g = stack.pop()
+        if _degree(g) == n:
+            out.append(g)
+            continue
+        h = _mod(2, g)
+        for _ in range(e):
+            t = _trace_map(h, g, n)
+            d = _gcd(g, t)
+            if 0 < _degree(d) < _degree(g):
+                stack.append(d)
+                stack.append(_divmod(g, d)[0])
+                break
+            h = _mod(h << 1, g)
+        else:
+            raise InternalCheckError("equal-degree splitting failed to separate factors")
+    return out
+
+
+def reference_enumerate_irreducible(degree, e):
+    """Irreducible polynomials of the degree and odd exponent e, from the
+    whole cyclotomic polynomial split by trace maps down to every factor."""
+    if degree != ord2(e):
+        return []
+    if e == 1:
+        return [BinaryPolynomial(0b11)]
+    parts = _split_equal_degree(_cyclotomic_int(e), degree, e)
+    if len(parts) != _totient(e) // degree:
+        raise InternalCheckError("wrong number of cyclotomic factors")
+    for p in parts:
+        if _powmod(2, e, p) != 1:
+            raise InternalCheckError("cyclotomic factor does not divide x^e - 1")
+    return [BinaryPolynomial(p) for p in sorted(parts)]
 
 
 def reference_write_arrays(stream, arrays, header=None):

@@ -111,6 +111,26 @@ class TestConstructVerify:
         assert len([ln for ln in out.splitlines() if ln]) == 3
 
 
+    def test_construct_json_arrays_are_each_arrays_lines(self, capsys):
+        from prarray.folding import fold_zero_factor
+        from prarray.gf2poly import parse
+        from prarray.lfsr import zero_factor
+
+        code, out, _ = run(
+            capsys, "construct", "--poly", "x^12+x^10+x^9+x+1",
+            "--r1", "7", "--r2", "13", "--n1", "3", "--n2", "4", "--format", "json",
+        )
+        assert code == 0
+        arrays = fold_zero_factor(zero_factor(parse("x^12+x^10+x^9+x+1")), 7, 13)
+        want = [a.to_lines() for a in arrays]
+        assert want == [
+            ["".join(str(a.entry(i, j)) for j in range(13)) for i in range(7)] for a in arrays
+        ]
+        doc = json.loads(out)
+        assert len(want) == doc["counts"]["arrays"] == 45
+        assert out == json.dumps({**doc, "arrays": want}, indent=2, sort_keys=True) + "\n"
+
+
 class TestCheckFold:
     def test_setpoly_fail(self, capsys):
         code, out, _ = run(

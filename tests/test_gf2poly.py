@@ -4,7 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import serial_mod, serial_mul, serial_powmod, serial_square
+from conftest import (
+    reference_enumerate_irreducible,
+    serial_mod,
+    serial_mul,
+    serial_powmod,
+    serial_square,
+)
 from prarray import gf2poly
 from prarray.gf2field import FieldContext
 from prarray.gf2poly import (
@@ -470,8 +476,9 @@ class TestCounting:
                 enumerate_irreducible(degree, e)
 
     def test_enumerate_large_modulus(self):
-        # 1537 = 29 * 53 and ord2(1537) = 364: the equal-degree split runs
-        # on the degree-1456 cyclotomic polynomial
+        # 1537 = 29 * 53 and ord2(1537) = 364: one split of the degree-1456
+        # cyclotomic polynomial leaves a factor, and one decimation of its
+        # sequence in each of the other three cyclotomic cosets finds the rest
         lst = enumerate_irreducible(364, 1537)
         assert len(lst) == 4 == count_irreducible_with_exponent(1537)
         x_e_minus_1 = (1 << 1537) | 1
@@ -483,6 +490,30 @@ class TestCounting:
             ctx = FieldContext(p)
             assert ctx.alpha**1537 == ctx.one
             assert all(ctx.alpha ** (1537 // q) != ctx.one for q in (29, 53))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 1023))
+    def test_enumerate_matches_full_split(self, k):
+        e = 2 * k + 1
+        n = ord2(e)
+        assert enumerate_irreducible(n, e) == reference_enumerate_irreducible(n, e)
+
+    @pytest.mark.parametrize(
+        "e, count",
+        [
+            (3, 1),  # n = e - 1: the cyclotomic polynomial is the factor
+            (7, 2),  # Mersenne: every factor primitive
+            (127, 18),
+            (961, 6),  # 31^2, n = 155
+            (1537, 4),  # 29 * 53, n = 364
+            (16383, 756),  # 3 * 43 * 127, n = 14
+        ],
+    )
+    def test_enumerate_named_cases_match_full_split(self, e, count):
+        n = ord2(e)
+        lst = enumerate_irreducible(n, e)
+        assert len(lst) == count
+        assert lst == reference_enumerate_irreducible(n, e)
 
     def test_enumerate_members_have_degree_and_exponent(self):
         for e in range(3, 128, 2):

@@ -8,7 +8,8 @@ from conftest import cell_rotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prarray.folding import CodeParams, TorusArray, fold, fold_zero_factor
+from prarray import verify
+from prarray.folding import CodeParams, TorusArray, _grid_stack, fold, fold_zero_factor
 from prarray.gf2poly import (
     BinaryPolynomial,
     _divisors,
@@ -407,6 +408,26 @@ class TestVerifyPrac:
         arrays[0] = flip(arrays[0], 0, 0)
         rep = verify_prac(arrays, CodeParams(3, 7, 2, 3))
         assert not rep.passed and rep.criterion == "census"
+
+    @pytest.mark.parametrize("mixed", [True, False], ids=["one-transposed", "all-transposed"])
+    def test_dimension_mismatch_fails_parameters(self, prac_3x7, mixed):
+        arrays = [TorusArray(a.grid.T) for a in prac_3x7]
+        if mixed:
+            arrays = list(prac_3x7[:-1]) + arrays[-1:]
+        rep = verify_prac(arrays, CodeParams(3, 7, 2, 3))
+        assert not rep.passed and rep.criterion == "parameters"
+        assert rep.witness.message == "array dimensions do not match the parameters"
+
+    def test_code_is_stacked_once(self, prac_3x7, monkeypatch):
+        calls = []
+
+        def counted(arrays):
+            calls.append(len(arrays))
+            return _grid_stack(arrays)
+
+        monkeypatch.setattr(verify, "_grid_stack", counted)
+        assert verify_prac(prac_3x7, CodeParams(3, 7, 2, 3)).passed
+        assert calls == [len(prac_3x7)]
 
 
 def reference_window_codes(arr, n1, n2):
