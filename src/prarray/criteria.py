@@ -28,14 +28,14 @@ The decision procedures are exact:
 * ``sufficient_conditions``   -- the divisibility/distinct-residue
   conditions that guarantee a PRA/PRAC (sufficient, not necessary).
 
-The three rank routes share one cached, stepped computation per
-(f, params), ``_cells``: the window-cell positions p and elements
-x^p mod f, one multiplication a cell, and their rank.  The
-set-polynomial and trace tests report that one rank; ``det_test`` ranks
-the elements' trace columns instead.  Whether f is irreducible and the
-order of x depend on f alone: ``_cells`` reads them from ``gf2poly``,
-which keeps them for its last eight polynomials, so the consecutive
-cases of one f compute them once.
+The three rank routes share two caches per (f, params):
+``_cell_vectors``, the elements x^p mod f at the window-cell positions
+p, stepped with one multiplication a cell, and ``_cell_rank``, their
+rank.  The set-polynomial and trace tests report that one rank;
+``det_test`` ranks the elements' trace columns instead.  Whether f is
+irreducible and the order of x depend on f alone: each criterion reads
+them from ``gf2poly``, which keeps them for its last eight polynomials,
+so the consecutive cases of one f compute them once.
 
 The module works on ints alone.  It also defines the types every
 verdict is reported in (``CodeParams``, ``Witness``, ``VerdictReport``)
@@ -365,75 +365,45 @@ def _cell_positions(params):
     ]
 
 
-class _Cells:
-    """The field work that the rank criteria share for one (f, params):
-    whether f is irreducible and the order of x mod f (both cached per
-    polynomial in gf2poly), the window-cell vectors and their rank.
-    Each part is computed on first use, so every criterion still
-    refuses in its own order."""
+@functools.lru_cache(maxsize=64)
+def _cell_vectors(fb, params):
+    """x^p mod f at each window position p, row-major, as raw ints; f
+    must be irreducible.  Stepped with one _mulmod a cell: cell (i, j+1)
+    is cell (i, j) times x^(mu*r1), and row i+1 starts at row i times
+    x^(nu*r2), exponents mod e = r1*r2.  A step whose position passes e
+    also takes x^-e, which is 1 when the order of x divides e."""
+    positions = _cell_positions(params)
+    e = params.r1 * params.r2
+    _, mu, nu = bezout(params.r1, params.r2)
+    # x^-e, as x^(2^n - 1) = 1 for irreducible f other than x (whose
+    # one cell takes no step); setpoly_test allows any order of x
+    unwrap = _powmod(2, -e % ((1 << (fb.bit_length() - 1)) - 1), fb)
 
-    def __init__(self, fb, params):
-        self.fb = fb
-        self.params = params
+    def steps(d):
+        # (x^d, x^(d - e)), indexed by whether the step passes e
+        step = _powmod(2, d, fb)
+        return step, _mulmod(step, unwrap, fb)
 
-    @functools.cached_property
-    def irreducible(self):
-        return _is_irreducible_int(self.fb)
-
-    @functools.cached_property
-    def x_order(self):
-        return _x_order(self.fb)
-
-    @functools.cached_property
-    def positions(self):
-        return tuple(_cell_positions(self.params))
-
-    @functools.cached_property
-    def vectors(self):
-        """x^p mod f at each window position p, row-major, as raw ints;
-        f must be irreducible.  Stepped with one _mulmod a cell: cell
-        (i, j+1) is cell (i, j) times x^(mu*r1), and row i+1 starts at
-        row i times x^(nu*r2), exponents mod e = r1*r2.  A step whose
-        position passes e also takes x^-e, which is 1 when the order of
-        x divides e."""
-        fb, params, positions = self.fb, self.params, self.positions
-        e = params.r1 * params.r2
-        _, mu, nu = bezout(params.r1, params.r2)
-        # x^-e, as x^(2^n - 1) = 1 for irreducible f other than x (whose
-        # one cell takes no step); setpoly_test allows any order of x
-        unwrap = _powmod(2, -e % ((1 << (fb.bit_length() - 1)) - 1), fb)
-
-        def steps(d):
-            # (x^d, x^(d - e)), indexed by whether the step passes e
-            step = _powmod(2, d, fb)
-            return step, _mulmod(step, unwrap, fb)
-
-        right, down = steps(mu * params.r1 % e), steps(nu * params.r2 % e)
-        vectors = []
-        start = 1
-        for i in range(params.n1):
-            row = i * params.n2
-            if i:
-                start = _mulmod(start, down[positions[row] < positions[row - params.n2]], fb)
-            cur = start
+    right, down = steps(mu * params.r1 % e), steps(nu * params.r2 % e)
+    vectors = []
+    start = 1
+    for i in range(params.n1):
+        row = i * params.n2
+        if i:
+            start = _mulmod(start, down[positions[row] < positions[row - params.n2]], fb)
+        cur = start
+        vectors.append(cur)
+        for k in range(row + 1, row + params.n2):
+            cur = _mulmod(cur, right[positions[k] < positions[k - 1]], fb)
             vectors.append(cur)
-            for k in range(row + 1, row + params.n2):
-                cur = _mulmod(cur, right[positions[k] < positions[k - 1]], fb)
-                vectors.append(cur)
-        return tuple(vectors)
-
-    @functools.cached_property
-    def rank_kernel(self):
-        """(rank, kernel) of the window-cell vectors, which the
-        set-polynomial and trace tests both report."""
-        return _gf2_kernel(self.vectors)
+    return tuple(vectors)
 
 
 @functools.lru_cache(maxsize=64)
-def _cells(fb, params):
-    """The shared cell work of (f, params); three criteria on one case
-    compute it once."""
-    return _Cells(fb, params)
+def _cell_rank(fb, params):
+    """(rank, kernel) of the window-cell vectors, which the
+    set-polynomial and trace tests both report."""
+    return _gf2_kernel(_cell_vectors(fb, params))
 
 
 def setpoly_test(f, pos, exhaustive=False):
@@ -445,18 +415,17 @@ def setpoly_test(f, pos, exhaustive=False):
     independent over GF(2).  The positions must be the window cells of
     ``pos.params``, row-major, as ``window_positions`` gives them.
     """
-    cells = _cells(f.bits, pos.params)
-    if not cells.irreducible:
+    if not _is_irreducible_int(f.bits):
         raise ValueError("the set-polynomial criterion needs an irreducible polynomial")
     positions = pos.positions
     if len(positions) != f.degree:
         raise ValueError(
             f"need {f.degree} positions for degree {f.degree}, got {len(positions)}"
         )
-    if tuple(positions) != cells.positions:
+    if list(positions) != _cell_positions(pos.params):
         raise ValueError(f"positions {pos} are not the window cells of {pos.params}")
-    vectors = cells.vectors
-    rank, kernel = cells.rank_kernel
+    vectors = _cell_vectors(f.bits, pos.params)
+    rank, kernel = _cell_rank(f.bits, pos.params)
     passed = rank == len(positions)
     witness = None
     detail = {"positions": sorted(positions), "rank": rank}
@@ -504,14 +473,13 @@ def det_test(factors, params):
         )
     e = params.r1 * params.r2
     for p in factors:
-        cells = _cells(p.bits, params)
-        if not cells.irreducible:
+        if not _is_irreducible_int(p.bits):
             raise ValueError(f"modulus {p} is not irreducible")
-        if cells.x_order != e:
-            raise ValueError(f"factor {p} has exponent {cells.x_order}, need {e}")
+        if _x_order(p.bits) != e:
+            raise ValueError(f"factor {p} has exponent {_x_order(p.bits)}, need {e}")
     cols = []
     for p in factors:
-        cols.extend(_trace_columns(p.bits, n, _cells(p.bits, params).vectors))
+        cols.extend(_trace_columns(p.bits, n, _cell_vectors(p.bits, params)))
     rank, kernel = _gf2_kernel(cols)
     passed = rank == k * n
     witness = None
@@ -549,11 +517,10 @@ def trace_independence_test(f, params):
     """Determinant criterion for one irreducible f, by its dual form:
     the window-cell root powers beta^i * gamma^j must be linearly
     independent over GF(2).  That is the rank ``setpoly_test`` reads
-    from the shared cells, here with the determinant criterion's
+    from ``_cell_rank``, here with the determinant criterion's
     preconditions and report; the trace-form cross-check is
     ``det_test``."""
-    cells = _cells(f.bits, params)
-    if not cells.irreducible:
+    if not _is_irreducible_int(f.bits):
         raise ValueError("the trace criterion needs an irreducible polynomial")
     n = f.degree
     if n < 2:
@@ -561,9 +528,9 @@ def trace_independence_test(f, params):
     if n != params.window_area:
         raise ValueError(f"degree {n} must equal n1*n2 = {params.window_area}")
     e = params.r1 * params.r2
-    if cells.x_order != e:
-        raise ValueError(f"{f} has exponent {cells.x_order}, need {e}")
-    rank, kernel = cells.rank_kernel
+    if _x_order(f.bits) != e:
+        raise ValueError(f"{f} has exponent {_x_order(f.bits)}, need {e}")
+    rank, kernel = _cell_rank(f.bits, params)
     passed = rank == n
     witness = None
     if not passed:
@@ -692,14 +659,15 @@ def _conjecture_entry(k, combo, product, params):
 
 
 def _fold_census(f, params):
-    """Window census of the folded zero factor of the uniform f, or
-    None when the window area or deg(f) is above the brute-force caps.
-    The grid oracle is imported here, when a census is first run."""
+    """Window census of the folded zero factor of f, whose exponent r1*r2
+    every caller has established, or None when the window area or deg(f)
+    is above the brute-force caps.  The grid oracle is imported here."""
     if params.window_area > _CENSUS_AREA_CAP or f.degree > _ZERO_FACTOR_DEGREE_CAP:
         return None
     from .folding import fold_zero_factor
-    from .lfsr import zero_factor
+    from .lfsr import _zero_factor_walk
     from .verify import window_census
 
-    arrays = fold_zero_factor(zero_factor(f), params.r1, params.r2)
+    zf = _zero_factor_walk(f, params.r1 * params.r2)
+    arrays = fold_zero_factor(zf, params.r1, params.r2)
     return window_census(arrays, params.n1, params.n2, params)

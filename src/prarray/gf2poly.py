@@ -46,7 +46,10 @@ and phi(e)/n in number, and each must divide x^e - 1.
 ``classify`` is the one place that factors a polynomial and takes the
 orders of x modulo its factors; ``exponent`` reads its result.
 ``classify``, ``_is_irreducible_int`` and ``_x_order`` keep their last
-eight results, so consecutive calls on one polynomial compute them once.
+eight results, so consecutive calls on one polynomial compute them
+once; the rank criteria read them here and keep no copies.  Orders need
+the primes of 2^n - 1: ``_factorint`` divides out a committed table of
+those above 10^6 for n <= 128, then trial-divides up to 10^6.
 """
 
 from __future__ import annotations
@@ -237,13 +240,36 @@ def _bit_reverse(v, width):
 # ---------------------------------------------------------------------------
 # integer factorization helpers (for exponents and counting)
 
+# The primes above 10^6 of 2^n - 1 for all n <= 128, as in the Cunningham
+# tables (Brillhart et al., *Factorizations of b^n +- 1*), made once with sympy
+_CUNNINGHAM_PRIMES = (
+    1212847, 1868569, 2099863, 2298041, 2796203, 3033169, 3887047, 4036961, 6700417, 10567201,
+    13264529, 15790321, 18837001, 20394401, 22253377, 22366891, 25781083, 26295457, 48544121,
+    48912491, 97685839, 107367629, 112901153, 160465489, 164511353, 193707721, 202029703,
+    212885833, 308761441, 319020217, 420778751, 536903681, 616318177, 715827883, 745988807,
+    1824726041, 2147483647, 2550183799, 2931542417, 4278255361, 4562284561, 7830118297, 8831418697,
+    23140471537, 30327152671, 33057806959, 54410972897, 62983048367, 77158673929, 131105292137,
+    165768537521, 269089806001, 761838257287, 1113491139767, 2932031007403, 3203431780337,
+    4363953127297, 4432676798593, 7432339208719, 9361973132609, 9857737155463, 10052678938039,
+    28059810762433, 67280421310721, 145295143558111, 1066818132868207, 2646507710984041,
+    177722253954175633, 341117531003194129, 581283643249112959, 658812288653553079,
+    768614336404564651, 2305843009213693951, 4710883168879506001, 9520972806333758431,
+    3976656429941438590393, 57912614113275649087721, 870035986098720987332873,
+    13842607235828485645766393, 618970019642690137449562111, 1786393878363164227858270210279,
+    162259276829213363391578010288127, 170141183460469231731687303715884105727,
+)
+
+
 @functools.lru_cache(maxsize=4096)
 def _factorint(m):
-    """Prime factorization of m as a dict prime -> multiplicity."""
+    """Prime factorization of m as a dict prime -> multiplicity, by the
+    table and trial division up to 10^6; refused if those do not finish."""
     if m < 1:
         raise ValueError("can only factor positive integers")
     out = {}
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, *_CUNNINGHAM_PRIMES):
+        if p > m:
+            break
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
@@ -257,13 +283,9 @@ def _factorint(m):
         p += wheel[w]
         w = (w + 1) & 7
     if m > 1:
-        if p * p > m:
-            out[m] = out.get(m, 0) + 1
-        else:
-            from sympy import factorint as _sympy_factorint
-
-            for q, k in _sympy_factorint(m).items():
-                out[int(q)] = out.get(int(q), 0) + k
+        if p * p <= m:
+            raise ValueError(f"cannot factor {m}: no prime factor below 10^6 or in the table")
+        out[m] = out.get(m, 0) + 1
     return out
 
 
@@ -389,7 +411,6 @@ class BinaryPolynomial:
         return f"BinaryPolynomial({str(self)!r})"
 
 
-ZERO = BinaryPolynomial(0)
 ONE = BinaryPolynomial(1)
 X = BinaryPolynomial(2)
 
@@ -557,10 +578,12 @@ def _berlekamp_squarefree(fb):
     return factors
 
 
-# 2^n - 1 is factored only up to this degree: at n = 128 that takes up
-# to ~1.5 s.  Past degree 64 the factoring mostly needs sympy, so there
-# orders up to _EXPONENT_CAP, which include the exponent of every
-# enumerated polynomial, are first sought by stepping.
+# 2^n - 1 is factored only up to this degree, as far as the table of
+# _factorint goes.  Past degree 64, orders up to _EXPONENT_CAP, which
+# include the exponent of every enumerated polynomial, are first sought
+# by stepping, as that is faster: for the 41 polynomials of degree 65 to
+# 128 that the algebra benchmark enumerates, stepping takes about 1 ms
+# and _order 100-150 ms on a 2-vCPU Xeon.
 _ORDER_DEGREE_CAP = 128
 _EXPONENT_CAP = 65535
 

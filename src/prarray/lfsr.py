@@ -236,17 +236,22 @@ def zero_factor(f):
     [L, 2L) by applying M^L to columns [0, L) for the step map M, and
     keeps the rows whose seed is the row minimum.
     """
-    import numpy as np
-
     cls = classify(f)
     if not cls.is_uniform:
         raise ValueError(f"{f} does not have a uniform exponent (kind: {cls.kind})")
+    return _zero_factor_walk(f, cls.exponent)
+
+
+def _zero_factor_walk(f, e):
+    """The zero factor of f, whose uniform exponent e the caller knows;
+    a wrong e fails the walk's checks with InternalCheckError."""
+    import numpy as np
+
     n = f.degree
     if n > _ZERO_FACTOR_DEGREE_CAP:
         raise ValueError(
             f"zero factor enumeration is capped at degree {_ZERO_FACTOR_DEGREE_CAP}"
         )
-    e = cls.exponent
     taps = np.uint32(_taps(f))
     top = np.uint32(n - 1)
 

@@ -437,7 +437,8 @@ def fresh_cli(*argv):
 
 
 class TestImportLayers:
-    """The int algebra runs without numpy; only the grid oracle loads it."""
+    """The int algebra runs without numpy; only the grid oracle loads it.
+    Nothing at run time loads sympy."""
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -460,6 +461,34 @@ class TestImportLayers:
         code, numpy_loaded, _ = fresh_cli(*argv)
         assert code == want
         assert not numpy_loaded
+
+    # irreducible, with orders that need the committed primes of 2^n - 1
+    @pytest.mark.parametrize(
+        "poly", ["x^49+x^9+1", "x^61+x^5+x^2+x+1", "x^67+x^5+x^2+x+1", "x^127+x+1"]
+    )
+    def test_orders_leave_sympy_unloaded(self, poly):
+        proc = fresh(
+            "import sys\n"
+            "from prarray.gf2poly import exponent, parse\n"
+            "f = parse(sys.argv[1])\n"
+            "print(exponent(f) == (1 << f.degree) - 1, 'sympy' in sys.modules)\n",
+            poly,
+        )
+        assert proc.stdout == "True False\n", proc.stderr
+
+    def test_degree67_refusal_leaves_sympy_unloaded(self):
+        proc = fresh(
+            "import sys\n"
+            "from prarray.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'sympy' in sys.modules)\n",
+            "check-fold", "--poly", "x^67+x^5+x^2+x+1", "--r1", "7", "--r2", "13",
+            "--n1", "3", "--n2", "4",
+        )
+        assert proc.stdout == "2 False\n"
+        assert proc.stderr == (
+            "error: exponent of x^67+x^5+x^2+x+1 is 147573952589676412927, but r1*r2 = 91\n"
+        )
 
     def test_bare_import_and_every_public_name(self):
         proc = fresh(

@@ -10,7 +10,8 @@ from prarray import criteria, gf2poly
 from prarray.cli import main
 from prarray.criteria import (
     PositionSet,
-    _cells,
+    _cell_rank,
+    _cell_vectors,
     classify_construction,
     conjecture_search,
     det_test,
@@ -375,8 +376,9 @@ _DEGREE_129 = P("x^129+x^5+1")
 
 
 class TestSharedCells:
-    """The window-cell work that the three criteria share through one
-    cache per (f, params)."""
+    """The window-cell work that the three criteria share through the
+    caches per (f, params), and the per-polynomial facts they read from
+    gf2poly's caches."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -399,25 +401,29 @@ class TestSharedCells:
             )
         for params in cases:
             want = tuple(_powmod(2, p, f.bits) for p in window_positions(params).positions)
-            assert _cells(f.bits, params).vectors == want, (f, params)
+            assert _cell_vectors(f.bits, params) == want, (f, params)
 
     def test_one_case_does_the_field_work_once(self, monkeypatch):
-        calls = {"_is_irreducible_int": 0, "_x_order": 0, "_gf2_kernel": 0}
-        for name in calls:
-            def counted(fb, real=getattr(criteria, name), name=name):
-                calls[name] += 1
-                return real(fb)
+        kernels = []
 
-            monkeypatch.setattr(criteria, name, counted)
-        _cells.cache_clear()
+        def counted(vectors, real=criteria._gf2_kernel):
+            kernels.append(len(vectors))
+            return real(vectors)
+
+        monkeypatch.setattr(criteria, "_gf2_kernel", counted)
+        facts = (gf2poly._is_irreducible_int, gf2poly._x_order)
+        for cached in (*facts, _cell_vectors, _cell_rank):
+            cached.cache_clear()
         f, params = P("x^12+x^10+x^9+x+1"), CodeParams(7, 13, 3, 4)
         setpoly_test(f, window_positions(params))
         trace_independence_test(f, params)
         det_test([f], params)
+        # each criterion reads both facts, and gf2poly computes each once
+        assert [fn.cache_info().misses for fn in facts] == [1, 1]
+        assert _cell_vectors.cache_info().misses == 1
         # one elimination ranks the cells for setpoly and trace, one the
         # trace columns of det_test
-        assert calls == {"_is_irreducible_int": 1, "_x_order": 1, "_gf2_kernel": 2}
-        assert _cells.cache_info().misses == 1
+        assert kernels == [12, 12]
 
     def test_one_polynomial_does_its_field_facts_once(self):
         # irreducibility and the order of x depend on f alone: every
@@ -434,13 +440,13 @@ class TestSharedCells:
         cached = (gf2poly._is_irreducible_int, gf2poly._x_order)
         for fn in cached:
             fn.cache_clear()
-        _cells.cache_clear()
+        _cell_vectors.cache_clear()
         for params in cases:
             setpoly_test(f, window_positions(params))
             trace_independence_test(f, params)
             det_test([f], params)
         assert [fn.cache_info().misses for fn in cached] == [1, 1]
-        assert _cells.cache_info().misses == len(cases)
+        assert _cell_vectors.cache_info().misses == len(cases)
         # and the caches stay small: a pass over many polynomials carries
         # little from one pass to the next
         for g in enumerate_irreducible(8, 255):
@@ -451,9 +457,10 @@ class TestSharedCells:
 
     # each input also breaks every later check that it can, so a
     # message pins the order of the checks as well; setpoly_test never
-    # sees a window that does not fit, as window_positions refuses it
+    # sees a window that does not fit, as window_positions refuses it.
+    # reads_facts: the refusal comes after the irreducibility check
     @pytest.mark.parametrize(
-        "call, message, reads_cells",
+        "call, message, reads_facts",
         [
             (lambda: setpoly_test(_REDUCIBLE, window_positions(CodeParams(3, 5, 2, 2))),
              "the set-polynomial criterion needs an irreducible polynomial", True),
@@ -487,15 +494,15 @@ class TestSharedCells:
              "residues out of range", True),
         ],
     )
-    def test_refusals_keep_their_order_and_message(self, call, message, reads_cells):
+    def test_refusals_keep_their_order_and_message(self, call, message, reads_facts):
         for _ in range(2):
-            hits = _cells.cache_info().hits
+            hits = gf2poly._is_irreducible_int.cache_info().hits
             with pytest.raises(ValueError) as refused:
                 call()
             assert str(refused.value) == message
-        # a refusal after the cache is read came from the first call's
-        # entry the second time
-        assert (_cells.cache_info().hits > hits) == reads_cells
+        # a refusal after irreducibility is read found the first call's
+        # entry in gf2poly's cache the second time
+        assert (gf2poly._is_irreducible_int.cache_info().hits > hits) == reads_facts
 
 
 class TestSufficientConditions:
@@ -569,10 +576,11 @@ class TestClassification:
 
 
 class TestOneFactorisation:
-    """Each polynomial a call decides on is factored once: classify
-    factors once, vee's input gate hands its classes on, and a caller
-    that classifies again, as zero_factor does after check-fold's
-    uniformity check, reads classify's cache."""
+    """Each polynomial a call decides on is factored at most once:
+    classify factors once, vee's input gate hands its classes on, and
+    the census of check-fold and of each conjecture entry walks the zero
+    factor at the exponent r1*r2 that was established before it, with no
+    classification of its own."""
 
     @pytest.mark.parametrize(
         "call, runs",
@@ -583,8 +591,11 @@ class TestOneFactorisation:
             (lambda: main(["vee", "--f1", "x^7+x+1", "--f2", "x^9+x^4+1"]) == 0, 3),
             (lambda: main(["check-fold", "--poly", "x^12+x^10+x^9+x+1", "--r1", "7",
                            "--r2", "13", "--n1", "3", "--n2", "4"]) == 0, 1),
+            # enumerate_irreducible and det_test need no factorisation
+            (lambda: len(conjecture_search(2, 3, 3, 7, 2).entries) == 3, 0),
         ],
-        ids=["irreducible", "uniform-product", "construction", "cli-vee", "cli-check-fold"],
+        ids=["irreducible", "uniform-product", "construction", "cli-vee", "cli-check-fold",
+             "conjecture"],
     )
     def test_berlekamp_runs(self, monkeypatch, capsys, call, runs):
         calls = []

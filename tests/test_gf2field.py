@@ -94,6 +94,13 @@ class TestOrder:
             for bits in range(1, 1 << n):
                 assert group % ctx.element(bits).order() == 0
 
+    def test_past_the_factor_table_refused(self):
+        # 2^129 - 1 leaves a 26-digit cofactor that neither the table of
+        # primes of 2^n - 1, n <= 128, nor trial division below 10^6 splits
+        ctx = FieldContext(parse("x^129+x^5+1"))
+        with pytest.raises(ValueError, match="cannot factor"):
+            ctx.alpha.order()
+
 
 class TestTrace:
     def test_zero(self):

@@ -1,4 +1,5 @@
 import random
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +19,7 @@ from prarray.gf2poly import (
     X,
     BinaryPolynomial,
     ParseError,
+    _factorint,
     _mod,
     _mod_table,
     _mul,
@@ -389,6 +391,37 @@ class TestExponent:
         assert is_irreducible(f)
         with pytest.raises(ValueError, match="degree 128"):
             exponent(f)
+
+
+class TestFactorint:
+    """The primes of 2^n - 1 come from the committed table and trial
+    division below 10^6, with no third-party code at run time; sympy
+    only checks them here."""
+
+    def test_every_2n_minus_1_up_to_128_matches_sympy(self):
+        import sympy
+
+        for n in range(1, 129):
+            assert _factorint((1 << n) - 1) == sympy.factorint((1 << n) - 1), n
+
+    def test_table_holds_sorted_primes_above_the_trial_bound(self):
+        import sympy
+
+        table = gf2poly._CUNNINGHAM_PRIMES
+        assert len(table) == 83 and table[0] > 10**6
+        assert list(table) == sorted(set(table))
+        assert all(sympy.isprime(p) for p in table)
+
+    def test_product_of_two_primes_past_the_table_refused_promptly(self):
+        import sympy
+
+        p, q = 1000000000039, 10000000000037
+        assert sympy.isprime(p) and sympy.isprime(q)
+        assert p not in gf2poly._CUNNINGHAM_PRIMES and q not in gf2poly._CUNNINGHAM_PRIMES
+        started = perf_counter()
+        with pytest.raises(ValueError, match=f"cannot factor {p * q}"):
+            _factorint(p * q)
+        assert perf_counter() - started < 0.5
 
 
 class TestClassify:
