@@ -12,9 +12,10 @@ and never imports numpy: the vee product, the classification of
 product constructions, enumeration by exponent and the rank criteria.
 The numpy grid oracle (``zero_factor``, ``folding`` and ``verify``:
 zero factors, folds, array files, the census and the closure) builds
-and checks whole codes as bit matrices.  Its names are resolved here on
-first use, so ``import prarray`` leaves numpy unloaded until a caller
-reaches the oracle.
+and checks whole codes, each one read-only (m, r1, r2) uint8 grid
+stack, with ``TorusArray`` for single arrays.  Its names are resolved
+here on first use, so ``import prarray`` leaves numpy unloaded until a
+caller reaches the oracle.
 """
 
 from importlib import import_module

@@ -118,19 +118,19 @@ def _cmd_construct(args):
     cls = _require_uniform(poly, args.r1, args.r2)
     if poly.degree > _ZERO_FACTOR_DEGREE_CAP:
         raise _UsageError(f"construct is capped at degree {_ZERO_FACTOR_DEGREE_CAP}")
-    from .folding import _grid_stack, _lines, fold_zero_factor, write_arrays
+    # a bad header is refused before the zero factor is walked
+    header = None if args.n1 is None else CodeParams(args.r1, args.r2, args.n1, args.n2)
+    from .folding import _lines, fold_zero_factor, write_arrays
     from .lfsr import zero_factor
 
     run = _Run("construct", {"poly": str(poly), "r1": args.r1, "r2": args.r2})
+    if header is not None:
+        run.set_params(header)
     zf = zero_factor(poly)
     arrays = fold_zero_factor(zf, args.r1, args.r2)
-    header = None
-    if args.n1 is not None:
-        header = CodeParams(args.r1, args.r2, args.n1, args.n2)
-        run.set_params(header)
     run.doc["counts"] = {"arrays": len(arrays), "exponent": cls.exponent}
     if args.format == "json":
-        run.doc["arrays"] = _lines(_grid_stack(arrays))
+        run.doc["arrays"] = _lines(arrays)
     if args.out:
         _write_out(args.out, lambda fh: write_arrays(fh, arrays, header))
         run.text.append(f"wrote {len(arrays)} arrays to {args.out}")

@@ -3,9 +3,13 @@
 A sequence of length r1*r2 with gcd(r1, r2) = 1 folds into an r1 x r2
 torus by placing bit k at cell (k mod r1, k mod r2); the Chinese
 remainder theorem makes this a bijection.  An array is a read-only
-(r1, r2) uint8 grid of 0/1 cells, and a folded code is one (m, r1, r2)
-stack of them.  Only this module packs an array into an integer (a
-row, a column, an unfolded sequence): cell (i, j) is bit i*r2 + j.
+(r1, r2) uint8 grid of 0/1 cells, which a ``TorusArray`` wraps for
+per-array work.  A code is one read-only (m, r1, r2) uint8 grid stack:
+``fold_zero_factor`` and ``read_arrays`` return one, and
+``write_arrays`` and ``verify`` take one, or TorusArrays of one shape,
+through ``_grid_stack``.  Only this module packs an array into an
+integer (a row, a column, an unfolded sequence): cell (i, j) is bit
+i*r2 + j.
 
 Array file format: one array is r1 lines of r2 characters from {0,1};
 arrays are separated by a single blank line; an optional first line
@@ -24,44 +28,42 @@ from .lfsr import CyclicSequence, _pack_rows
 
 
 class TorusArray:
-    """An r1 x r2 binary array, cyclic in both directions: entry
-    ``_index`` of a read-only (m, r1, r2) grid stack."""
+    """An r1 x r2 binary array, cyclic in both directions, around its own
+    read-only (r1, r2) uint8 grid."""
 
-    __slots__ = ("_stack", "_index")
+    __slots__ = ("_grid",)
 
     def __init__(self, grid):
         grid = np.asarray(grid)
         if grid.ndim != 2 or grid.size == 0:
             raise ValueError("array must be a nonempty 2-D grid")
-        if grid.dtype.kind not in "biu" or ((grid != 0) & (grid != 1)).any():
-            raise ValueError("array cells must be 0 or 1")
-        self._stack = _read_only(grid.astype(np.uint8))[None]
-        self._index = 0
+        _check_cells(grid)
+        self._grid = _read_only(grid.astype(np.uint8))
 
     @property
     def grid(self):
-        return self._stack[self._index]
+        return self._grid
 
     @property
     def r1(self):
-        return self._stack.shape[1]
+        return self._grid.shape[0]
 
     @property
     def r2(self):
-        return self._stack.shape[2]
+        return self._grid.shape[1]
 
     @classmethod
     def from_lines(cls, lines):
         lines = [ln.strip() for ln in lines]
         if not lines or any(set(ln) - {"0", "1"} for ln in lines):
             raise ValueError("array lines must be nonempty 0/1 strings")
-        return _stack_entry(_row_stack(lines, [0]), 0)
+        return cls(_row_stack(lines, [0])[0])
 
     def entry(self, i, j):
         return int(self.grid[i % self.r1, j % self.r2])
 
     def to_lines(self):
-        return _lines(self._stack[self._index : self._index + 1])[0]
+        return _lines(self.grid[None])[0]
 
     def __str__(self):
         return "\n".join(self.to_lines())
@@ -81,12 +83,12 @@ class TorusArray:
 
     def __add__(self, other):
         self._check_dims(other)
-        return _from_grid(self.grid ^ other.grid)
+        return TorusArray(self.grid ^ other.grid)
 
     def prod(self, other):
         """Elementwise AND."""
         self._check_dims(other)
-        return _from_grid(self.grid & other.grid)
+        return TorusArray(self.grid & other.grid)
 
     def _check_dims(self, other):
         if self.grid.shape != other.grid.shape:
@@ -94,7 +96,7 @@ class TorusArray:
 
     def shift(self, dv, dh):
         """Move content down by dv rows and right by dh columns."""
-        return _from_grid(np.roll(self.grid, (dv, dh), axis=(0, 1)))
+        return TorusArray(np.roll(self.grid, (dv, dh), axis=(0, 1)))
 
     def column(self, j):
         """Column j as a CyclicSequence of length r1."""
@@ -104,42 +106,45 @@ class TorusArray:
         return CyclicSequence(_pack_rows(self.grid[None, i % self.r1])[0], self.r2)
 
 
+def _check_cells(grids):
+    """Refuse grids whose dtype is not integer or bool, or whose cells
+    are not all 0 or 1."""
+    if grids.dtype.kind not in "biu" or (grids.size and (grids.min() < 0 or grids.max() > 1)):
+        raise ValueError("array cells must be 0 or 1")
+
+
 def _read_only(grid):
-    """grid, which owns its cells, made read-only; numpy lets a view be
-    made writeable again while its owner is writeable, its views not."""
+    """A read-only view of grid, which owns its cells: numpy lets an
+    owner be made writeable again, but no view of a read-only owner."""
     grid.flags.writeable = False
-    return grid
+    return grid.view()
 
 
-def _stack_entry(stack, index):
-    """Entry index of a read-only 0/1 uint8 grid stack, unchecked."""
-    arr = object.__new__(TorusArray)
-    arr._stack = stack
-    arr._index = index
-    return arr
+_NO_ARRAYS = _read_only(np.zeros((0, 0, 0), dtype=np.uint8))
 
 
-def _from_grid(grid):
-    """An array around a new 0/1 uint8 (r1, r2) grid, unchecked."""
-    return _stack_entry(_read_only(grid)[None], 0)
+class _MixedShapes(ValueError):
+    """Arrays of more than one shape, which have no grid stack; size
+    counts them."""
+
+    def __init__(self, size):
+        super().__init__("arrays must share dimensions")
+        self.size = size
 
 
-def _entries(grids):
-    """The arrays of a read-only 0/1 uint8 (m, r1, r2) grid stack."""
-    return tuple(_stack_entry(grids, i) for i in range(len(grids)))
-
-
-def _grid_stack(arrays):
-    """The (m, r1, r2) stack of the grids of nonempty arrays of one shape;
-    a whole folded or read code in order is its own stack."""
-    stack = arrays[0]._stack
-    if len(arrays) == len(stack) and all(
-        a._stack is stack and a._index == i for i, a in enumerate(arrays)
-    ):
-        return stack
-    if len({a.grid.shape for a in arrays}) > 1:
-        raise ValueError("arrays must share dimensions")
-    return np.stack([a.grid for a in arrays])
+def _grid_stack(code):
+    """The (m, r1, r2) uint8 grid stack of a code, given as a stack or as
+    TorusArrays of one shape; (0, 0, 0) for no arrays.  A uint8 stack
+    is returned as it is, once its cells are checked."""
+    if isinstance(code, np.ndarray):
+        if code.ndim != 3:
+            raise ValueError(f"a code stack must have 3 axes (m, r1, r2), not {code.ndim}")
+        _check_cells(code)
+        return code.astype(np.uint8, copy=False)
+    grids = [a.grid for a in code]
+    if len({g.shape for g in grids}) > 1:
+        raise _MixedShapes(len(grids))
+    return np.stack(grids) if grids else _NO_ARRAYS
 
 
 def _row_stack(rows, starts):
@@ -165,19 +170,16 @@ def _fold_indices(r1, r2):
 
 
 def _fold_bits(bits, r1, r2):
-    """Fold a read-only (m, r1*r2) bit matrix of sequences into m arrays
-    at once, the entries of one read-only (m, r1, r2) grid stack.  With
-    r1 = 1 or r2 = 1 cell (i, j) holds bit i*r2 + j, so the stack is a
-    view of bits."""
+    """Fold a read-only (m, r1*r2) bit matrix of sequences into one
+    read-only (m, r1, r2) grid stack.  With r1 = 1 or r2 = 1 cell
+    (i, j) holds bit i*r2 + j, so the stack is a view of bits."""
     if r1 < 1 or r2 < 1:
         raise ValueError(f"fold needs positive dimensions, got {r1} and {r2}")
     if math.gcd(r1, r2) != 1:
         raise ValueError(f"fold needs coprime dimensions, got {r1} and {r2}")
     if r1 == 1 or r2 == 1:
-        grids = bits.reshape(-1, r1, r2)
-    else:
-        grids = _read_only(bits.take(_fold_indices(r1, r2), axis=1)).reshape(-1, r1, r2)
-    return _entries(grids)
+        return bits.reshape(-1, r1, r2)
+    return _read_only(bits.take(_fold_indices(r1, r2), axis=1)).reshape(-1, r1, r2)
 
 
 def fold(seq, r1, r2):
@@ -187,7 +189,7 @@ def fold(seq, r1, r2):
         raise ValueError(f"sequence length {len(seq)} != r1*r2 = {ell}")
     raw = np.frombuffer(seq.bits.to_bytes((ell + 7) // 8, "little"), dtype=np.uint8)
     bits = _read_only(np.unpackbits(raw, count=ell, bitorder="little"))
-    return _fold_bits(bits[None], r1, r2)[0]
+    return TorusArray(_fold_bits(bits[None], r1, r2)[0])
 
 
 def unfold(arr):
@@ -204,7 +206,8 @@ def unfold(arr):
 
 
 def fold_zero_factor(zf, r1, r2):
-    """Fold every cycle of a zero factor; one array per cycle."""
+    """Fold every cycle of a zero factor: the read-only (m, r1, r2)
+    uint8 grid stack of the code, one array per cycle."""
     if zf.exponent != r1 * r2:
         raise ValueError(
             f"zero factor exponent {zf.exponent} != r1*r2 = {r1 * r2}"
@@ -213,9 +216,9 @@ def fold_zero_factor(zf, r1, r2):
 
 
 def _text(grids):
-    """A nonempty (m, r1, r2) grid stack in the text format without a
-    header, in one numpy pass: r1 lines of r2 digits per array, a blank
-    line between arrays."""
+    """An (m, r1, r2) grid stack in the text format without a header, in
+    one numpy pass: r1 lines of r2 digits per array, a blank line
+    between arrays; "" for no arrays."""
     m, r1, r2 = grids.shape
     chars = np.full((m, r1 * (r2 + 1) + 1), ord("\n"), dtype=np.uint8)
     # r1 lines of r2 digits, then the blank line (dropped after the
@@ -231,22 +234,20 @@ def _lines(grids):
 
 
 def write_arrays(stream, arrays, header=None):
-    """Write arrays of one shape in the text format, in one write;
-    header is an optional CodeParams."""
+    """Write a code (a grid stack, or arrays of one shape) in the text
+    format, in one write; header is an optional CodeParams."""
     text = "" if header is None else f"# {header.r1} {header.r2} {header.n1} {header.n2}\n"
-    arrays = tuple(arrays)
-    if arrays:
-        try:
-            grids = _grid_stack(arrays)
-        except ValueError:
-            raise ValueError("arrays in one file must share dimensions") from None
-        text += _text(grids)
-    stream.write(text)
+    try:
+        grids = _grid_stack(arrays)
+    except _MixedShapes:
+        raise ValueError("arrays in one file must share dimensions") from None
+    stream.write(text + _text(grids))
 
 
 def read_arrays(stream):
-    """Parse the array file format; returns (arrays, params-or-None),
-    the arrays being the entries of one read-only grid stack."""
+    """Parse the array file format; returns (grids, params-or-None),
+    grids being the file's read-only (m, r1, r2) uint8 grid stack,
+    (0, 0, 0) for a file with no rows."""
     params = None
     rows, starts = [], []
     gap = True  # no row yet, or a blank line since the last one
@@ -273,4 +274,4 @@ def read_arrays(stream):
                 starts.append(len(rows))
                 gap = False
             rows.append(line)
-    return (_entries(_row_stack(rows, starts)) if rows else ()), params
+    return (_row_stack(rows, starts) if rows else _NO_ARRAYS), params

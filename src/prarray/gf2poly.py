@@ -692,17 +692,15 @@ def exponent(f):
 
 
 def ord2(e):
-    """Multiplicative order of 2 modulo odd e; ord2(1) = 1."""
+    """Multiplicative order of 2 modulo odd e; ord2(1) = 1.  The order
+    divides phi(e): strip from phi(e) each prime the order leaves out."""
     if e < 1 or e % 2 == 0:
         raise ValueError("ord2 needs an odd positive modulus")
-    if e == 1:
-        return 1
-    d = 1
-    r = 2 % e
-    while r != 1:
-        r = (r << 1) % e
-        d += 1
-    return d
+    t = _totient(e)
+    for q in _factorint(t):
+        while t % q == 0 and pow(2, t // q, e) == 1:
+            t //= q
+    return t
 
 
 def count_irreducible_with_exponent(e):

@@ -9,15 +9,16 @@ when reading the (0, 0) window, one to one on the shifts, is linear.
 ``verify_prac`` chains the parameter arithmetic, the census, and the
 closure check.
 
-Both checks read the arrays' (m, r1, r2) grid stack in blocks of whole
-arrays of about 2^20 windows.  A block's windows are coded row by row:
-the n2-bit code of each window row first, then n1 row codes stacked
-into each window code, n1 + n2 shifted ORs in all.  The census looks
-for a zero window in each block's codes, then sorts them in place for
-repeats inside the block.  Only a code of more than one block keeps a
-2^(n1*n2)-bit occupancy table, which later blocks meet and earlier
-blocks fill, bit by bit in place.  The witness is
-the first zero window, else the smallest repeated code with its count.
+Each check takes a code as its (m, r1, r2) grid stack, or as
+TorusArrays of one shape that it stacks once, and reads the stack in
+blocks of whole arrays of about 2^20 windows.  A block's windows are
+coded row by row: the n2-bit code of each window row first, then n1
+row codes stacked into each window code, n1 + n2 shifted ORs in all.
+The census looks for a zero window in each block's codes, then sorts
+them in place for repeats inside the block.  Only a code of more than
+one block keeps a 2^(n1*n2)-bit occupancy table, which later blocks
+meet and earlier blocks fill, bit by bit in place.  The witness is the
+first zero window, else the smallest repeated code with its count.
 No code can be missing otherwise: the census first demands exactly
 2^(n1*n2) - 1 windows, and that many nonzero area-bit codes, no two
 alike, are all of them.
@@ -34,7 +35,7 @@ import itertools
 import numpy as np
 
 from .criteria import _CENSUS_AREA_CAP, CodeParams, VerdictReport, Witness
-from .folding import _grid_stack
+from .folding import _grid_stack, _MixedShapes
 
 _CENSUS_BLOCK_WINDOWS = 1 << 20  # windows coded per block of whole arrays
 
@@ -88,13 +89,7 @@ def window_census(arrays, n1, n2, params=None):
     code with its count (a second pass).  With the window count right
     and neither, every nonzero code occurs.
     """
-    return _census(_stack(arrays), n1, n2, params)
-
-
-def _stack(arrays):
-    """The (m, r1, r2) grid stack of arrays of one shape; (0, 0, 0) for none."""
-    arrays = list(arrays)
-    return _grid_stack(arrays) if arrays else np.zeros((0, 0, 0), dtype=np.uint8)
+    return _census(_grid_stack(arrays), n1, n2, params)
 
 
 def _census(grids, n1, n2, params):
@@ -192,7 +187,7 @@ def shift_add_closure(arrays, params):
     span(B) has at most the 2^(n1*n2) elements of the code plus zero.
     ``checked`` counts the vectors compared, m + 2*n1*n2 on a pass.
     """
-    grids = _stack(arrays)
+    grids = _grid_stack(arrays)
     census = _census(grids, params.n1, params.n2, params)
     if not census.passed:
         raise ValueError(f"closure needs a code that passes the census: {census.witness.message}")
@@ -270,28 +265,27 @@ def verify_prac(arrays, params):
     stage (criterion 'parameters', 'census' or 'shift-add') and all
     stage reports in detail["stages"].
     """
-    arrays = list(arrays)
+    try:
+        grids = _grid_stack(arrays)
+        size = len(grids)
+    except _MixedShapes as exc:
+        grids, size = None, exc.size
     stages = []
     problem = params.violation()
-    if problem is None and arrays:
-        # one stack has one shape; arrays of mixed shapes have no stack
-        try:
-            grids = _grid_stack(arrays)
-        except ValueError:
-            grids = None
-        if grids is None or grids.shape[1:] != (params.r1, params.r2):
-            problem = "array dimensions do not match the parameters"
+    # one stack has one shape; arrays of mixed shapes have no stack
+    if problem is None and size and (grids is None or grids.shape[1:] != (params.r1, params.r2)):
+        problem = "array dimensions do not match the parameters"
     if problem is None:
         delta = params.codeword_count()
-        if len(arrays) != delta:
-            problem = f"code size {len(arrays)} != required {delta}"
+        if size != delta:
+            problem = f"code size {size} != required {delta}"
     stages.append(
         VerdictReport(
             "parameters",
             problem is None,
             params,
             None if problem is None else Witness("parameters", problem),
-            {"size": len(arrays)},
+            {"size": size},
         )
     )
     if problem is None:

@@ -273,6 +273,16 @@ def reference_enumerate_irreducible(degree, e):
     return [BinaryPolynomial(p) for p in sorted(parts)]
 
 
+def reference_ord2(e):
+    """Multiplicative order of 2 modulo odd e, stepping through the powers
+    of 2 one at a time."""
+    d, r = 1, 2 % e
+    while r != 1 % e:
+        r = (r << 1) % e
+        d += 1
+    return d
+
+
 def reference_write_arrays(stream, arrays, header=None):
     """The array file format written array by array, row by row."""
     if header is not None:

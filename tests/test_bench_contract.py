@@ -12,13 +12,16 @@ fails here rather than in a benchmark run.
 
 import importlib
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import reference_write_arrays
 
 import prarray
+from prarray import folding, lfsr
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -106,3 +109,12 @@ class TestWorkloadOperations:
     def test_det_code(self):
         g, rank = workloads._det_code_op(workloads.DET_CODES[0])
         assert prarray.parse(g).degree == rank == 48
+
+    @pytest.mark.parametrize("f", prarray.enumerate_irreducible(12, 91), ids=str)
+    def test_cli_golden_code_file(self, f):
+        # the cli workload's set-up writes the file that construct must match
+        params = prarray.CodeParams(7, 13, 3, 4)
+        grids = folding.fold_zero_factor(lfsr.zero_factor(f), 7, 13)
+        want = io.StringIO()
+        reference_write_arrays(want, [folding.TorusArray(g) for g in grids], params)
+        assert workloads._arrays_text(grids, params) == want.getvalue()

@@ -112,7 +112,7 @@ class TestConstructVerify:
 
 
     def test_construct_json_arrays_are_each_arrays_lines(self, capsys):
-        from prarray.folding import fold_zero_factor
+        from prarray.folding import TorusArray, fold_zero_factor
         from prarray.gf2poly import parse
         from prarray.lfsr import zero_factor
 
@@ -121,7 +121,8 @@ class TestConstructVerify:
             "--r1", "7", "--r2", "13", "--n1", "3", "--n2", "4", "--format", "json",
         )
         assert code == 0
-        arrays = fold_zero_factor(zero_factor(parse("x^12+x^10+x^9+x+1")), 7, 13)
+        grids = fold_zero_factor(zero_factor(parse("x^12+x^10+x^9+x+1")), 7, 13)
+        arrays = [TorusArray(g) for g in grids]
         want = [a.to_lines() for a in arrays]
         assert want == [
             ["".join(str(a.entry(i, j)) for j in range(13)) for i in range(7)] for a in arrays
@@ -348,6 +349,23 @@ class TestRefusedInputs:
         )
         assert code == 2 and out == ""
         assert err == "error: fold needs positive dimensions, got -1 and -16777215\n"
+
+    def test_construct_bad_header_before_zero_factor(self, capsys, monkeypatch):
+        # the degree-23 code of 178,481 arrays: its walk and fold took
+        # half a second before the header was refused
+        from prarray import lfsr
+
+        def walked(*args, **kwargs):
+            raise AssertionError("the zero factor was walked before the refusal")
+
+        monkeypatch.setattr(lfsr, "zero_factor", walked)
+        monkeypatch.setattr(lfsr, "_zero_factor_walk", walked)
+        poly = prarray.enumerate_irreducible(23, 47)[0]
+        code, out, err = run(
+            capsys, "construct", "--poly", str(poly), "--r1", "1", "--r2", "47", "--n1", "0", "--n2", "23"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: parameters must be positive\n"
 
     @pytest.mark.parametrize("command", ["vee", "classify"])
     def test_product_above_order_cap_is_prompt(self, capsys, command):

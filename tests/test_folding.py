@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from prarray.folding import (
     CodeParams,
     TorusArray,
-    _entries,
     _fold_indices,
     fold,
     fold_zero_factor,
@@ -46,7 +45,7 @@ class TestFold:
 
     def test_three_cycles_into_3x7(self, deg6_exp21):
         zf = zero_factor(deg6_exp21[0])
-        folded = {least_rotation(a) for a in fold_zero_factor(zf, 3, 7)}
+        folded = {least_rotation(TorusArray(g)) for g in fold_zero_factor(zf, 3, 7)}
         known = [
             arr("0000000", "1001011", "1001011"),
             arr("0010111", "1110010", "1100101"),
@@ -96,9 +95,9 @@ class TestFoldReference:
                 r2 = e // r1
                 if math.gcd(r1, r2) != 1:
                     continue
-                arrays = fold_zero_factor(zf, r1, r2)
-                assert arrays == tuple(reference_fold(c, r1, r2) for c in zf.cycles), (f, r1)
-                assert arrays == tuple(fold(c, r1, r2) for c in zf.cycles), (f, r1)
+                arrays = [TorusArray(g) for g in fold_zero_factor(zf, r1, r2)]
+                assert arrays == [reference_fold(c, r1, r2) for c in zf.cycles], (f, r1)
+                assert arrays == [fold(c, r1, r2) for c in zf.cycles], (f, r1)
                 checked += 1
         assert checked > 500
 
@@ -108,13 +107,13 @@ class TestFoldReference:
         # read-only matrix: no copy and no cached index
         zf = zero_factor(deg6_exp21[0])
         cached = _fold_indices.cache_info()
-        arrays = fold_zero_factor(zf, r1, r2)
+        grids = fold_zero_factor(zf, r1, r2)
         one = fold(zf.cycles[0], r1, r2)
         assert _fold_indices.cache_info() == cached
-        assert arrays == tuple(reference_fold(c, r1, r2) for c in zf.cycles)
+        assert [TorusArray(g) for g in grids] == [reference_fold(c, r1, r2) for c in zf.cycles]
         assert one == reference_fold(zf.cycles[0], r1, r2)
-        assert np.shares_memory(arrays[0].grid, zf.bits)
-        for grid in (arrays[0].grid, arrays[-1].grid, one.grid):
+        assert np.shares_memory(grids, zf.bits)
+        for grid in (grids, grids[0], grids[-1], one.grid):
             with pytest.raises(ValueError):
                 grid[0, 0] = 1
             with pytest.raises(ValueError):
@@ -247,9 +246,8 @@ class TestGridForm:
         cells[0][0] = 1
         assert a.entry(0, 0) == 0
         zf = zero_factor(deg6_exp21[0])
-        arrays = fold_zero_factor(zf, 3, 7)
-        made = (a, a.shift(1, 1), a + a, a.prod(a), arr("01", "10"), arrays[0])
-        for grid in [x.grid for x in made] + [zf.bits]:
+        made = (a, a.shift(1, 1), a + a, a.prod(a), arr("01", "10"), fold(SPAN4, 3, 5))
+        for grid in [x.grid for x in made] + [fold_zero_factor(zf, 3, 7), zf.bits]:
             with pytest.raises(ValueError):
                 grid[0, 0] = 1
             with pytest.raises(ValueError):
@@ -355,6 +353,26 @@ class TestCodeParams:
             CodeParams(0, 5, 1, 1)
 
 
+class TestCodeIsOneStack:
+    @pytest.mark.parametrize("r1, r2", [(7, 13), (1, 91), (91, 1)])
+    def test_fold_and_read_give_one_read_only_stack(self, r1, r2):
+        zf = zero_factor(parse("x^12+x^10+x^9+x+1"))
+        folded = fold_zero_factor(zf, r1, r2)
+        buf = io.StringIO()
+        write_arrays(buf, folded)
+        buf.seek(0)
+        read, _ = read_arrays(buf)
+        for grids in (folded, read):
+            assert type(grids) is np.ndarray
+            assert grids.shape == (45, r1, r2) and grids.dtype == np.uint8
+            with pytest.raises(ValueError):
+                grids[0, 0, 0] = 1
+            with pytest.raises(ValueError):
+                grids.flags.writeable = True
+        assert np.array_equal(folded, read)
+        assert [TorusArray(g) for g in folded] == [fold(c, r1, r2) for c in zf.cycles]
+
+
 class TestArrayFiles:
     def test_round_trip_with_header(self, deg6_exp21):
         arrays = fold_zero_factor(zero_factor(deg6_exp21[0]), 3, 7)
@@ -362,7 +380,7 @@ class TestArrayFiles:
         write_arrays(buf, arrays, CodeParams(3, 7, 2, 3))
         buf.seek(0)
         back, params = read_arrays(buf)
-        assert back == arrays
+        assert np.array_equal(back, arrays)
         assert params == CodeParams(3, 7, 2, 3)
 
     def test_round_trip_without_header(self):
@@ -371,7 +389,7 @@ class TestArrayFiles:
         write_arrays(buf, arrays)
         buf.seek(0)
         back, params = read_arrays(buf)
-        assert back == arrays and params is None
+        assert back.shape == (1, 3, 5) and TorusArray(back[0]) == arrays[0] and params is None
 
     def test_bad_line_reports_number(self):
         with pytest.raises(ValueError) as err:
@@ -379,8 +397,9 @@ class TestArrayFiles:
         assert "line 2" in str(err.value)
 
     def test_empty_file(self):
-        arrays, params = read_arrays(io.StringIO(""))
-        assert arrays == () and params is None
+        grids, params = read_arrays(io.StringIO(""))
+        assert grids.shape == (0, 0, 0) and grids.dtype == np.uint8 and params is None
+        assert not grids.flags.writeable
 
     @given(
         st.integers(1, 6).flatmap(
@@ -396,21 +415,22 @@ class TestArrayFiles:
         stack = np.array(cells, dtype=np.uint8)
         stack.flags.writeable = False
         m, r1, r2 = stack.shape
-        arrays = _entries(stack) if one_stack else tuple(TorusArray(g) for g in cells)
+        arrays = [TorusArray(g) for g in cells]
         header = CodeParams(r1, r2, 1, 1) if with_header else None
         buf, want = io.StringIO(), io.StringIO()
-        write_arrays(buf, arrays, header)
+        write_arrays(buf, stack if one_stack else arrays, header)
         reference_write_arrays(want, arrays, header)
         assert buf.getvalue() == want.getvalue()
         buf.seek(0)
         back, params = read_arrays(buf)
-        assert back == arrays and params == header
-        assert all(a._stack is back[0]._stack and a._index == i for i, a in enumerate(back))
-        assert back[0]._stack.shape == (m, r1, r2)
+        assert params == header
+        # the file reads back as one read-only uint8 stack of the arrays
+        assert back.shape == (m, r1, r2) and back.dtype == np.uint8
+        assert not back.flags.writeable and np.array_equal(back, stack)
 
     def test_read_code_is_not_restacked(self, monkeypatch):
-        # the 45 arrays read from a file are the entries of one stack;
-        # the closure stacks only its 12 unit arrays
+        # the 45 arrays read from a file are one stack; the closure
+        # stacks only its 12 unit arrays
         arrays = fold_zero_factor(zero_factor(parse("x^12+x^10+x^9+x+1")), 7, 13)
         buf = io.StringIO()
         write_arrays(buf, arrays, CodeParams(7, 13, 3, 4))
@@ -456,7 +476,7 @@ class TestArrayFiles:
         assert str(err.value) == message
 
     def test_write_takes_a_generator(self):
-        arrays = fold_zero_factor(zero_factor(parse("x^4+x+1")), 3, 5)
+        arrays = [TorusArray(g) for g in fold_zero_factor(zero_factor(parse("x^4+x+1")), 3, 5)]
         buf, want = io.StringIO(), io.StringIO()
         write_arrays(buf, (a for a in arrays))
         reference_write_arrays(want, arrays)

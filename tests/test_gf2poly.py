@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     reference_enumerate_irreducible,
+    reference_ord2,
     serial_mod,
     serial_mul,
     serial_powmod,
@@ -481,6 +482,18 @@ class TestCounting:
     def test_ord2_even_rejected(self):
         with pytest.raises(ValueError):
             ord2(6)
+
+    def test_ord2_matches_stepping(self):
+        assert [ord2(e) for e in range(1, 20002, 2)] == [
+            reference_ord2(e) for e in range(1, 20002, 2)
+        ]
+
+    def test_ord2_of_a_large_prime_is_prompt(self):
+        # stepping would take 5 * 10^11 steps; phi(e) = 2 * 500000000019
+        started = perf_counter()
+        assert ord2(1000000000039) == 500000000019
+        assert count_irreducible_with_exponent(1000000000039) == 2
+        assert perf_counter() - started < 1.0
 
     @pytest.mark.parametrize("e,count", [(91, 6), (105, 4), (3, 1)])
     def test_count_examples(self, e, count):

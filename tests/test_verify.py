@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import re
@@ -8,8 +9,7 @@ from conftest import cell_rotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prarray import verify
-from prarray.folding import CodeParams, TorusArray, _grid_stack, fold, fold_zero_factor
+from prarray.folding import CodeParams, TorusArray, fold, fold_zero_factor, write_arrays
 from prarray.gf2poly import (
     BinaryPolynomial,
     _divisors,
@@ -82,17 +82,22 @@ class TestCensus:
     def test_permutation_and_rotation_invariance(self, prac_3x7):
         base = window_census(prac_3x7, 2, 3).passed
         rng = random.Random(17)
-        arrays = list(prac_3x7)
+        arrays = as_arrays(prac_3x7)
         for _ in range(5):
             rng.shuffle(arrays)
             rotated = [a.shift(rng.randrange(3), rng.randrange(7)) for a in arrays]
             assert window_census(rotated, 2, 3).passed == base
 
 
+def as_arrays(code):
+    """A code, given as a grid stack or as arrays, as a list of arrays."""
+    return [a if isinstance(a, TorusArray) else TorusArray(a) for a in code]
+
+
 def reference_closure(arrays, params=None):
     """All-pairs closure: every codeword plus every shift of every
     codeword is zero or a shift of a codeword."""
-    arrays = list(arrays)
+    arrays = as_arrays(arrays)
     if not arrays:
         return VerdictReport("shift-add", True, params, None, {"pairs_checked": 0})
     r1, r2 = arrays[0].r1, arrays[0].r2
@@ -151,6 +156,7 @@ def check_closure(arrays, params, expected=None):
         return got
     ia, ib, dv, dh = map(int, _CLOSURE_WITNESS.match(got.witness.message).groups())
     assert (got.witness.array_index, got.witness.position) == (ia, (dv, dh))
+    arrays = as_arrays(arrays)
     total = arrays[ia] + arrays[ib].shift(dv, dh)
     codewords = {cell_rotations(a)[0] for a in arrays}
     assert not total.is_zero, got.witness.message
@@ -304,7 +310,7 @@ class TestClosure:
 
     def test_zero_factor_cycles(self):
         zf = zero_factor(parse("x^6+x^5+x^4+x^2+1"))
-        assert check_closure(list(fold_zero_factor(zf, 1, 21)), CodeParams(1, 21, 1, 6)).passed
+        assert check_closure(fold_zero_factor(zf, 1, 21), CodeParams(1, 21, 1, 6)).passed
 
     def test_counterexample(self):
         # eight windows for a window of area 2: refused before any sum
@@ -332,8 +338,9 @@ class TestClosure:
         # whole at every window shape, minus one array, and one bit flipped
         rng = random.Random(5)
         passing = refused = 0
-        for f, arrays in folded_uniform_codes(10):
-            r1, r2 = arrays[0].r1, arrays[0].r2
+        for f, grids in folded_uniform_codes(10):
+            r1, r2 = grids.shape[1:]
+            arrays = as_arrays(grids)
             shapes = [
                 CodeParams(r1, r2, *shape)
                 for shape in window_shapes(r1, r2, f.degree)
@@ -344,7 +351,7 @@ class TestClosure:
             expected = reference_closure(arrays).passed
             assert expected, f
             for p in shapes:
-                check_closure(arrays, p, expected)
+                check_closure(grids, p, expected)
             passing += len(shapes)
             p = shapes[0]
             k = rng.randrange(len(arrays))
@@ -404,30 +411,95 @@ class TestVerifyPrac:
         assert not rep.passed and rep.criterion == "parameters"
 
     def test_flipped_bit_fails_census(self, prac_3x7):
-        arrays = list(prac_3x7)
-        arrays[0] = flip(arrays[0], 0, 0)
-        rep = verify_prac(arrays, CodeParams(3, 7, 2, 3))
+        grids = prac_3x7.copy()  # a writeable stack of the caller's
+        grids[0, 0, 0] ^= 1
+        rep = verify_prac(grids, CodeParams(3, 7, 2, 3))
         assert not rep.passed and rep.criterion == "census"
 
     @pytest.mark.parametrize("mixed", [True, False], ids=["one-transposed", "all-transposed"])
     def test_dimension_mismatch_fails_parameters(self, prac_3x7, mixed):
-        arrays = [TorusArray(a.grid.T) for a in prac_3x7]
+        arrays = [TorusArray(g.T) for g in prac_3x7]
         if mixed:
-            arrays = list(prac_3x7[:-1]) + arrays[-1:]
+            arrays = as_arrays(prac_3x7[:-1]) + arrays[-1:]
         rep = verify_prac(arrays, CodeParams(3, 7, 2, 3))
         assert not rep.passed and rep.criterion == "parameters"
         assert rep.witness.message == "array dimensions do not match the parameters"
 
     def test_code_is_stacked_once(self, prac_3x7, monkeypatch):
-        calls = []
+        # arrays are stacked once for all three stages; besides them
+        # only the closure's six unit arrays are stacked
+        stacked = []
+        stack = np.stack
 
-        def counted(arrays):
-            calls.append(len(arrays))
-            return _grid_stack(arrays)
+        def counted(grids, *args, **kwargs):
+            grids = list(grids)
+            stacked.append(len(grids))
+            return stack(grids, *args, **kwargs)
 
-        monkeypatch.setattr(verify, "_grid_stack", counted)
-        assert verify_prac(prac_3x7, CodeParams(3, 7, 2, 3)).passed
-        assert calls == [len(prac_3x7)]
+        monkeypatch.setattr(np, "stack", counted)
+        assert verify_prac(as_arrays(prac_3x7), CodeParams(3, 7, 2, 3)).passed
+        assert stacked == [3, 6]
+
+
+class TestCodeStacks:
+    """A code given as its (m, r1, r2) grid stack is read in place, and
+    a stack that is not one is refused."""
+
+    def test_stack_is_neither_restacked_nor_wrapped(self, monkeypatch):
+        grids = fold_zero_factor(zero_factor(parse("x^12+x^10+x^9+x+1")), 7, 13)
+        params = CodeParams(7, 13, 3, 4)
+        stacked = []
+        stack = np.stack
+
+        def counted(arrays, *args, **kwargs):
+            arrays = list(arrays)
+            stacked.append(len(arrays))
+            return stack(arrays, *args, **kwargs)
+
+        def wrapped(self, grid):
+            raise AssertionError("a TorusArray was made from the stack")
+
+        monkeypatch.setattr(np, "stack", counted)
+        monkeypatch.setattr(TorusArray, "__init__", wrapped)
+        assert window_census(grids, 3, 4, params).passed
+        write_arrays(io.StringIO(), grids, params)
+        assert stacked == []
+        # the closure stacks its 12 unit arrays, never the 45 codewords
+        assert verify_prac(grids, params).passed
+        assert stacked == [12]
+
+    def test_caller_stacks_of_any_integer_type(self, prac_3x7):
+        params = CodeParams(3, 7, 2, 3)
+        for grids in (prac_3x7.astype(bool), prac_3x7.astype(np.int64), prac_3x7.copy()):
+            assert window_census(grids, 2, 3, params).passed
+            assert shift_add_closure(grids, params).passed
+            assert verify_prac(grids, params).passed
+        # no arrays at all: the size check fails, as for an empty file
+        rep = verify_prac(np.zeros((0, 3, 7), dtype=np.uint8), params)
+        assert rep.criterion == "parameters" and rep.witness.message == "code size 0 != required 3"
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda g: np.where(g == 1, 2, g), "array cells must be 0 or 1"),
+            (lambda g: g.astype(np.int8) - 1, "array cells must be 0 or 1"),
+            (lambda g: g.astype(float), "array cells must be 0 or 1"),
+            (lambda g: g[0], "a code stack must have 3 axes"),
+            (lambda g: g[None], "a code stack must have 3 axes"),
+        ],
+        ids=["cell-2", "cell-minus-1", "float", "2-D", "4-D"],
+    )
+    def test_bad_stacks_refused(self, prac_3x7, make, message):
+        bad = make(prac_3x7)
+        params = CodeParams(3, 7, 2, 3)
+        for check in (
+            lambda: window_census(bad, 2, 3, params),
+            lambda: shift_add_closure(bad, params),
+            lambda: verify_prac(bad, params),
+            lambda: write_arrays(io.StringIO(), bad, params),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check()
 
 
 def reference_window_codes(arr, n1, n2):
@@ -445,7 +517,7 @@ def reference_window_codes(arr, n1, n2):
 def reference_census(arrays, n1, n2, params=None):
     """Per-array census: count every code with bincount, then locate the
     witness by rescanning the arrays."""
-    arrays = list(arrays)
+    arrays = as_arrays(arrays)
     if params is None:
         params = CodeParams(arrays[0].r1, arrays[0].r2, n1, n2)
     expected = (1 << (n1 * n2)) - 1
@@ -510,10 +582,10 @@ class TestCensusReference:
                 r2 = e // r1
                 if math.gcd(r1, r2) != 1:
                     continue
-                arrays = fold_zero_factor(zf, r1, r2)
+                grids = fold_zero_factor(zf, r1, r2)
                 for n1 in _divisors(d):
                     if n1 <= r1 and d // n1 <= r2:
-                        yield arrays, CodeParams(r1, r2, n1, d // n1)
+                        yield grids, CodeParams(r1, r2, n1, d // n1)
 
     @pytest.mark.parametrize("one_array_blocks", [False, True])
     def test_whole_and_corrupted_codes(self, monkeypatch, one_array_blocks):
@@ -523,11 +595,12 @@ class TestCensusReference:
             monkeypatch.setattr(v, "_CENSUS_BLOCK_WINDOWS", 1)
         rng = random.Random(31)
         kinds = set()
-        for arrays, p in self._codes():
+        for grids, p in self._codes():
+            arrays = as_arrays(grids)
             k = rng.randrange(len(arrays))
             others = [a for i, a in enumerate(arrays) if i != k]
             variants = [
-                list(arrays),
+                grids,
                 others + [TorusArray(np.zeros((p.r1, p.r2), dtype=np.uint8))],
                 others + [flip(arrays[k], rng.randrange(p.r1), rng.randrange(p.r2))],
             ]
@@ -572,7 +645,8 @@ class TestBitTablePath:
     def test_cross_array_duplicate(self, monkeypatch, prac_3x7):
         # swap one codeword for a shift of another: totals stay right,
         # but one window pattern now occurs twice
-        arrays = [prac_3x7[0], prac_3x7[1], prac_3x7[1].shift(1, 2)]
+        a0, a1 = as_arrays(prac_3x7[:2])
+        arrays = [a0, a1, a1.shift(1, 2)]
         normal, packed = self._both(monkeypatch, arrays, 2, 3)
         assert not normal.passed and not packed.passed
         assert normal.witness.kind == packed.witness.kind == "duplicate-window"
@@ -592,7 +666,7 @@ class TestBitTablePath:
         # block fills the table, and only the last block meets it
         import prarray.verify as v
 
-        arrays = list(fold_zero_factor(zero_factor(parse("x^8+x^4+x^3+x+1")), 3, 17))
+        arrays = as_arrays(fold_zero_factor(zero_factor(parse("x^8+x^4+x^3+x+1")), 3, 17))
         arrays[4] = last(arrays)
         monkeypatch.setattr(v, "_CENSUS_BLOCK_WINDOWS", 3 * 51)
         assert [lo for lo, _ in v._blocks(np.stack([a.grid for a in arrays]))] == [0, 3]
@@ -604,15 +678,16 @@ class TestBitTablePath:
         # 178,481 arrays of 1 x 47 in nine blocks
         f = enumerate_irreducible(23, 47)[0]
         p = CodeParams(1, 47, 1, 23)
-        arrays = list(fold_zero_factor(zero_factor(f), 1, 47))
-        assert window_census(arrays, 1, 23, p).passed
-        arrays[-1] = flip(arrays[-1], 0, 5)
-        rep = window_census(arrays, 1, 23, p)
+        grids = fold_zero_factor(zero_factor(f), 1, 47)
+        assert window_census(grids, 1, 23, p).passed
+        grids = grids.copy()
+        grids[-1, 0, 5] ^= 1
+        rep = window_census(grids, 1, 23, p)
         assert not rep.passed
         w = rep.witness
         assert w.kind in ("zero-window", "duplicate-window")
         assert w.window_bits == format(w.code, "023b")
-        cells = arrays[w.array_index]
+        cells = TorusArray(grids[w.array_index])
         assert [cells.entry(0, w.position[1] + b) for b in range(23)] == [
             int(c) for c in w.window_bits
         ]
