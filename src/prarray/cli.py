@@ -67,6 +67,23 @@ def _write_out(path, write):
         raise _UsageError(f"cannot write {path}: {exc}") from exc
 
 
+def _json_text(doc):
+    """json.dumps(doc, indent=2, sort_keys=True), with the construct
+    document's arrays block (lists of row strings) encoded by the C
+    encoder, which an indent would turn off, and spliced in."""
+    arrays = doc.get("arrays")
+    if not arrays or not all(arrays):
+        return json.dumps(doc, indent=2, sort_keys=True)
+    head, _, tail = json.dumps({**doc, "arrays": 0}, indent=2, sort_keys=True).partition(
+        '\n  "arrays": 0'
+    )
+    # an encoded string holds no raw newline, so each "],<newline>" here
+    # ends an array
+    rows = json.dumps(arrays, separators=(",\n      ", ": "))[2:-2]
+    block = rows.replace("],\n      [", "\n    ],\n    [\n      ")
+    return f'{head}\n  "arrays": [\n    [\n      {block}\n    ]\n  ]{tail}'
+
+
 class _Run:
     """Collects the structured document for one invocation."""
 
@@ -102,7 +119,7 @@ class _Run:
     def emit(self, fmt, path=None):
         self.doc["wall_time_s"] = round(time.perf_counter() - self.started, 6)
         if fmt == "json":
-            payload = json.dumps(self.doc, indent=2, sort_keys=True) + "\n"
+            payload = _json_text(self.doc) + "\n"
         else:
             payload = "\n".join(self.text) + "\n"
         if path:

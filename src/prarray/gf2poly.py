@@ -29,6 +29,15 @@ The raw kernels pick their path from operand sizes alone:
   gap is at least 32.  Tables are kept for the last 8 moduli only.
   Smaller moduli, smaller degree gaps (as in ``_gcd``) and the last
   < 8 bits are cleared one bit at a time.
+* ``_squarer(m)`` squares residues mod m.  Up to degree 64 (a word) it
+  reads ``_square_tables``: the deg m images x^(2i) mod m from
+  ``_frobenius_images`` (each the last shifted by 2, then at most two
+  conditional XORs), combined into one 256-entry table per byte of a
+  residue (the top table has 2^(bits left) entries), so r^2 mod m is one
+  lookup per byte of r.  Tables are kept for the last 8 moduli only.
+  Above a word it is ``_mod(_square(r), m)``.  Rabin's test, the trace
+  maps and the x-power loop of ``_powmod`` square through it;
+  Berlekamp's columns are the same images at every degree.
 * ``_powmod`` raises x by squaring and shifting, left to right over the
   exponent: multiplying by x is a shift and one conditional XOR.  Other
   bases use square-and-multiply.
@@ -41,10 +50,13 @@ root (Golomb, *Shift Register Sequences*; Lidl & Niederreiter, *Finite
 Fields*, ch. 8), so Berlekamp-Massey on the first 2n bits of one
 decimation per cyclotomic coset of 2 mod e finds every factor.  Each
 decimation must have linear complexity n, the results must be distinct
-and phi(e)/n in number, and each must divide x^e - 1.
+and phi(e)/n in number, and their product must be the cyclotomic
+polynomial.
 
 ``classify`` is the one place that factors a polynomial and takes the
-orders of x modulo its factors; ``exponent`` reads its result.
+orders of x modulo its factors; ``exponent`` reads its result.  It asks
+Rabin's test (``_is_irreducible_int``) first and runs Berlekamp only on
+reducible input, so each polynomial gets one irreducibility decision.
 ``classify``, ``_is_irreducible_int`` and ``_x_order`` keep their last
 eight results, so consecutive calls on one polynomial compute them
 once; the rank criteria read them here and keep no copies.  Orders need
@@ -189,6 +201,56 @@ def _mulmod(a, b, m):
     return _mod(_mul(a, b), m)
 
 
+def _frobenius_images(m):
+    """x^(2i) mod m for i < deg m, the images of the basis under
+    squaring: each is the last shifted by 2, then reduced by at most two
+    conditional XORs."""
+    n = m.bit_length() - 1
+    images = []
+    img = 1
+    for _ in range(n):
+        images.append(img)
+        img <<= 2
+        if img >> (n + 1):
+            img ^= m << 1
+        if img >> n:
+            img ^= m
+    return images
+
+
+@functools.lru_cache(maxsize=8)
+def _square_tables(m):
+    """For m of degree <= _WORD, one table per byte of a residue (256
+    entries, fewer for the top byte): entry b of table k is the XOR of
+    the images x^(2(8k+j)) mod m over the bits j of b, so r^2 mod m is
+    one lookup per byte of r."""
+    images = _frobenius_images(m)
+    tables = []
+    for k in range(0, len(images), 8):
+        table = [0]
+        for img in images[k:k + 8]:
+            table += [v ^ img for v in table]
+        tables.append(table)
+    return tables
+
+
+def _squarer(m):
+    """r -> r^2 mod m for r reduced mod m: through the byte tables of m
+    up to a word, by _square and _mod above that."""
+    if m >> (_WORD + 1):
+        return lambda r: _mod(_square(r), m)
+    tables = _square_tables(m)
+    width = len(tables)
+
+    def square(r):
+        out = 0
+        for table, byte in zip(tables, r.to_bytes(width, "little")):
+            out ^= table[byte]
+        return out
+
+    return square
+
+
 def _powmod(base, e, m):
     if e < 0:
         raise ValueError(f"negative exponent {e}")
@@ -197,8 +259,9 @@ def _powmod(base, e, m):
     if base == 2:
         # powers of x: square and shift, left to right over e
         n = m.bit_length() - 1
+        square = _squarer(m)
         for bit in format(e, "b"):
-            r = _mod(_square(r), m)
+            r = square(r)
             if bit == "1":
                 r <<= 1
                 if r >> n:
@@ -484,9 +547,10 @@ def _is_irreducible_int(fb):
         return True
     # x^(2^n) == x mod f, and gcd(x^(2^(n/p)) - x, f) = 1 for primes p | n
     checkpoints = {n // p for p in _factorint(n)}
+    square = _squarer(fb)
     t = 2  # the polynomial x
     for i in range(1, n + 1):
-        t = _mod(_square(t), fb)
+        t = square(t)
         if i in checkpoints and _gcd(t ^ 2, fb) != 1:
             return False
     return t == 2
@@ -544,12 +608,7 @@ def _berlekamp_squarefree(fb):
         return [fb]
     # Frobenius images of the basis minus the identity: column j is
     # x^(2j) mod f + x^j
-    cols = []
-    img = 1
-    step = _mod(4, fb)  # x^2
-    for j in range(n):
-        cols.append(img ^ (1 << j))
-        img = _mulmod(img, step, fb)
+    cols = [img ^ (1 << j) for j, img in enumerate(_frobenius_images(fb))]
     _, kernel = _gf2_kernel(cols)
     if len(kernel) == 1:
         return [fb]
@@ -664,7 +723,8 @@ def classify(f):
         raise ValueError("classification needs degree >= 1")
     if f.constant_term == 0:
         raise ValueError("classification needs a nonzero constant term")
-    facs = factor(f)
+    # Rabin's test decides an irreducible f without a Berlekamp run
+    facs = [f] if _is_irreducible_int(f.bits) else factor(f)
     if len(set(facs)) != len(facs):
         return PolynomialClass("reducible-nonuniform", None, facs)
     orders = {_x_order(p.bits) for p in facs}
@@ -735,8 +795,9 @@ def _trace_map(hb, fb, n):
     # h + h^2 + h^4 + ... + h^(2^(n-1)) mod f
     acc = hb
     cur = hb
+    square = _squarer(fb)
     for _ in range(n - 1):
-        cur = _mod(_square(cur), fb)
+        cur = square(cur)
         acc ^= cur
     return acc
 
@@ -841,7 +902,6 @@ def enumerate_irreducible(degree, exponent_value):
         raise InternalCheckError("wrong number of cyclotomic factors")
     if len(set(parts)) != len(parts):
         raise InternalCheckError("two decimations gave one polynomial")
-    for c in parts:
-        if _powmod(2, e, c) != 1:
-            raise InternalCheckError("cyclotomic factor does not divide x^e - 1")
+    if functools.reduce(_mul, parts) != _cyclotomic_int(e):
+        raise InternalCheckError("the factors do not multiply to the cyclotomic polynomial")
     return [BinaryPolynomial(c) for c in sorted(parts)]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from prarray.gf2poly import (
@@ -7,6 +9,7 @@ from prarray.gf2poly import (
     _cyclotomic_int,
     _degree,
     _divmod,
+    _factorint,
     _gcd,
     _mod,
     _mul,
@@ -15,6 +18,7 @@ from prarray.gf2poly import (
     _square,
     _totient,
     _trace_map,
+    factor,
     ord2,
     parse,
 )
@@ -137,6 +141,28 @@ def serial_powmod(base, e, m):
         if e:
             base = serial_mod(serial_square(base), m)
     return r
+
+
+def reference_classify(f):
+    """(kind, exponent, factors) of f with constant term 1, from a
+    Berlekamp factorisation whatever f is, and the order of x modulo
+    each factor by the bit-serial kernels."""
+    facs = tuple(factor(f))
+    if len(set(facs)) != len(facs):
+        return "reducible-nonuniform", None, facs
+    orders = set()
+    for p in facs:
+        t = (1 << p.degree) - 1
+        for q in _factorint(t):
+            while t % q == 0 and serial_powmod(2, t // q, p.bits) == 1:
+                t //= q
+        orders.add(t)
+    e = math.lcm(*orders)
+    if len(facs) == 1:
+        kind = "primitive" if e == (1 << f.degree) - 1 else "INP"
+    else:
+        kind = "reducible-uniform" if len(orders) == 1 else "reducible-nonuniform"
+    return kind, e, facs
 
 
 # The characteristic polynomial of the Kronecker product of the two

@@ -101,10 +101,16 @@ class TestWorkloadOperations:
             "(7,15;3,4)",
         ]
 
-    def test_exponent(self):
-        e, n, count, first = workloads._exponent_op(73)
-        assert (e, n, count) == (73, 9, 8)
-        assert first == [p.compact() for p in prarray.enumerate_irreducible(9, 73)[:4]]
+    @pytest.mark.parametrize(
+        "e, n, count",
+        # field orders and enumeration checks on both sides of the 64-bit word
+        [(73, 9, 8), (641, 64, 10), (1921, 56, 32), (1793, 810, 2)],
+        ids=["e73-n9", "e641-n64", "e1921-n56", "e1793-n810"],
+    )
+    def test_exponent(self, e, n, count):
+        assert workloads._exponent_op(e) == [
+            e, n, count, [p.compact() for p in prarray.enumerate_irreducible(n, e)[:4]]
+        ]
 
     def test_det_code(self):
         g, rank = workloads._det_code_op(workloads.DET_CODES[0])

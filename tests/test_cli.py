@@ -229,6 +229,52 @@ class TestOtherCommands:
         assert fails
 
 
+class TestJsonText:
+    """The construct document's arrays block comes from the C encoder and
+    is spliced in; every document keeps the bytes of the indented
+    encoder."""
+
+    @pytest.mark.parametrize("count", [0, 1, 45])
+    def test_arrays_block(self, count):
+        from random import Random
+
+        from prarray.cli import _json_text
+
+        rng = Random(count)
+        arrays = [[format(rng.getrandbits(13), "013b") for _ in range(7)] for _ in range(count)]
+        doc = {"command": "construct", "inputs": {"poly": "x^4+x+1"}, "arrays": arrays,
+               "counts": {"arrays": count}, "verdicts": [], "wall_time_s": 0.25}
+        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--poly", "x^4+x+1", "--r1", "3", "--r2", "5"],  # one array
+            ["construct", "--poly", "x^12+x^10+x^9+x+1", "--r1", "7", "--r2", "13",
+             "--n1", "3", "--n2", "4"],  # 45 arrays
+            ["construct", "--poly", "x^4+x+1", "--r1", "3", "--r2", "5", "--out", "{tmp}"],
+            ["verify", "--in", "{code}"],
+            ["vee", "--f1", "x^4+x+1", "--f2", "x^3+x+1"],
+            ["check-fold", "--poly", "x^12+x^10+x^9+x+1", "--r1", "7", "--r2", "13",
+             "--n1", "3", "--n2", "4", "--criterion", "all"],
+            ["enumerate", "--degree", "12", "--exponent", "91"],
+            ["classify", "--f1", "x^4+x+1", "--f2", "x^3+x+1"],
+            ["conjecture", "--n1", "2", "--n2", "3", "--r1", "3", "--r2", "7", "--kmax", "2"],
+        ],
+        ids=["construct-1", "construct-45", "construct-out", "verify", "vee", "check-fold",
+             "enumerate", "classify", "conjecture"],
+    )
+    def test_every_command(self, tmp_path, capsys, argv):
+        code_file = tmp_path / "code.txt"
+        assert main(["construct", "--poly", "x^4+x+1", "--r1", "3", "--r2", "5",
+                     "--n1", "2", "--n2", "2", "--out", str(code_file)]) == 0
+        capsys.readouterr()
+        argv = [a.format(tmp=tmp_path / "out.txt", code=code_file) for a in argv]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 class TestErrorsAndDeterminism:
     def test_bad_polynomial(self, capsys):
         code, _, err = run(capsys, "vee", "--f1", "x^+1", "--f2", "x^3+x+1")

@@ -576,28 +576,31 @@ class TestClassification:
 
 
 class TestOneFactorisation:
-    """Each polynomial a call decides on is factored at most once:
-    classify factors once, vee's input gate hands its classes on, and
-    the census of check-fold and of each conjecture entry walks the zero
-    factor at the exponent r1*r2 that was established before it, with no
+    """Each polynomial a call decides on is decided irreducible or not
+    once, and only a reducible one is factored: classify runs Rabin's
+    test first, vee's input gate hands its classes on, and the census of
+    check-fold and of each conjecture entry walks the zero factor at the
+    exponent r1*r2 that was established before it, with no
     classification of its own."""
 
     @pytest.mark.parametrize(
-        "call, runs",
+        "call, runs, decisions",
         [
-            (lambda: classify(P("x^7+x+1")), 1),
-            (lambda: classify(P("x^3+x+1") * P("x^3+x^2+1")), 1),
-            (lambda: classify_construction(P("x^7+x+1"), P("x^9+x^4+1")), 3),
-            (lambda: main(["vee", "--f1", "x^7+x+1", "--f2", "x^9+x^4+1"]) == 0, 3),
+            (lambda: classify(P("x^7+x+1")), 0, 1),
+            (lambda: classify(P("x^3+x+1") * P("x^3+x^2+1")), 1, 1),
+            # f1, f2 and their irreducible degree-63 product
+            (lambda: classify_construction(P("x^7+x+1"), P("x^9+x^4+1")), 0, 3),
+            (lambda: main(["vee", "--f1", "x^7+x+1", "--f2", "x^9+x^4+1"]) == 0, 0, 3),
             (lambda: main(["check-fold", "--poly", "x^12+x^10+x^9+x+1", "--r1", "7",
-                           "--r2", "13", "--n1", "3", "--n2", "4"]) == 0, 1),
-            # enumerate_irreducible and det_test need no factorisation
-            (lambda: len(conjecture_search(2, 3, 3, 7, 2).entries) == 3, 0),
+                           "--r2", "13", "--n1", "3", "--n2", "4"]) == 0, 0, 1),
+            # enumerate_irreducible and det_test need no factorisation; the
+            # two degree-3 candidates are each decided once
+            (lambda: len(conjecture_search(2, 3, 3, 7, 2).entries) == 3, 0, 2),
         ],
         ids=["irreducible", "uniform-product", "construction", "cli-vee", "cli-check-fold",
              "conjecture"],
     )
-    def test_berlekamp_runs(self, monkeypatch, capsys, call, runs):
+    def test_berlekamp_runs(self, monkeypatch, capsys, call, runs, decisions):
         calls = []
         berlekamp = gf2poly._berlekamp_squarefree
 
@@ -611,6 +614,7 @@ class TestOneFactorisation:
             cached.cache_clear()
         assert call()
         assert len(calls) == runs
+        assert gf2poly._is_irreducible_int.cache_info().misses == decisions
 
 
 class TestHierarchies:

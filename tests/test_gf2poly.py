@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    reference_classify,
     reference_enumerate_irreducible,
     reference_ord2,
     serial_mod,
@@ -226,6 +227,28 @@ class TestKernels:
             a = rng.getrandbits(600)
             assert _mod(a, m) == serial_mod(a, m)
         assert _mod_table.cache_info().currsize <= 8
+
+    @pytest.mark.parametrize("n", range(1, 67))
+    def test_squaring_and_x_powers_every_modulus_degree(self, n):
+        # byte tables up to degree 64 (_WORD), _square and _mod above
+        rng = random.Random(n)
+        for m in (1 << n | 1, 1 << n | rng.getrandbits(n)):
+            gf2poly._square_tables.cache_clear()
+            square = gf2poly._squarer(m)
+            assert gf2poly._square_tables.cache_info().currsize == (n <= gf2poly._WORD)
+            assert gf2poly._frobenius_images(m) == [serial_powmod(2, 2 * i, m) for i in range(n)]
+            for r in (0, 1, (1 << n) - 1, rng.getrandbits(n)):
+                assert square(r) == serial_mod(serial_square(r), m)
+            for e in (0, 1, 2, 3, n, (1 << n) - 1, rng.getrandbits(n + 8)):
+                assert _powmod(2, e, m) == serial_powmod(2, e, m)
+
+    def test_square_tables_kept_for_few_moduli(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            m = rng.getrandbits(64) | (1 << 64) | 1
+            e = rng.getrandbits(64)
+            assert _powmod(2, e, m) == serial_powmod(2, e, m)
+        assert gf2poly._square_tables.cache_info().currsize <= 8
 
 
 class TestGcd:
@@ -465,6 +488,43 @@ class TestClassify:
                     assert cls.kind == "reducible-uniform" and cls.exponent == e
                     checked += 1
         assert checked > 5
+
+    @staticmethod
+    def _fields(f):
+        cls = classify(f)
+        return cls.kind, cls.exponent, cls.factors
+
+    def test_matches_berlekamp_on_every_polynomial_up_to_degree_12(self):
+        for bits in range(3, 1 << 13, 2):
+            f = BinaryPolynomial(bits)
+            assert self._fields(f) == reference_classify(f), f
+
+    def test_matches_berlekamp_on_products_and_squares_up_to_degree_40(self):
+        rng = random.Random(40)
+
+        def irreducible(d):
+            while True:
+                f = BinaryPolynomial(1 << d | rng.getrandbits(d - 1) << 1 | 1)
+                if is_irreducible(f):
+                    return f
+
+        cases = []
+        for _ in range(30):
+            p = irreducible(rng.randint(2, 13))
+            q = irreducible(rng.randint(2, 13))
+            same = enumerate_irreducible(p.degree, exponent(p))
+            if len(same) > 1:
+                cases.append(same[0] * same[-1])  # uniform
+            cases += [p * q, p * p, p * p * q, q * q * q, irreducible(rng.randint(13, 40))]
+            d = rng.randint(13, 40)
+            cases.append(BinaryPolynomial(1 << d | rng.getrandbits(d - 1) << 1 | 1))
+        kinds = set()
+        for f in cases:
+            assert f.degree <= 40
+            got = self._fields(f)
+            assert got == reference_classify(f), f
+            kinds.add(got[0])
+        assert {"reducible-uniform", "reducible-nonuniform"} <= kinds
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
