@@ -4,7 +4,8 @@ The package constructs doubly-periodic binary arrays with the perfect
 window property by folding the cycles of uniform-exponent polynomials
 over GF(2) along CRT diagonals, and verifies them by independent
 criteria: a brute-force window census, shift-and-add closure, the
-set-polynomial divisibility test, and the determinant/trace criterion.
+set-polynomial divisibility test, and the determinant criterion in its
+trace form.
 
 It has two layers.  The int algebra (``gf2poly``, ``gf2field``,
 ``lfsr``'s sequence operations and ``criteria``) works on Python ints
@@ -30,29 +31,21 @@ from .gf2poly import (
     enumerate_irreducible,
     exponent,
     factor,
-    format_poly,
     gcd,
     is_irreducible,
     lcm,
     ord2,
     parse,
 )
-from .gf2field import FieldContext, FieldElement, bezout
-from .lfsr import (
-    CyclicSequence,
-    ZeroFactor,
-    berlekamp_massey,
-    bitadd,
-    bitmul,
-    generate,
-    zero_factor,
-)
+from .gf2field import FieldContext, FieldElement
+from .lfsr import CyclicSequence, ZeroFactor, berlekamp_massey, generate, zero_factor
 from .criteria import (
     CodeParams,
     ConstructionRecord,
     PositionSet,
     VerdictReport,
     Witness,
+    bezout,
     classify_construction,
     conjecture_search,
     det_test,
@@ -102,8 +95,6 @@ __all__ = [
     "ZeroFactor",
     "berlekamp_massey",
     "bezout",
-    "bitadd",
-    "bitmul",
     "classify",
     "classify_construction",
     "conjecture_search",
@@ -113,7 +104,6 @@ __all__ = [
     "exponent",
     "factor",
     "fold",
-    "format_poly",
     "fold_zero_factor",
     "gcd",
     "generate",

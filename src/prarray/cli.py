@@ -250,7 +250,6 @@ def _cmd_check_fold(args):
         if irreducible:
             pos = criteria.window_positions(params)
             timed(criteria.setpoly_test, poly, pos, exhaustive=args.exhaustive_setpoly)
-            timed(criteria.trace_independence_test, poly, params)
         elif want == "setpoly":
             raise _UsageError("the set-polynomial criterion needs an irreducible polynomial")
     if want in ("det", "all"):

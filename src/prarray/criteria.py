@@ -18,21 +18,19 @@ The decision procedures are exact:
 * ``setpoly_test``   -- does an irreducible f divide the set polynomial
   of the window positions?  Equivalently: are the powers of a root of f
   at those positions linearly independent over GF(2)?
-* ``trace_independence_test`` -- the same independence question for a
-  single irreducible f, with the determinant criterion's preconditions
-  and report; it reads the rank that ``setpoly_test`` computes;
 * ``det_test``       -- determinant criterion over several quotient
   fields at once (works for products of irreducibles); the trace-form
   route, a different computation on the same window-cell elements, and
-  the cross-check of the other two;
+  the cross-check of the set-polynomial test;
 * ``sufficient_conditions``   -- the divisibility/distinct-residue
   conditions that guarantee a PRA/PRAC (sufficient, not necessary).
 
-The three rank routes share two caches per (f, params):
-``_cell_vectors``, the elements x^p mod f at the window-cell positions
-p, stepped with one multiplication a cell, and ``_cell_rank``, their
-rank.  The set-polynomial and trace tests report that one rank;
-``det_test`` ranks the elements' trace columns instead.  Whether f is
+The rank routes share two caches per (f, params): ``_cell_vectors``,
+the elements x^p mod f at the window-cell positions p, stepped with one
+multiplication a cell, and ``_cell_rank``, their rank.  The
+set-polynomial test reports that rank (``trace_independence_test``
+reports it again, for the benchmark harness only); ``det_test`` ranks
+the elements' trace columns instead.  Whether f is
 irreducible and the order of x depend on f alone: each criterion reads
 them from ``gf2poly``, which keeps them for its last eight polynomials,
 so the consecutive cases of one f compute them once.
@@ -52,7 +50,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .gf2field import bezout
 from .gf2poly import (
     BinaryPolynomial,
     InternalCheckError,
@@ -126,16 +123,16 @@ class Witness:
     window_bits: str | None = None
     code: int | None = None
 
-    def to_kv(self, prefix="witness"):
-        out = {f"{prefix}.kind": self.kind, f"{prefix}.message": self.message}
+    def to_kv(self):
+        out = {"witness.kind": self.kind, "witness.message": self.message}
         if self.array_index is not None:
-            out[f"{prefix}.array"] = str(self.array_index)
+            out["witness.array"] = str(self.array_index)
         if self.position is not None:
-            out[f"{prefix}.position"] = ",".join(str(v) for v in self.position)
+            out["witness.position"] = ",".join(str(v) for v in self.position)
         if self.window_bits is not None:
-            out[f"{prefix}.window"] = self.window_bits
+            out["witness.window"] = self.window_bits
         if self.code is not None:
-            out[f"{prefix}.code"] = str(self.code)
+            out["witness.code"] = str(self.code)
         return out
 
 
@@ -348,6 +345,21 @@ def window_positions(params):
     return PositionSet(params, pos)
 
 
+def bezout(a, b):
+    """(g, x, y) with g = gcd(a, b) = a*x + b*y, for positive a, b."""
+    if a < 1 or b < 1:
+        raise ValueError("bezout needs positive integers")
+    r0, r1 = a, b
+    x0, x1 = 1, 0
+    y0, y1 = 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return r0, x0, y0
+
+
 def _cell_positions(params):
     """Exponent i*nu*r2 + j*mu*r1 of beta^i * gamma^j at each window cell,
     row-major, where mu*r1 + nu*r2 = 1: the k with k = i mod r1 and
@@ -519,7 +531,9 @@ def trace_independence_test(f, params):
     independent over GF(2).  That is the rank ``setpoly_test`` reads
     from ``_cell_rank``, here with the determinant criterion's
     preconditions and report; the trace-form cross-check is
-    ``det_test``."""
+    ``det_test``.  No command calls it: it is kept only as the
+    benchmark harness's hook, until the harness reads spans that the
+    library records itself."""
     if not _is_irreducible_int(f.bits):
         raise ValueError("the trace criterion needs an irreducible polynomial")
     n = f.degree

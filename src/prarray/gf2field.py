@@ -4,9 +4,6 @@ Each :class:`FieldContext` owns one modulus; elements belong to exactly
 one context and mixing contexts is a hard error.  This matters because
 the verification criteria work in several quotient rings GF(2)[x]/(f_u)
 at once, and silently coercing between them would corrupt results.
-
-Also hosts the integer helper ``bezout`` (extended Euclid
-certificates), which the criteria use.
 """
 
 from __future__ import annotations
@@ -133,17 +130,3 @@ class FieldElement:
     def __repr__(self):
         return f"FieldElement({self})"
 
-
-def bezout(a, b):
-    """(g, x, y) with g = gcd(a, b) = a*x + b*y, for positive a, b."""
-    if a < 1 or b < 1:
-        raise ValueError("bezout needs positive integers")
-    r0, r1 = a, b
-    x0, x1 = 1, 0
-    y0, y1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return r0, x0, y0

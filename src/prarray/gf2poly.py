@@ -13,17 +13,17 @@ Two text notations are supported:
 * symbolic sum of powers with strictly decreasing exponents
   (``"x^3+x+1"``).
 
-``parse`` accepts both; formatting emits the symbolic form by default
-and the compact form on request.
+``parse`` accepts both; ``str`` emits the symbolic form and
+``BinaryPolynomial.compact`` the bit string.
 
 The raw kernels pick their path from operand sizes alone:
 
 * ``_mul`` runs bit-serially over the shorter operand when it fits in a
   machine word (64 bits); when both are wider, it steps through the
   shorter one in 4-bit windows over the 16 multiples of the other.
-* ``_square`` spreads bytes through a 256-entry table up to a word, and
-  above that interleaves zeros into the binary digits at C level
-  (``format``, a ``bytearray`` slice and ``int(..., 2)``).
+* ``_square`` interleaves zeros into the binary digits at C level
+  (``format``, a ``bytearray`` slice and ``int(..., 2)``), at every
+  size.
 * ``_mod`` clears 8 bits a step with a 256-entry table of multiples of
   the modulus when the modulus has more than 32 bits and the degree
   gap is at least 32.  Tables are kept for the last 8 moduli only.
@@ -117,31 +117,13 @@ def _mul(a, b):
     return r
 
 
-_SPREAD = [0] * 256
-for _b in range(256):
-    _v = 0
-    for _i in range(8):
-        if _b >> _i & 1:
-            _v |= 1 << (2 * _i)
-    _SPREAD[_b] = _v
-
-
 def _square(a):
-    # squaring over GF(2) just spreads the bits out
-    if a < 256:
-        return _SPREAD[a]
-    if a >> _WORD:
-        # interleave a zero after every binary digit, all in C
-        digits = format(a, "b").encode()
-        spread = bytearray(b"0") * (2 * len(digits) - 1)
-        spread[::2] = digits
-        return int(spread, 2)
-    out = 0
-    shift = 0
-    for byte in a.to_bytes((a.bit_length() + 7) // 8, "little"):
-        out |= _SPREAD[byte] << shift
-        shift += 16
-    return out
+    # squaring over GF(2) just spreads the bits out: interleave a zero
+    # after every binary digit, all in C
+    digits = format(a, "b").encode()
+    spread = bytearray(b"0") * (2 * len(digits) - 1)
+    spread[::2] = digits
+    return int(spread, 2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -446,12 +428,6 @@ class BinaryPolynomial:
             return NotImplemented
         return BinaryPolynomial(_mod(self.bits, other.bits))
 
-    def reciprocal(self):
-        """x^deg * f(1/x); requires a nonzero constant term."""
-        if self.bits & 1 == 0:
-            raise ValueError("reciprocal needs a nonzero constant term")
-        return BinaryPolynomial(_bit_reverse(self.bits, self.bits.bit_length()))
-
     def compact(self):
         """Bit-string form, most significant coefficient first."""
         if self.bits == 0:
@@ -510,11 +486,6 @@ def parse(text):
         prev_power = power
         bits |= 1 << power
     return BinaryPolynomial(bits)
-
-
-def format_poly(f, compact=False):
-    """Symbolic form by default, the compact bit string on request."""
-    return f.compact() if compact else str(f)
 
 
 def gcd(a, b):
@@ -688,8 +659,6 @@ class PolynomialClass:
         "INP",
         "reducible-uniform",
         "reducible-nonuniform",
-        "unit",
-        "zero-constant-term",
     )
 
     def __init__(self, kind, exponent, factors):

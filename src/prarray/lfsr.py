@@ -1,4 +1,4 @@
-"""Linear-recurring sequences: generation, zero factors, bit operations.
+"""Linear-recurring sequences: generation, zero factors, minimal polynomials.
 
 A characteristic polynomial ``c(x) = 1 + c_1 x + ... + c_n x^n`` drives
 the recursion ``a_k = c_1 a_{k-1} + ... + c_n a_{k-n}`` over GF(2).
@@ -108,7 +108,12 @@ class CyclicSequence:
         return CyclicSequence(bits, ell)
 
     def __add__(self, other):
-        return bitadd(self, other)
+        """Bitwise sum after extending both to the lcm of the least periods."""
+        pa, pb = self.least_period, other.least_period
+        ell = math.lcm(pa, pb)
+        a = CyclicSequence(self.bits & ((1 << pa) - 1), pa).repeat(ell // pa)
+        b = CyclicSequence(other.bits & ((1 << pb) - 1), pb).repeat(ell // pb)
+        return CyclicSequence(a.bits ^ b.bits, ell)
 
     def repeat(self, copies):
         bits = 0
@@ -149,13 +154,6 @@ class ZeroFactor:
 
     def __len__(self):
         return self.bits.shape[0]
-
-    def to_lines(self):
-        """One cycle per line, as 0/1 strings."""
-        return [str(c) for c in self.cycles]
-
-    def __str__(self):
-        return "\n".join(self.to_lines())
 
 
 def _taps(f):
@@ -297,25 +295,6 @@ def _zero_factor_walk(f, e):
     if not seen.all():
         raise InternalCheckError(f"cycles of {f} do not have period {e}")
     return ZeroFactor(f, e, np.concatenate(blocks))
-
-
-def _combine(a, b, op):
-    ell = math.lcm(a.least_period, b.least_period)
-    pa = CyclicSequence(a.bits & ((1 << a.least_period) - 1), a.least_period)
-    pb = CyclicSequence(b.bits & ((1 << b.least_period) - 1), b.least_period)
-    ra = pa.repeat(ell // pa.length).bits
-    rb = pb.repeat(ell // pb.length).bits
-    return CyclicSequence(op(ra, rb), ell)
-
-
-def bitadd(a, b):
-    """Bitwise sum after extending both to the lcm of the least periods."""
-    return _combine(a, b, lambda x, y: x ^ y)
-
-
-def bitmul(a, b):
-    """Bitwise product after extending both to the lcm of the least periods."""
-    return _combine(a, b, lambda x, y: x & y)
 
 
 def berlekamp_massey(seq):

@@ -19,7 +19,7 @@ from prarray.folding import (
     write_arrays,
 )
 from prarray.gf2poly import BinaryPolynomial, _divisors, classify, parse
-from prarray.lfsr import CyclicSequence, bitmul, generate, zero_factor
+from prarray.lfsr import CyclicSequence, generate, zero_factor
 from prarray.verify import verify_prac
 
 
@@ -332,8 +332,12 @@ class TestRowColumnStructure:
                 assert prod.column(j).bits in (0, v.bits)
 
     def test_product_cycle_structure(self):
-        prod = bitmul(CyclicSequence.from_bits("011"), CyclicSequence.from_bits("1001011"))
-        a = fold(prod, 3, 7)
+        # the column pattern times the row pattern, both folded from
+        # their repeats to 3 x 7, is a folded cycle of the degree-6
+        # exponent-21 polynomial
+        column = fold(CyclicSequence.from_bits("011").repeat(7), 3, 7)
+        row = fold(CyclicSequence.from_bits("1001011").repeat(3), 3, 7)
+        a = column.prod(row)
         s = generate(parse("x^6+x^5+x^4+x^2+1"), "000001", 21)
         assert least_rotation(a) == least_rotation(fold(s, 3, 7))
 

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from conftest import field_inverse, minimal_polynomial
-from prarray.criteria import CodeParams, _cell_positions, window_positions
+from prarray.criteria import CodeParams, _cell_positions, bezout, window_positions
 from prarray.folding import _fold_indices
-from prarray.gf2field import FieldContext, bezout
+from prarray.gf2field import FieldContext
 from prarray.gf2poly import BinaryPolynomial, is_irreducible, parse
 
 
