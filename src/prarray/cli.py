@@ -146,14 +146,15 @@ def _cmd_construct(args):
     zf = zero_factor(poly)
     arrays = fold_zero_factor(zf, args.r1, args.r2)
     run.doc["counts"] = {"arrays": len(arrays), "exponent": cls.exponent}
-    if args.format == "json":
-        run.doc["arrays"] = _lines(arrays)
     if args.out:
         _write_out(args.out, lambda fh: write_arrays(fh, arrays, header))
         run.text.append(f"wrote {len(arrays)} arrays to {args.out}")
     elif args.format == "text":
         write_arrays(sys.stdout, arrays, header)
         return 0
+    else:
+        # the arrays go on stdout only when no file takes them
+        run.doc["arrays"] = _lines(arrays)
     run.emit(args.format)
     return 0
 

@@ -36,31 +36,39 @@ The raw kernels pick their path from operand sizes alone:
   residue (the top table has 2^(bits left) entries), so r^2 mod m is one
   lookup per byte of r.  Tables are kept for the last 8 moduli only.
   Above a word it is ``_mod(_square(r), m)``.  Rabin's test, the trace
-  maps and the x-power loop of ``_powmod`` square through it;
-  Berlekamp's columns are the same images at every degree.
+  masks of the rank criteria and the x-power loop of ``_powmod`` square
+  through it; Berlekamp's columns are the same images at every degree.
 * ``_powmod`` raises x by squaring and shifting, left to right over the
   exponent: multiplying by x is a shift and one conditional XOR.  Other
   bases use square-and-multiply.
 
 ``enumerate_irreducible(n, e)`` splits the e-th cyclotomic polynomial
 by trace maps only down one branch, keeping the smaller part, to one
-factor p.  For j prime to e, decimating p's impulse sequence by j gives
-a sequence whose minimal polynomial is that of the j-th power of p's
-root (Golomb, *Shift Register Sequences*; Lidl & Niederreiter, *Finite
-Fields*, ch. 8), so Berlekamp-Massey on the first 2n bits of one
-decimation per cyclotomic coset of 2 mod e finds every factor.  Each
-decimation must have linear complexity n, the results must be distinct
-and phi(e)/n in number, and their product must be the cyclotomic
-polynomial.
+factor p.  Every part divides x^e - 1, so the trace of x^i is the sum
+of x^(i 2^j mod e) over j < n, reduced once, with no squaring.  For j
+prime to e, decimating p's impulse sequence by j gives a sequence whose
+minimal polynomial is that of the j-th power of p's root (Golomb,
+*Shift Register Sequences*; Lidl & Niederreiter, *Finite Fields*,
+ch. 8), so Berlekamp-Massey on the first 2n bits of one decimation per
+cyclotomic coset of 2 mod e finds every factor.  Each decimation must
+have linear complexity n, the results must be distinct and phi(e)/n in
+number, and their product must be the cyclotomic polynomial.
 
 ``classify`` is the one place that factors a polynomial and takes the
 orders of x modulo its factors; ``exponent`` reads its result.  It asks
-Rabin's test (``_is_irreducible_int``) first and runs Berlekamp only on
-reducible input, so each polynomial gets one irreducibility decision.
-``classify``, ``_is_irreducible_int`` and ``_x_order`` keep their last
+for one irreducibility decision (``_is_irreducible_int``) first and
+runs Berlekamp only on reducible input.  Above degree 64 the decision
+first steps x up to x^65535 (``_x_steps``).  If that finds the least t
+with x^t = 1, f is irreducible exactly when t is odd, ord2(t) = deg f
+and gcd(x^(t/q) - 1, f) = 1 for each prime q of t
+(``_order_certifies``; Lidl & Niederreiter, *Finite Fields*, ch. 3),
+and t is then its exponent.  Otherwise, and at every degree up to 64,
+Rabin's test decides (``_rabin``).  ``classify``,
+``_is_irreducible_int``, ``_x_steps`` and ``_x_order`` keep their last
 eight results, so consecutive calls on one polynomial compute them
-once; the rank criteria read them here and keep no copies.  Orders need
-the primes of 2^n - 1: ``_factorint`` divides out a committed table of
+once and nothing steps twice; the rank criteria read them here and
+keep no copies.  Orders of x that stepping does not find need the
+primes of 2^n - 1: ``_factorint`` divides out a committed table of
 those above 10^6 for n <= 128, then trial-divides up to 10^6.
 """
 
@@ -516,7 +524,17 @@ def _is_irreducible_int(fb):
         raise ValueError("irreducibility is only defined for degree >= 1")
     if n == 1:
         return True
-    # x^(2^n) == x mod f, and gcd(x^(2^(n/p)) - x, f) = 1 for primes p | n
+    if n > 64:
+        t = _x_steps(fb)
+        if t is not None:
+            return _order_certifies(fb, t)
+    return _rabin(fb)
+
+
+def _rabin(fb):
+    """Rabin's test for fb of degree n >= 2: x^(2^n) = x mod fb, and
+    gcd(x^(2^(n/p)) - x, fb) = 1 for each prime p of n."""
+    n = _degree(fb)
     checkpoints = {n // p for p in _factorint(n)}
     square = _squarer(fb)
     t = 2  # the polynomial x
@@ -611,9 +629,13 @@ def _berlekamp_squarefree(fb):
 # 2^n - 1 is factored only up to this degree, as far as the table of
 # _factorint goes.  Past degree 64, orders up to _EXPONENT_CAP, which
 # include the exponent of every enumerated polynomial, are first sought
-# by stepping, as that is faster: for the 41 polynomials of degree 65 to
-# 128 that the algebra benchmark enumerates, stepping takes about 1 ms
-# and _order 100-150 ms on a 2-vCPU Xeon.
+# by stepping x, and an order found also decides irreducibility.  For
+# the 71 polynomials of degree 66 to 810 that the algebra benchmark
+# enumerates, stepping and _order_certifies take about 7 ms in all,
+# where Rabin's test takes about 140 ms, and _order 75-140 ms for the
+# 41 of them up to degree 128, on a 2-vCPU Xeon.  A reducible
+# polynomial with no such order pays for all the steps: about 12 ms at
+# degree 70.
 _ORDER_DEGREE_CAP = 128
 _EXPONENT_CAP = 65535
 
@@ -629,18 +651,46 @@ def _order(a, fb):
 
 
 @functools.lru_cache(maxsize=8)
+def _x_steps(fb):
+    """Least t <= _EXPONENT_CAP with x^t = 1 mod fb, found by stepping x;
+    None if there is none, as always when x divides fb."""
+    if not fb & 1:
+        return None
+    n = _degree(fb)
+    cur = 2
+    for t in range(1, _EXPONENT_CAP + 1):
+        if cur == 1:
+            return t
+        cur <<= 1
+        if cur >> n:
+            cur ^= fb
+    return None
+
+
+def _order_certifies(fb, t):
+    """Whether fb is irreducible, given that t is the least with x^t = 1
+    mod fb.
+
+    True exactly when t is odd, ord2(t) = deg fb and gcd(x^(t/q) - 1, fb)
+    = 1 for each prime q of t.  Then x has order t modulo every
+    irreducible factor p of fb, so deg p = ord2(t) = deg fb and p = fb
+    (Lidl & Niederreiter, *Finite Fields*, ch. 3).  Conversely, the order
+    of x modulo an irreducible fb divides 2^(deg fb) - 1 and has that
+    ord2, and no x^(t/q) - 1 shares a factor with fb."""
+    if t % 2 == 0 or ord2(t) != _degree(fb):
+        return False
+    return all(_gcd(_powmod(2, t // q, fb) ^ 1, fb) == 1 for q in _factorint(t))
+
+
+@functools.lru_cache(maxsize=8)
 def _x_order(pb):
     """Order of x modulo the irreducible pb; refused above degree
     _ORDER_DEGREE_CAP unless it is at most _EXPONENT_CAP."""
     n = _degree(pb)
     if n > 64:
-        cur = 2
-        for t in range(1, _EXPONENT_CAP + 1):
-            if cur == 1:
-                return t
-            cur <<= 1
-            if cur >> n:
-                cur ^= pb
+        t = _x_steps(pb)
+        if t is not None:
+            return t
         if n > _ORDER_DEGREE_CAP:
             raise ValueError(
                 f"above degree {_ORDER_DEGREE_CAP}, only exponents up to "
@@ -804,19 +854,30 @@ def _berlekamp_massey(rev, length):
     return c, span
 
 
+def _coset_trace(i, n, e):
+    """The sum of x^(i 2^j mod e) over j < n: the trace of x^i in
+    GF(2)[x]/(f), up to reduction mod f, for every f dividing x^e - 1
+    whose factors have degree n."""
+    acc = 0
+    k = i % e
+    for _ in range(n):
+        acc ^= 1 << k
+        k = 2 * k % e
+    return acc
+
+
 def _one_factor(fb, n, e):
     """One irreducible factor of fb, a squarefree product of degree-n
     irreducibles dividing x^e - 1: each equal-degree split by a trace
     map keeps its smaller part.  Splits are sought by the traces of x^i
     for odd i, e of them, which meet every residue mod e; even powers
-    add nothing, as Tr(h^2) = Tr(h)."""
+    add nothing, as Tr(h^2) = Tr(h).  As x^e = 1 mod fb, the trace of
+    x^i is the sum of x^(i 2^j mod e) over j < n, reduced once."""
     while _degree(fb) > n:
-        h = _mod(2, fb)
-        for _ in range(e):
-            d = _gcd(fb, _trace_map(h, fb, n))
+        for i in range(1, 2 * e, 2):
+            d = _gcd(fb, _mod(_coset_trace(i, n, e), fb))
             if 0 < _degree(d) < _degree(fb):
                 break
-            h = _mod(h << 2, fb)
         else:
             raise InternalCheckError("equal-degree splitting failed to separate factors")
         fb = min(d, _divmod(fb, d)[0], key=_degree)

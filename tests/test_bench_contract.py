@@ -112,6 +112,30 @@ class TestWorkloadOperations:
             e, n, count, [p.compact() for p in prarray.enumerate_irreducible(n, e)[:4]]
         ]
 
+    def test_enumerated_above_degree_64_classify_without_rabin(self, monkeypatch):
+        # the order of x certifies each of them irreducible; Rabin's
+        # test would cost more than the other exponents together
+        from prarray import gf2poly
+
+        def refused(fb):
+            raise AssertionError(f"Rabin's test ran on degree {fb.bit_length() - 1}")
+
+        monkeypatch.setattr(gf2poly, "_rabin", refused)
+        degrees = []
+        for e in workloads.ALGEBRA_EXPONENTS:
+            n = prarray.ord2(e)
+            if n <= 64:
+                continue
+            for f in prarray.enumerate_irreducible(n, e):
+                for cached in (gf2poly._x_steps, gf2poly._is_irreducible_int,
+                               gf2poly._x_order, gf2poly.classify):
+                    cached.cache_clear()
+                cls = prarray.classify(f)
+                assert cls.kind in ("primitive", "INP") and cls.exponent == e, f
+                assert prarray.is_irreducible(f) and prarray.exponent(f) == e
+                degrees.append(n)
+        assert len(degrees) == 71 and min(degrees) == 66 and max(degrees) == 810
+
     def test_det_code(self):
         g, rank = workloads._det_code_op(workloads.DET_CODES[0])
         assert prarray.parse(g).degree == rank == 48

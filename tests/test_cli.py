@@ -131,6 +131,18 @@ class TestConstructVerify:
         assert len(want) == doc["counts"]["arrays"] == 45
         assert out == json.dumps({**doc, "arrays": want}, indent=2, sort_keys=True) + "\n"
 
+    def test_construct_json_with_out_leaves_the_arrays_to_the_file(self, tmp_path, capsys):
+        # --out takes the arrays instead of stdout, in JSON as in text
+        argv = ["construct", "--poly", "x^12+x^10+x^9+x+1", "--r1", "7", "--r2", "13",
+                "--n1", "3", "--n2", "4"]
+        path = tmp_path / "code.txt"
+        code, doc, _ = run_json(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert "arrays" not in doc
+        assert doc["counts"] == {"arrays": 45, "exponent": 91}
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and path.read_text() == out
+
 
 class TestCheckFold:
     def test_setpoly_fail(self, capsys):
@@ -574,14 +586,15 @@ class TestImportLayers:
         # digests of the documents as these commands printed them when
         # every module was imported at start-up; check-fold's since it
         # reports the set-polynomial rank once, not also as a
-        # trace-basis determinant verdict
+        # trace-basis determinant verdict, and construct's since --out
+        # takes the arrays out of the document
         path = str(tmp_path / "code.txt")
         code, numpy_loaded, doc = fresh_cli(
             "construct", "--poly", "x^4+x+1", "--r1", "3", "--r2", "5",
             "--n1", "2", "--n2", "2", "--out", path,
         )
         assert (code, numpy_loaded) == (0, True)
-        assert self.digest(doc) == "fb2422b73330b226"
+        assert self.digest(doc) == "839590583ff5c116"
         code, numpy_loaded, doc = fresh_cli("verify", "--in", path)
         assert (code, numpy_loaded) == (0, True)
         assert self.digest(doc, inputs={"infile": "code.txt"}) == "b5ac7bdda63c521a"

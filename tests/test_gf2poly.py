@@ -1,6 +1,8 @@
+import hashlib
 import random
 from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,13 +23,18 @@ from prarray.gf2poly import (
     X,
     BinaryPolynomial,
     ParseError,
+    _coset_trace,
+    _cyclotomic_int,
     _factorint,
     _mod,
     _mod_table,
     _mul,
     _mulmod,
+    _order_certifies,
     _powmod,
+    _rabin,
     _square,
+    _trace_map,
     classify,
     count_irreducible_with_exponent,
     enumerate_irreducible,
@@ -415,6 +422,109 @@ class TestExponent:
         assert is_irreducible(f)
         with pytest.raises(ValueError, match="degree 128"):
             exponent(f)
+
+
+def _clear_fact_caches():
+    for cached in (gf2poly._x_steps, gf2poly._is_irreducible_int, gf2poly._x_order,
+                   gf2poly.classify):
+        cached.cache_clear()
+
+
+class TestOrderCertificate:
+    """Above degree 64, the order t of x, when stepping finds it, decides
+    irreducibility in place of Rabin's test."""
+
+    def test_agrees_with_rabin_up_to_degree_14(self):
+        # step x modulo every f of degree d with f(0) = 1 at once, with no
+        # cap: x is a unit mod f, so its order is below 2^d
+        orders = {}
+        for d in range(2, 15):
+            fbs = np.arange((1 << d) | 1, 1 << (d + 1), 2, dtype=np.int64)
+            cur = np.full(len(fbs), 2, dtype=np.int64)
+            order = np.zeros(len(fbs), dtype=np.int64)
+            for t in range(1, 1 << d):
+                order[(cur == 1) & (order == 0)] = t
+                cur = (cur << 1) ^ (fbs & -(cur >> (d - 1)))
+            assert order.all()
+            orders.update(zip(fbs.tolist(), order.tolist()))
+        assert len(orders) == 16382
+        certified = [_order_certifies(fb, t) for fb, t in orders.items()]
+        assert certified == [_rabin(fb) for fb in orders]
+        assert sum(certified) > 1000
+
+    @pytest.mark.parametrize(
+        "bits, t, certified",
+        [
+            ((1 << 131) - 1, 131, True),  # 2 is primitive mod 131
+            (_mul(0b111, 0b111), 6, False),  # (x^2+x+1)^2: t is even
+            ((1 << 131) | 1, 131, False),  # (x+1) times the above: ord2(131) = 130
+            # (x+1)(x^2+x+1)(x^3+x+1): ord2(21) = 6 = deg f, but x^7 = 1
+            # modulo x+1 and x^3+x+1
+            (_mul(_mul(0b11, 0b111), 0b1011), 21, False),
+        ],
+    )
+    def test_one_input_per_condition(self, bits, t, certified):
+        # t is the order of x modulo bits
+        assert _powmod(2, t, bits) == 1
+        assert all(_powmod(2, t // q, bits) != 1 for q in _factorint(t))
+        assert _order_certifies(bits, t) is certified
+
+    def test_above_degree_64_found_orders_skip_rabin(self, monkeypatch):
+        def refused(fb):
+            raise AssertionError("Rabin's test ran")
+
+        monkeypatch.setattr(gf2poly, "_rabin", refused)
+        _clear_fact_caches()
+        f = BinaryPolynomial((1 << 131) - 1)
+        assert is_irreducible(f) and classify(f).exponent == 131
+        g = f * P("x^67+x^5+x^2+x+1")  # a primitive factor: order above the cap
+        with pytest.raises(AssertionError, match="Rabin"):
+            is_irreducible(g)
+
+    def test_reducible_without_a_small_order_pays_steps_once(self):
+        # no order up to the cap: Rabin and Berlekamp decide, and the
+        # stepping result is shared by every caller
+        f = P("x^67+x^5+x^2+x+1") * P("x^3+x+1")
+        _clear_fact_caches()
+        cls = classify(f)
+        assert cls.kind == "reducible-nonuniform" and not is_irreducible(f)
+        assert cls.exponent == ((1 << 67) - 1) * 7
+        assert gf2poly._x_steps.cache_info().misses == 2  # f and its degree-67 factor
+
+
+class TestCosetTraces:
+    """enumerate_irreducible's trace maps come from cyclotomic cosets:
+    modulo a divisor of x^e - 1, x^i has the conjugates x^(i 2^j mod e)."""
+
+    def test_coset_sums_are_trace_maps(self):
+        checked = 0
+        for e in range(3, 256, 2):
+            n = ord2(e)
+            if n > 24:
+                continue
+            phi = _cyclotomic_int(e)
+            for i in range(1, 2 * e, 2):
+                want = _trace_map(_powmod(2, i, phi), phi, n)
+                assert _mod(_coset_trace(i, n, e), phi) == want, (e, i)
+                checked += 1
+        assert checked > 4000
+
+    def test_enumeration_matches_the_stepped_trace_maps(self):
+        # sha256 of enumerate_irreducible's output, one line per odd e <
+        # 4096 with ord2(e) <= 200, as recorded when the trace maps
+        # were still taken by squaring modulo the polynomial being split
+        digest = hashlib.sha256()
+        count = 0
+        for e in range(1, 4096, 2):
+            n = ord2(e)
+            if n <= 200:
+                polys = enumerate_irreducible(n, e)
+                digest.update(f"{e}:{','.join(format(p.bits, 'x') for p in polys)}\n".encode())
+                count += 1
+        assert count == 863
+        assert digest.hexdigest() == (
+            "c8ee534c2d1eede901f052b66a5794a2fc1d3c082f29a4f2b009e13350ce6bf2"
+        )
 
 
 class TestFactorint:
