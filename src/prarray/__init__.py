@@ -14,7 +14,7 @@ product constructions, enumeration by exponent and the rank criteria.
 The numpy grid oracle (``zero_factor``, ``folding`` and ``verify``:
 zero factors, folds, array files, the census and the closure) builds
 and checks whole codes, each one read-only (m, r1, r2) uint8 grid
-stack, with ``TorusArray`` for single arrays.  Its names are resolved
+stack, an array being one (r1, r2) grid of it.  Its names are resolved
 here on first use, so ``import prarray`` leaves numpy unloaded until a
 caller reaches the oracle.
 """
@@ -58,7 +58,6 @@ from .criteria import (
 
 # oracle names and the module that defines them, imported on first use
 _ORACLE = {
-    "TorusArray": "folding",
     "fold": "folding",
     "fold_zero_factor": "folding",
     "read_arrays": "folding",
@@ -89,7 +88,6 @@ __all__ = [
     "ParseError",
     "PolynomialClass",
     "PositionSet",
-    "TorusArray",
     "VerdictReport",
     "Witness",
     "ZeroFactor",

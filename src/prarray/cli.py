@@ -58,6 +58,11 @@ def _require_uniform(poly, r1, r2):
     return cls
 
 
+def _require_area(params, poly):
+    if poly.degree != params.window_area:
+        raise _UsageError(f"degree {poly.degree} must equal n1*n2 = {params.window_area}")
+
+
 def _write_out(path, write):
     """Open path for writing and hand the file to write(fh)."""
     try:
@@ -135,8 +140,12 @@ def _cmd_construct(args):
     cls = _require_uniform(poly, args.r1, args.r2)
     if poly.degree > _ZERO_FACTOR_DEGREE_CAP:
         raise _UsageError(f"construct is capped at degree {_ZERO_FACTOR_DEGREE_CAP}")
-    # a bad header is refused before the zero factor is walked
+    # a header that verify would refuse is refused before the zero factor is walked
     header = None if args.n1 is None else CodeParams(args.r1, args.r2, args.n1, args.n2)
+    if header is not None:
+        if header.violation() is not None:
+            raise _UsageError(header.violation())
+        _require_area(header, poly)
     from .folding import _lines, fold_zero_factor, write_arrays
     from .lfsr import zero_factor
 
@@ -225,16 +234,18 @@ def _cmd_check_fold(args):
     params = CodeParams(args.r1, args.r2, args.n1, args.n2)
     cls = _require_uniform(poly, args.r1, args.r2)
     factors = factors or cls.factors
-    if poly.degree != params.window_area:
+    _require_area(params, poly)
+    irreducible = len(factors) == 1
+    want = args.criterion
+    if args.exhaustive_setpoly and not (irreducible and want in ("setpoly", "all")):
         raise _UsageError(
-            f"degree {poly.degree} must equal n1*n2 = {params.window_area}"
+            "--exhaustive-setpoly needs --criterion setpoly or all and an irreducible polynomial"
         )
     run = _Run(
         "check-fold",
         {"poly": str(poly), "criterion": args.criterion},
     )
     run.set_params(params)
-    irreducible = len(factors) == 1
 
     reports = []
 
@@ -246,7 +257,6 @@ def _cmd_check_fold(args):
             reports.append((rep, time.perf_counter() - started))
         return rep
 
-    want = args.criterion
     if want in ("setpoly", "all"):
         if irreducible:
             pos = criteria.window_positions(params)

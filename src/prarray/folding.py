@@ -2,14 +2,12 @@
 
 A sequence of length r1*r2 with gcd(r1, r2) = 1 folds into an r1 x r2
 torus by placing bit k at cell (k mod r1, k mod r2); the Chinese
-remainder theorem makes this a bijection.  An array is a read-only
-(r1, r2) uint8 grid of 0/1 cells, which a ``TorusArray`` wraps for
-per-array work.  A code is one read-only (m, r1, r2) uint8 grid stack:
-``fold_zero_factor`` and ``read_arrays`` return one, and
-``write_arrays`` and ``verify`` take one, or TorusArrays of one shape,
-through ``_grid_stack``.  Only this module packs an array into an
-integer (a row, a column, an unfolded sequence): cell (i, j) is bit
-i*r2 + j.
+remainder theorem makes this a bijection.  An array is an (r1, r2)
+grid of 0/1 cells; ``fold`` returns a read-only uint8 one.  A code is
+one read-only (m, r1, r2) uint8 grid stack: ``fold_zero_factor`` and
+``read_arrays`` return one, and ``write_arrays`` and ``verify`` take
+one, or any iterable of grids of one shape, which ``_grid_stack``
+stacks once.  ``unfold`` reads a grid back into its sequence.
 
 Array file format: one array is r1 lines of r2 characters from {0,1};
 arrays are separated by a single blank line; an optional first line
@@ -25,85 +23,6 @@ import numpy as np
 
 from .criteria import CodeParams
 from .lfsr import CyclicSequence, _pack_rows
-
-
-class TorusArray:
-    """An r1 x r2 binary array, cyclic in both directions, around its own
-    read-only (r1, r2) uint8 grid."""
-
-    __slots__ = ("_grid",)
-
-    def __init__(self, grid):
-        grid = np.asarray(grid)
-        if grid.ndim != 2 or grid.size == 0:
-            raise ValueError("array must be a nonempty 2-D grid")
-        _check_cells(grid)
-        self._grid = _read_only(grid.astype(np.uint8))
-
-    @property
-    def grid(self):
-        return self._grid
-
-    @property
-    def r1(self):
-        return self._grid.shape[0]
-
-    @property
-    def r2(self):
-        return self._grid.shape[1]
-
-    @classmethod
-    def from_lines(cls, lines):
-        lines = [ln.strip() for ln in lines]
-        if not lines or any(set(ln) - {"0", "1"} for ln in lines):
-            raise ValueError("array lines must be nonempty 0/1 strings")
-        return cls(_row_stack(lines, [0])[0])
-
-    def entry(self, i, j):
-        return int(self.grid[i % self.r1, j % self.r2])
-
-    def to_lines(self):
-        return _lines(self.grid[None])[0]
-
-    def __str__(self):
-        return "\n".join(self.to_lines())
-
-    def __repr__(self):
-        return f"TorusArray({self.r1}x{self.r2})"
-
-    def __eq__(self, other):
-        return isinstance(other, TorusArray) and np.array_equal(self.grid, other.grid)
-
-    def __hash__(self):
-        return hash(("torus", self.grid.shape, self.grid.tobytes()))
-
-    @property
-    def is_zero(self):
-        return not self.grid.any()
-
-    def __add__(self, other):
-        self._check_dims(other)
-        return TorusArray(self.grid ^ other.grid)
-
-    def prod(self, other):
-        """Elementwise AND."""
-        self._check_dims(other)
-        return TorusArray(self.grid & other.grid)
-
-    def _check_dims(self, other):
-        if self.grid.shape != other.grid.shape:
-            raise ValueError("array dimensions differ")
-
-    def shift(self, dv, dh):
-        """Move content down by dv rows and right by dh columns."""
-        return TorusArray(np.roll(self.grid, (dv, dh), axis=(0, 1)))
-
-    def column(self, j):
-        """Column j as a CyclicSequence of length r1."""
-        return CyclicSequence(_pack_rows(self.grid[None, :, j % self.r2])[0], self.r1)
-
-    def row(self, i):
-        return CyclicSequence(_pack_rows(self.grid[None, i % self.r1])[0], self.r2)
 
 
 def _check_cells(grids):
@@ -123,28 +42,21 @@ def _read_only(grid):
 _NO_ARRAYS = _read_only(np.zeros((0, 0, 0), dtype=np.uint8))
 
 
-class _MixedShapes(ValueError):
-    """Arrays of more than one shape, which have no grid stack; size
-    counts them."""
-
-    def __init__(self, size):
-        super().__init__("arrays must share dimensions")
-        self.size = size
-
-
 def _grid_stack(code):
     """The (m, r1, r2) uint8 grid stack of a code, given as a stack or as
-    TorusArrays of one shape; (0, 0, 0) for no arrays.  A uint8 stack
-    is returned as it is, once its cells are checked."""
+    an iterable of 2-D grids of one shape; (0, 0, 0) for no arrays.  A
+    uint8 stack is returned as it is, once its cells are checked."""
     if isinstance(code, np.ndarray):
         if code.ndim != 3:
             raise ValueError(f"a code stack must have 3 axes (m, r1, r2), not {code.ndim}")
         _check_cells(code)
         return code.astype(np.uint8, copy=False)
-    grids = [a.grid for a in code]
+    grids = [np.asarray(g) for g in code]
+    if any(g.ndim != 2 for g in grids):
+        raise ValueError("arrays must be 2-D grids")
     if len({g.shape for g in grids}) > 1:
-        raise _MixedShapes(len(grids))
-    return np.stack(grids) if grids else _NO_ARRAYS
+        raise ValueError("arrays must share dimensions")
+    return _grid_stack(np.stack(grids)) if grids else _NO_ARRAYS
 
 
 def _row_stack(rows, starts):
@@ -183,25 +95,32 @@ def _fold_bits(bits, r1, r2):
 
 
 def fold(seq, r1, r2):
-    """Fold a length r1*r2 sequence along the southeast diagonal."""
+    """Fold a length r1*r2 sequence along the southeast diagonal into a
+    read-only (r1, r2) uint8 grid."""
     ell = r1 * r2
     if len(seq) != ell:
         raise ValueError(f"sequence length {len(seq)} != r1*r2 = {ell}")
     raw = np.frombuffer(seq.bits.to_bytes((ell + 7) // 8, "little"), dtype=np.uint8)
     bits = _read_only(np.unpackbits(raw, count=ell, bitorder="little"))
-    return TorusArray(_fold_bits(bits[None], r1, r2)[0])
+    return _fold_bits(bits[None], r1, r2)[0]
 
 
-def unfold(arr):
-    """Inverse of fold; needs coprime dimensions.  With r1 = 1 or
-    r2 = 1 the grid, read row-major, is the sequence."""
-    if math.gcd(arr.r1, arr.r2) != 1:
+def unfold(grid):
+    """Inverse of fold: the sequence of a nonempty 2-D 0/1 grid of
+    coprime dimensions.  With r1 = 1 or r2 = 1 the grid, read
+    row-major, is the sequence."""
+    grid = np.asarray(grid)
+    if grid.ndim != 2 or grid.size == 0:
+        raise ValueError("unfold needs a nonempty 2-D grid")
+    _check_cells(grid)
+    r1, r2 = grid.shape
+    if math.gcd(r1, r2) != 1:
         raise ValueError("unfold needs coprime dimensions")
-    if arr.r1 == 1 or arr.r2 == 1:
-        bits = arr.grid.reshape(1, -1)
+    if r1 == 1 or r2 == 1:
+        bits = grid.reshape(1, -1)
     else:
-        bits = np.empty((1, arr.r1 * arr.r2), dtype=np.uint8)
-        bits[0, _fold_indices(arr.r1, arr.r2)] = arr.grid.ravel()
+        bits = np.empty((1, r1 * r2), dtype=np.uint8)
+        bits[0, _fold_indices(r1, r2)] = grid.ravel()
     return CyclicSequence(_pack_rows(bits)[0], bits.shape[1])
 
 
@@ -234,14 +153,10 @@ def _lines(grids):
 
 
 def write_arrays(stream, arrays, header=None):
-    """Write a code (a grid stack, or arrays of one shape) in the text
+    """Write a code (a grid stack, or grids of one shape) in the text
     format, in one write; header is an optional CodeParams."""
     text = "" if header is None else f"# {header.r1} {header.r2} {header.n1} {header.n2}\n"
-    try:
-        grids = _grid_stack(arrays)
-    except _MixedShapes:
-        raise ValueError("arrays in one file must share dimensions") from None
-    stream.write(text + _text(grids))
+    stream.write(text + _text(_grid_stack(arrays)))
 
 
 def read_arrays(stream):

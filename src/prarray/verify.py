@@ -9,8 +9,8 @@ when reading the (0, 0) window, one to one on the shifts, is linear.
 ``verify_prac`` chains the parameter arithmetic, the census, and the
 closure check.
 
-Each check takes a code as its (m, r1, r2) grid stack, or as
-TorusArrays of one shape that it stacks once, and reads the stack in
+Each check takes a code as its (m, r1, r2) grid stack, or as 2-D
+grids of one shape that it stacks once, and reads the stack in
 blocks of whole arrays of about 2^20 windows.  A block's windows are
 coded row by row: the n2-bit code of each window row first, then n1
 row codes stacked into each window code, n1 + n2 shifted ORs in all.
@@ -35,7 +35,7 @@ import itertools
 import numpy as np
 
 from .criteria import _CENSUS_AREA_CAP, CodeParams, VerdictReport, Witness
-from .folding import _grid_stack, _MixedShapes
+from .folding import _grid_stack
 
 _CENSUS_BLOCK_WINDOWS = 1 << 20  # windows coded per block of whole arrays
 
@@ -265,15 +265,11 @@ def verify_prac(arrays, params):
     stage (criterion 'parameters', 'census' or 'shift-add') and all
     stage reports in detail["stages"].
     """
-    try:
-        grids = _grid_stack(arrays)
-        size = len(grids)
-    except _MixedShapes as exc:
-        grids, size = None, exc.size
+    grids = _grid_stack(arrays)
+    size = len(grids)
     stages = []
     problem = params.violation()
-    # one stack has one shape; arrays of mixed shapes have no stack
-    if problem is None and size and (grids is None or grids.shape[1:] != (params.r1, params.r2)):
+    if problem is None and size and grids.shape[1:] != (params.r1, params.r2):
         problem = "array dimensions do not match the parameters"
     if problem is None:
         delta = params.codeword_count()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from prarray.gf2poly import (
@@ -22,17 +23,39 @@ from prarray.gf2poly import (
     ord2,
     parse,
 )
+from prarray.lfsr import CyclicSequence
 
 
 # (number, description, outcome, seconds) rows filled by the acceptance tests
 ACCEPTANCE_LOG = []
 
 
-def cell_rotations(arr):
-    """Packed value of shift(dv, dh) at entry dh*r1 + dv, cell (i, j)
-    at bit i*r2 + j, built row by row from the array's text lines."""
-    r1, r2 = arr.r1, arr.r2
-    rows = [int(line[::-1], 2) for line in arr.to_lines()]
+def grid_lines(grid):
+    """The rows of a 2-D 0/1 grid as strings of digits."""
+    return ["".join(str(int(c)) for c in row) for row in grid]
+
+
+def shift(grid, dv, dh):
+    """A grid moved down dv rows and right dh columns, cyclically."""
+    return np.roll(grid, (dv, dh), axis=(0, 1))
+
+
+def row(grid, i):
+    """Row i of a grid as a cyclic sequence, column j at bit j."""
+    return CyclicSequence.from_bits(grid[i % len(grid)])
+
+
+def column(grid, j):
+    """Column j of a grid as a cyclic sequence, row i at bit i."""
+    return CyclicSequence.from_bits(np.asarray(grid)[:, j % len(grid[0])])
+
+
+def cell_rotations(grid):
+    """Packed value of the grid moved down dv rows and right dh columns
+    at entry dh*r1 + dv, cell (i, j) at bit i*r2 + j, built row by row
+    from the grid's text lines."""
+    r1, r2 = len(grid), len(grid[0])
+    rows = [int(line[::-1], 2) for line in grid_lines(grid)]
     mask = (1 << r2) - 1
     full = (1 << (r1 * r2)) - 1
     out = []
@@ -45,10 +68,10 @@ def cell_rotations(arr):
     return out
 
 
-def least_rotation(arr):
-    """The least packed double rotation: equal exactly for arrays that
+def least_rotation(grid):
+    """The least packed double rotation: equal exactly for grids that
     are shifts of each other."""
-    return min(cell_rotations(arr))
+    return min(cell_rotations(grid))
 
 
 def canonical(seq):
@@ -309,14 +332,14 @@ def reference_ord2(e):
     return d
 
 
-def reference_write_arrays(stream, arrays, header=None):
-    """The array file format written array by array, row by row."""
+def reference_write_arrays(stream, grids, header=None):
+    """The array file format written grid by grid, row by row."""
     if header is not None:
         stream.write(f"# {header.r1} {header.r2} {header.n1} {header.n2}\n")
-    for idx, arr in enumerate(arrays):
+    for idx, grid in enumerate(grids):
         if idx:
             stream.write("\n")
-        for line in arr.to_lines():
+        for line in grid_lines(grid):
             stream.write(line + "\n")
 
 

@@ -146,5 +146,5 @@ class TestWorkloadOperations:
         params = prarray.CodeParams(7, 13, 3, 4)
         grids = folding.fold_zero_factor(lfsr.zero_factor(f), 7, 13)
         want = io.StringIO()
-        reference_write_arrays(want, [folding.TorusArray(g) for g in grids], params)
+        reference_write_arrays(want, grids, params)
         assert workloads._arrays_text(grids, params) == want.getvalue()

@@ -112,7 +112,9 @@ class TestConstructVerify:
 
 
     def test_construct_json_arrays_are_each_arrays_lines(self, capsys):
-        from prarray.folding import TorusArray, fold_zero_factor
+        from conftest import grid_lines
+
+        from prarray.folding import fold_zero_factor
         from prarray.gf2poly import parse
         from prarray.lfsr import zero_factor
 
@@ -122,11 +124,7 @@ class TestConstructVerify:
         )
         assert code == 0
         grids = fold_zero_factor(zero_factor(parse("x^12+x^10+x^9+x+1")), 7, 13)
-        arrays = [TorusArray(g) for g in grids]
-        want = [a.to_lines() for a in arrays]
-        assert want == [
-            ["".join(str(a.entry(i, j)) for j in range(13)) for i in range(7)] for a in arrays
-        ]
+        want = [grid_lines(g) for g in grids]
         doc = json.loads(out)
         assert len(want) == doc["counts"]["arrays"] == 45
         assert out == json.dumps({**doc, "arrays": want}, indent=2, sort_keys=True) + "\n"
@@ -424,6 +422,52 @@ class TestRefusedInputs:
         )
         assert code == 2 and out == ""
         assert err == "error: parameters must be positive\n"
+
+    @pytest.mark.parametrize(
+        "n1, n2, message",
+        [
+            ("9", "9", "need r1 > n1 (or r1 = n1 = 1), got r1=3, n1=9"),
+            ("1", "3", "r1*r2 = 15 does not divide 2^3 - 1"),
+            ("2", "4", "degree 4 must equal n1*n2 = 8"),
+        ],
+        ids=["window-taller", "area-not-dividing", "area-not-degree"],
+    )
+    def test_construct_header_that_verify_refuses(self, tmp_path, capsys, monkeypatch, n1, n2,
+                                                  message):
+        # such a file would only fail verify; it is refused before the walk
+        from prarray import lfsr
+
+        def walked(*args, **kwargs):
+            raise AssertionError("the zero factor was walked before the refusal")
+
+        monkeypatch.setattr(lfsr, "zero_factor", walked)
+        path = tmp_path / "arrays.txt"
+        code, out, err = run(
+            capsys, "construct", "--poly", "x^4+x+1", "--r1", "3", "--r2", "5",
+            "--n1", n1, "--n2", n2, "--out", str(path),
+        )
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *[["--poly", "x^2+x+1", "--r1", "1", "--r2", "3", "--n1", "1", "--n2", "2",
+               "--criterion", c] for c in ("census", "det", "sufficient")],
+            ["--factors", "x^6+x^5+x^4+x^2+1,x^6+x^4+x^2+x+1", "--r1", "3", "--r2", "7",
+             "--n1", "2", "--n2", "6", "--criterion", "all"],
+        ],
+        ids=["census", "det", "sufficient", "all-reducible"],
+    )
+    def test_exhaustive_setpoly_refused_where_it_cannot_run(self, capsys, argv):
+        code, out, err = run(capsys, "check-fold", *argv, "--exhaustive-setpoly")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: --exhaustive-setpoly needs --criterion setpoly or all "
+            "and an irreducible polynomial\n"
+        )
+        # without the flag the same check runs
+        assert run(capsys, "check-fold", *argv)[0] in (0, 1)
 
     @pytest.mark.parametrize("command", ["vee", "classify"])
     def test_product_above_order_cap_is_prompt(self, capsys, command):

@@ -121,6 +121,15 @@ BOTH = [
     *[(f"refused-half-window-{h[0][2:]}", ["construct", "--poly", "x^4+x+1", "--r1", "3",
                                           "--r2", "5", *h, "--out", "half.txt"])
       for h in (("--n1", "2"), ("--n2", "2"))],
+    # construct headers that verify would refuse
+    *[(f"refused-header-{name}", ["construct", "--poly", "x^4+x+1", "--r1", "3", "--r2", "5",
+                                  "--n1", n1, "--n2", n2])
+      for name, n1, n2 in (("taller", "9", "9"), ("divide", "1", "3"), ("area", "2", "4"))],
+    *[(f"refused-exhaustive-{c}", ["check-fold", "--poly", "x^2+x+1", "--r1", "1", "--r2", "3",
+                                   "--n1", "1", "--n2", "2", "--criterion", c,
+                                   "--exhaustive-setpoly"]) for c in ("census", "det")],
+    ("refused-exhaustive-reducible", ["check-fold", "--factors", FACTORS, "--r1", "3", "--r2", "7",
+                                      "--n1", "2", "--n2", "6", "--exhaustive-setpoly"]),
     *[(f"refused-verify-{name}", ["verify", "--in", f"{name}.txt"])
       for name in ("header-after-row", "second-header", "header-parameters")],
 ]

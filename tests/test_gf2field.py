@@ -149,10 +149,9 @@ class TestSerialization:
 
     def test_report_key_values(self):
         # witness coordinates and bits travel through the kv document
-        from prarray.folding import TorusArray
         from prarray.verify import window_census
 
-        rep = window_census([TorusArray.from_lines(["00000"] * 3)], 2, 2)
+        rep = window_census([[[0] * 5] * 3], 2, 2)
         kv = rep.to_kv()
         assert kv["verdict"] == "fail"
         assert kv["witness.position"] == "0,0"

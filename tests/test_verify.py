@@ -5,11 +5,12 @@ import re
 
 import numpy as np
 import pytest
-from conftest import cell_rotations
+from conftest import cell_rotations, shift
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from prarray.folding import CodeParams, TorusArray, fold, fold_zero_factor, write_arrays
+from prarray import folding
+from prarray.folding import CodeParams, fold, fold_zero_factor, write_arrays
 from prarray.gf2poly import (
     BinaryPolynomial,
     _divisors,
@@ -54,7 +55,7 @@ class TestCensus:
         assert window_census(prac_3x7, 2, 3).passed
 
     def test_all_zero_fails_with_witness(self):
-        rep = window_census([TorusArray(np.zeros((3, 5), dtype=np.uint8))], 2, 2)
+        rep = window_census([np.zeros((3, 5), dtype=np.uint8)], 2, 2)
         assert not rep.passed
         assert rep.witness.kind == "zero-window"
         assert rep.witness.position == (0, 0)
@@ -82,26 +83,21 @@ class TestCensus:
     def test_permutation_and_rotation_invariance(self, prac_3x7):
         base = window_census(prac_3x7, 2, 3).passed
         rng = random.Random(17)
-        arrays = as_arrays(prac_3x7)
+        arrays = list(prac_3x7)
         for _ in range(5):
             rng.shuffle(arrays)
-            rotated = [a.shift(rng.randrange(3), rng.randrange(7)) for a in arrays]
+            rotated = [shift(a, rng.randrange(3), rng.randrange(7)) for a in arrays]
             assert window_census(rotated, 2, 3).passed == base
-
-
-def as_arrays(code):
-    """A code, given as a grid stack or as arrays, as a list of arrays."""
-    return [a if isinstance(a, TorusArray) else TorusArray(a) for a in code]
 
 
 def reference_closure(arrays, params=None):
     """All-pairs closure: every codeword plus every shift of every
     codeword is zero or a shift of a codeword."""
-    arrays = as_arrays(arrays)
+    arrays = list(arrays)
     if not arrays:
         return VerdictReport("shift-add", True, params, None, {"pairs_checked": 0})
-    r1, r2 = arrays[0].r1, arrays[0].r2
-    if any(a.r1 != r1 or a.r2 != r2 for a in arrays):
+    r1, r2 = arrays[0].shape
+    if any(a.shape != (r1, r2) for a in arrays):
         raise ValueError("arrays must share dimensions")
     members = set()
     rotations = []
@@ -156,10 +152,9 @@ def check_closure(arrays, params, expected=None):
         return got
     ia, ib, dv, dh = map(int, _CLOSURE_WITNESS.match(got.witness.message).groups())
     assert (got.witness.array_index, got.witness.position) == (ia, (dv, dh))
-    arrays = as_arrays(arrays)
-    total = arrays[ia] + arrays[ib].shift(dv, dh)
+    total = arrays[ia] ^ shift(arrays[ib], dv, dh)
     codewords = {cell_rotations(a)[0] for a in arrays}
-    assert not total.is_zero, got.witness.message
+    assert total.any(), got.witness.message
     assert codewords.isdisjoint(cell_rotations(total)), got.witness.message
     return got
 
@@ -177,11 +172,11 @@ def small_array_sets(draw):
     grid = st.lists(st.lists(st.integers(0, 1), min_size=r2, max_size=r2), min_size=r1, max_size=r1)
     zero = st.just([[0] * r2] * r1)
     arrays = [
-        TorusArray(cells)
+        np.array(cells, dtype=np.uint8)
         for cells in draw(st.lists(st.one_of(zero, grid), min_size=1, max_size=4))
     ]
     if len(arrays) > 1 and draw(st.booleans()):
-        arrays[-1] = arrays[0].shift(draw(st.integers(0, r1 - 1)), draw(st.integers(0, r2 - 1)))
+        arrays[-1] = shift(arrays[0], draw(st.integers(0, r1 - 1)), draw(st.integers(0, r2 - 1)))
     params = CodeParams(r1, r2, draw(st.integers(1, r1)), draw(st.integers(1, r2)))
     return arrays, params
 
@@ -282,7 +277,7 @@ class TestBlockCodes:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         grids = rng.integers(0, 2, size=(b, r1, r2), dtype=np.uint8)
         want = np.concatenate(
-            [reference_window_codes(TorusArray(g), n1, n2).ravel() for g in grids]
+            [reference_window_codes(g, n1, n2).ravel() for g in grids]
         )
         assert np.array_equal(_block_codes(grids, n1, n2), want), (b, r1, r2, n1, n2)
 
@@ -301,7 +296,7 @@ class TestClosure:
     def test_dimension_mismatch(self, pra_3x5):
         with pytest.raises(ValueError):
             shift_add_closure(
-                [pra_3x5, TorusArray(np.zeros((2, 5), dtype=np.uint8))], CodeParams(3, 5, 2, 2)
+                [pra_3x5, np.zeros((2, 5), dtype=np.uint8)], CodeParams(3, 5, 2, 2)
             )
 
     # sequences of length l are checked as their 1 x l folds
@@ -340,7 +335,7 @@ class TestClosure:
         passing = refused = 0
         for f, grids in folded_uniform_codes(10):
             r1, r2 = grids.shape[1:]
-            arrays = as_arrays(grids)
+            arrays = list(grids)
             shapes = [
                 CodeParams(r1, r2, *shape)
                 for shape in window_shapes(r1, r2, f.degree)
@@ -418,9 +413,13 @@ class TestVerifyPrac:
 
     @pytest.mark.parametrize("mixed", [True, False], ids=["one-transposed", "all-transposed"])
     def test_dimension_mismatch_fails_parameters(self, prac_3x7, mixed):
-        arrays = [TorusArray(g.T) for g in prac_3x7]
+        # grids of two shapes are no code; grids of one wrong shape are
+        # a code that fails the parameter stage
+        arrays = [g.T for g in prac_3x7]
         if mixed:
-            arrays = as_arrays(prac_3x7[:-1]) + arrays[-1:]
+            with pytest.raises(ValueError, match="^arrays must share dimensions$"):
+                verify_prac([*prac_3x7[:-1], arrays[-1]], CodeParams(3, 7, 2, 3))
+            return
         rep = verify_prac(arrays, CodeParams(3, 7, 2, 3))
         assert not rep.passed and rep.criterion == "parameters"
         assert rep.witness.message == "array dimensions do not match the parameters"
@@ -437,7 +436,7 @@ class TestVerifyPrac:
             return stack(grids, *args, **kwargs)
 
         monkeypatch.setattr(np, "stack", counted)
-        assert verify_prac(as_arrays(prac_3x7), CodeParams(3, 7, 2, 3)).passed
+        assert verify_prac(list(prac_3x7), CodeParams(3, 7, 2, 3)).passed
         assert stacked == [3, 6]
 
 
@@ -446,6 +445,7 @@ class TestCodeStacks:
     a stack that is not one is refused."""
 
     def test_stack_is_neither_restacked_nor_wrapped(self, monkeypatch):
+        # a uint8 stack is the checks' own stack: no copy, no new stack
         grids = fold_zero_factor(zero_factor(parse("x^12+x^10+x^9+x+1")), 7, 13)
         params = CodeParams(7, 13, 3, 4)
         stacked = []
@@ -456,11 +456,8 @@ class TestCodeStacks:
             stacked.append(len(arrays))
             return stack(arrays, *args, **kwargs)
 
-        def wrapped(self, grid):
-            raise AssertionError("a TorusArray was made from the stack")
-
         monkeypatch.setattr(np, "stack", counted)
-        monkeypatch.setattr(TorusArray, "__init__", wrapped)
+        assert folding._grid_stack(grids) is grids
         assert window_census(grids, 3, 4, params).passed
         write_arrays(io.StringIO(), grids, params)
         assert stacked == []
@@ -502,9 +499,60 @@ class TestCodeStacks:
                 check()
 
 
-def reference_window_codes(arr, n1, n2):
-    """Codes of all r1*r2 windows of one array, read cell by cell."""
-    g = np.array([[arr.entry(i, j) for j in range(arr.r2)] for i in range(arr.r1)])
+    @pytest.mark.parametrize(
+        "poly, params",
+        [("x^4+x+1", CodeParams(3, 5, 2, 2)), ("x^12+x^10+x^9+x+1", CodeParams(7, 13, 3, 4))],
+        ids=["3x5", "7x13"],
+    )
+    def test_list_generator_and_stack_agree(self, poly, params):
+        # a code of plain grids is stacked once and read as its stack
+        grids = fold_zero_factor(zero_factor(parse(poly)), params.r1, params.r2)
+        forms = {
+            "stack": lambda: grids,
+            "list": lambda: list(grids),
+            "generator": lambda: (g for g in grids),
+            "copies": lambda: [g.copy() for g in grids],
+        }
+        seen = {}
+        for name, code in forms.items():
+            buf = io.StringIO()
+            write_arrays(buf, code(), params)
+            seen[name] = (
+                window_census(code(), params.n1, params.n2, params),
+                window_census(code(), params.n1, params.n2),
+                shift_add_closure(code(), params),
+                verify_prac(code(), params),
+                buf.getvalue(),
+            )
+        assert seen["stack"][0].passed and seen["stack"][3].passed
+        assert all(got == seen["stack"] for got in seen.values())
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda g: [*g[:2], g[2][:, :5]], "arrays must share dimensions"),
+            (lambda g: [a.ravel() for a in g], "arrays must be 2-D grids"),
+            (lambda g: [g], "arrays must be 2-D grids"),
+        ],
+        ids=["ragged", "1-D", "3-D"],
+    )
+    def test_lists_of_non_grids_refused(self, prac_3x7, make, message):
+        bad = make(prac_3x7)
+        params = CodeParams(3, 7, 2, 3)
+        for check in (
+            lambda code: window_census(code, 2, 3, params),
+            lambda code: shift_add_closure(code, params),
+            lambda code: verify_prac(code, params),
+            lambda code: write_arrays(io.StringIO(), code, params),
+        ):
+            for code in (bad, iter(bad)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    check(code)
+
+
+def reference_window_codes(grid, n1, n2):
+    """Codes of all r1*r2 windows of one grid, read cell by cell."""
+    g = np.asarray(grid)
     ext = np.concatenate([g, g[: n1 - 1]], axis=0)
     ext = np.concatenate([ext, ext[:, : n2 - 1]], axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(ext, (n1, n2))
@@ -517,11 +565,11 @@ def reference_window_codes(arr, n1, n2):
 def reference_census(arrays, n1, n2, params=None):
     """Per-array census: count every code with bincount, then locate the
     witness by rescanning the arrays."""
-    arrays = as_arrays(arrays)
+    arrays = list(arrays)
     if params is None:
-        params = CodeParams(arrays[0].r1, arrays[0].r2, n1, n2)
+        params = CodeParams(*arrays[0].shape, n1, n2)
     expected = (1 << (n1 * n2)) - 1
-    total = sum(a.r1 * a.r2 for a in arrays)
+    total = sum(a.size for a in arrays)
     detail = {"windows_total": total, "windows_expected": expected}
 
     def fail(witness):
@@ -539,8 +587,11 @@ def reference_census(arrays, n1, n2, params=None):
                     skip -= 1
                     continue
                 i, j = int(i), int(j)
+                r1, r2 = arrays[idx].shape
                 window = "".join(
-                    str(arrays[idx].entry(i + a, j + b)) for a in range(n1) for b in range(n2)
+                    str(arrays[idx][(i + a) % r1, (j + b) % r2])
+                    for a in range(n1)
+                    for b in range(n2)
                 )
                 return idx, (i, j), window
 
@@ -561,10 +612,10 @@ def reference_census(arrays, n1, n2, params=None):
     return VerdictReport("census", True, params, None, detail)
 
 
-def flip(arr, i, j):
-    grid = arr.grid.copy()
+def flip(grid, i, j):
+    grid = grid.copy()
     grid[i, j] ^= 1
-    return TorusArray(grid)
+    return grid
 
 
 class TestCensusReference:
@@ -596,17 +647,17 @@ class TestCensusReference:
         rng = random.Random(31)
         kinds = set()
         for grids, p in self._codes():
-            arrays = as_arrays(grids)
+            arrays = list(grids)
             k = rng.randrange(len(arrays))
             others = [a for i, a in enumerate(arrays) if i != k]
             variants = [
                 grids,
-                others + [TorusArray(np.zeros((p.r1, p.r2), dtype=np.uint8))],
+                others + [np.zeros((p.r1, p.r2), dtype=np.uint8)],
                 others + [flip(arrays[k], rng.randrange(p.r1), rng.randrange(p.r2))],
             ]
             if others:
                 # a shifted copy of another codeword: one code twice
-                variants.append(others + [rng.choice(others).shift(1, 2)])
+                variants.append(others + [shift(rng.choice(others), 1, 2)])
             for v in variants:
                 got = window_census(v, p.n1, p.n2, p)
                 assert got == reference_census(v, p.n1, p.n2, p), (p, got)
@@ -631,7 +682,7 @@ class TestBitTablePath:
         assert normal.passed and packed.passed
 
     def test_agrees_on_zero_window(self, monkeypatch):
-        arrays = [TorusArray(np.zeros((3, 5), dtype=np.uint8))]
+        arrays = [np.zeros((3, 5), dtype=np.uint8)]
         normal, packed = self._both(monkeypatch, arrays, 2, 2)
         assert not normal.passed and not packed.passed
         assert normal.witness.kind == packed.witness.kind == "zero-window"
@@ -645,8 +696,8 @@ class TestBitTablePath:
     def test_cross_array_duplicate(self, monkeypatch, prac_3x7):
         # swap one codeword for a shift of another: totals stay right,
         # but one window pattern now occurs twice
-        a0, a1 = as_arrays(prac_3x7[:2])
-        arrays = [a0, a1, a1.shift(1, 2)]
+        a0, a1 = prac_3x7[:2]
+        arrays = [a0, a1, shift(a1, 1, 2)]
         normal, packed = self._both(monkeypatch, arrays, 2, 3)
         assert not normal.passed and not packed.passed
         assert normal.witness.kind == packed.witness.kind == "duplicate-window"
@@ -655,9 +706,9 @@ class TestBitTablePath:
         "last, kind",
         [
             (lambda arrays: arrays[4], None),
-            (lambda arrays: arrays[0].shift(1, 2), "duplicate-window"),  # across the blocks
-            (lambda arrays: arrays[3].shift(1, 2), "duplicate-window"),  # inside the last
-            (lambda arrays: TorusArray(np.zeros((3, 17), dtype=np.uint8)), "zero-window"),
+            (lambda arrays: shift(arrays[0], 1, 2), "duplicate-window"),  # across the blocks
+            (lambda arrays: shift(arrays[3], 1, 2), "duplicate-window"),  # inside the last
+            (lambda arrays: np.zeros((3, 17), dtype=np.uint8), "zero-window"),
         ],
         ids=["pass", "repeat-across", "repeat-in-last", "zero-in-last"],
     )
@@ -666,10 +717,10 @@ class TestBitTablePath:
         # block fills the table, and only the last block meets it
         import prarray.verify as v
 
-        arrays = as_arrays(fold_zero_factor(zero_factor(parse("x^8+x^4+x^3+x+1")), 3, 17))
+        arrays = list(fold_zero_factor(zero_factor(parse("x^8+x^4+x^3+x+1")), 3, 17))
         arrays[4] = last(arrays)
         monkeypatch.setattr(v, "_CENSUS_BLOCK_WINDOWS", 3 * 51)
-        assert [lo for lo, _ in v._blocks(np.stack([a.grid for a in arrays]))] == [0, 3]
+        assert [lo for lo, _ in v._blocks(np.stack(arrays))] == [0, 3]
         got = window_census(arrays, 2, 4)
         assert got == reference_census(arrays, 2, 4)
         assert (got.witness.kind if got.witness else None) == kind
@@ -687,8 +738,8 @@ class TestBitTablePath:
         w = rep.witness
         assert w.kind in ("zero-window", "duplicate-window")
         assert w.window_bits == format(w.code, "023b")
-        cells = TorusArray(grids[w.array_index])
-        assert [cells.entry(0, w.position[1] + b) for b in range(23)] == [
+        cells = grids[w.array_index, 0]
+        assert [int(cells[(w.position[1] + b) % 47]) for b in range(23)] == [
             int(c) for c in w.window_bits
         ]
 
