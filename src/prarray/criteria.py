@@ -638,6 +638,7 @@ def conjecture_search(n1, n2, r1, r2, kmax):
     """
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
+    params = CodeParams(r1, r2, n1, n2)  # refuses a non-positive parameter
     if math.gcd(r1, r2) != 1:
         raise ValueError("r1 and r2 must be coprime")
     in_range = n1 < r1 < 2 * n1
@@ -645,7 +646,7 @@ def conjecture_search(n1, n2, r1, r2, kmax):
     entries = []
     passing = []
     for f in candidates:
-        entry = _conjecture_entry(1, (f,), f, CodeParams(r1, r2, n1, n2))
+        entry = _conjecture_entry(1, (f,), f, params)
         entries.append(entry)
         if entry.verdict.passed:
             passing.append(f)

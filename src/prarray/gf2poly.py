@@ -32,9 +32,10 @@ The raw kernels pick their path from operand sizes alone:
 * ``_squarer(m)`` squares residues mod m.  Up to degree 64 (a word) it
   reads ``_square_tables``: the deg m images x^(2i) mod m from
   ``_frobenius_images`` (each the last shifted by 2, then at most two
-  conditional XORs), combined into one 256-entry table per byte of a
-  residue (the top table has 2^(bits left) entries), so r^2 mod m is one
-  lookup per byte of r.  Tables are kept for the last 8 moduli only.
+  conditional XORs), combined by ``_byte_tables`` into one 256-entry
+  table per byte of a residue (the top table has 2^(bits left)
+  entries), so r^2 mod m is one lookup per byte of r.  Tables are kept
+  for the last 8 moduli only.
   Above a word it is ``_mod(_square(r), m)``.  Rabin's test, the trace
   masks of the rank criteria and the x-power loop of ``_powmod`` square
   through it; Berlekamp's columns are the same images at every degree.
@@ -208,13 +209,10 @@ def _frobenius_images(m):
     return images
 
 
-@functools.lru_cache(maxsize=8)
-def _square_tables(m):
-    """For m of degree <= _WORD, one table per byte of a residue (256
-    entries, fewer for the top byte): entry b of table k is the XOR of
-    the images x^(2(8k+j)) mod m over the bits j of b, so r^2 mod m is
-    one lookup per byte of r."""
-    images = _frobenius_images(m)
+def _byte_tables(images):
+    """Lookup tables of the GF(2)-linear map sending bit i to images[i],
+    one per byte of its input (256 entries, fewer for the top byte):
+    entry b of table k is the XOR of images[8k + j] over the bits j of b."""
     tables = []
     for k in range(0, len(images), 8):
         table = [0]
@@ -222,6 +220,13 @@ def _square_tables(m):
             table += [v ^ img for v in table]
         tables.append(table)
     return tables
+
+
+@functools.lru_cache(maxsize=8)
+def _square_tables(m):
+    """For m of degree <= _WORD, the byte tables of squaring mod m, so
+    r^2 mod m is one lookup per byte of r."""
+    return _byte_tables(_frobenius_images(m))
 
 
 def _squarer(m):

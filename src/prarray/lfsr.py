@@ -2,20 +2,22 @@
 
 A characteristic polynomial ``c(x) = 1 + c_1 x + ... + c_n x^n`` drives
 the recursion ``a_k = c_1 a_{k-1} + ... + c_n a_{k-n}`` over GF(2).
-Sequence bits are packed into an integer with ``a_0`` at bit 0.
+A ``CyclicSequence`` is its bits packed into an integer with ``a_0`` at
+bit 0, and its length.
 
 Batched form: a zero factor is a read-only (m, e) uint8 bit matrix,
 one row per cycle, column k holding bit k, which ``zero_factor`` fills
 in numpy blocks by doubling, without a per-state Python walk.
-``ZeroFactor.cycles`` packs its rows into integers on first use.  The
-sequence operations work on ints alone, so numpy is imported only by
-the functions that build or pack a bit matrix.
+``ZeroFactor.cycles`` packs its rows into integers on first use.
+``generate`` (from a seed given as a list of bits) and
+``berlekamp_massey`` (of a ``CyclicSequence``) work on ints alone, so
+numpy is imported only by the functions that build or pack a bit
+matrix.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -24,6 +26,7 @@ from .gf2poly import (
     InternalCheckError,
     _berlekamp_massey,
     _bit_reverse,
+    _byte_tables,
     _divisors,
     classify,
 )
@@ -48,23 +51,6 @@ class CyclicSequence:
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicSequence is immutable")
-
-    @classmethod
-    def from_bits(cls, seq):
-        """Build from a 0/1 string or an iterable of bits."""
-        if isinstance(seq, str):
-            vals = [int(ch) for ch in seq.strip()]
-        else:
-            vals = [int(b) for b in seq]
-        if not vals or any(v not in (0, 1) for v in vals):
-            raise ValueError("sequence must be nonempty bits")
-        bits = 0
-        for k, v in enumerate(vals):
-            bits |= v << k
-        return cls(bits, len(vals))
-
-    def bit(self, k):
-        return self.bits >> (k % self.length) & 1
 
     def __len__(self):
         return self.length
@@ -106,24 +92,6 @@ class CyclicSequence:
         mask = (1 << ell) - 1
         bits = ((self.bits << t) | (self.bits >> (ell - t))) & mask
         return CyclicSequence(bits, ell)
-
-    def __add__(self, other):
-        """Bitwise sum after extending both to the lcm of the least periods."""
-        pa, pb = self.least_period, other.least_period
-        ell = math.lcm(pa, pb)
-        a = CyclicSequence(self.bits & ((1 << pa) - 1), pa).repeat(ell // pa)
-        b = CyclicSequence(other.bits & ((1 << pb) - 1), pb).repeat(ell // pb)
-        return CyclicSequence(a.bits ^ b.bits, ell)
-
-    def repeat(self, copies):
-        bits = 0
-        for i in range(copies):
-            bits |= self.bits << (i * self.length)
-        return CyclicSequence(bits, self.length * copies)
-
-    def take(self, nbits):
-        """First nbits bits of the periodic extension, as a list."""
-        return [self.bit(k) for k in range(nbits)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,9 +136,6 @@ def generate(f, seed, length):
         raise ValueError("generator polynomial needs degree >= 1 and constant term 1")
     if length < n:
         raise ValueError(f"length {length} is shorter than the register ({n})")
-    if isinstance(seed, str):
-        seed = [int(ch) for ch in seed.strip()]
-    seed = [int(b) for b in seed]
     if len(seed) != n or any(b not in (0, 1) for b in seed):
         raise ValueError(f"seed must be {n} bits")
     taps = _taps(f)
@@ -200,16 +165,10 @@ def _pack_rows(bits):
 
 
 def _linear_tables(images):
-    """8-bit lookup tables of the GF(2)-linear map sending bit i to images[i]."""
+    """``gf2poly._byte_tables`` of a uint32 array of images, as uint32 arrays."""
     import numpy as np
 
-    tables = []
-    for lo in range(0, len(images), 8):
-        t = np.zeros(1, dtype=np.uint32)
-        for img in images[lo : lo + 8]:
-            t = np.concatenate([t, t ^ img])
-        tables.append(t)
-    return tables
+    return [np.array(t, dtype=np.uint32) for t in _byte_tables(images.tolist())]
 
 
 def _apply_tables(tables, states):
@@ -298,17 +257,9 @@ def _zero_factor_walk(f, e):
 
 
 def berlekamp_massey(seq):
-    """Minimal characteristic polynomial reproducing a finite bit sequence.
-
-    The bits are read once into an int with a_0 at the top, the form
+    """Minimal characteristic polynomial reproducing the bits of a
+    CyclicSequence, read once into an int with a_0 at the top, the form
     ``gf2poly._berlekamp_massey`` runs on."""
-    if isinstance(seq, CyclicSequence):
-        n = seq.length
-        rev = int(format(seq.bits, f"0{n}b")[::-1], 2)
-    else:
-        bits = "".join(str(int(b)) for b in (seq.strip() if isinstance(seq, str) else seq))
-        if bits.strip("01"):
-            raise ValueError("sequence must be bits")
-        n = len(bits)
-        rev = int(bits, 2) if bits else 0
+    n = seq.length
+    rev = int(format(seq.bits, f"0{n}b")[::-1], 2)
     return BinaryPolynomial(_berlekamp_massey(rev, n)[0])

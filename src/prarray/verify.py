@@ -121,10 +121,8 @@ def _census(grids, n1, n2, params):
         )
     cells = r1 * r2
 
-    def window_witness(kind, message, at, code):
-        idx, cell = divmod(at, cells)
-        window = format(code, f"0{area}b")
-        return Witness(kind, message, idx, divmod(cell, r2), window, code)
+    def window_witness(kind, message, idx, position, code):
+        return Witness(kind, message, idx, position, format(code, f"0{area}b"), code)
 
     blocks = list(_blocks(grids))
     if len(blocks) > 1:
@@ -135,7 +133,9 @@ def _census(grids, n1, n2, params):
         codes = _block_codes(block, n1, n2)
         at = int(np.argmin(codes))
         if codes[at] == 0:
-            return fail(window_witness("zero-window", "all-zero window present", lo * cells + at, 0))
+            idx, cell = divmod(at, cells)
+            return fail(window_witness("zero-window", "all-zero window present",
+                                       lo + idx, divmod(cell, r2), 0))
         codes.sort()
         again = codes[1:] == codes[:-1]
         if again.any():
@@ -154,17 +154,14 @@ def _census(grids, n1, n2, params):
             np.bitwise_or.at(table, byte, mask)
     if repeats:
         code = min(repeats)
-        occurrences = 0
-        for lo, block in blocks:
-            hits = np.flatnonzero(_block_codes(block, n1, n2) == code)
-            if occurrences < 2 <= occurrences + hits.size:
-                at = lo * cells + int(hits[1 - occurrences])
-            occurrences += hits.size
+        hits = _occurrences(grids, n1, n2, [code])[0]
+        idx, i, j = hits[1]
         return fail(
             window_witness(
                 "duplicate-window",
-                f"window code {code} occurs more than once {occurrences} times",
-                at,
+                f"window code {code} occurs more than once {len(hits)} times",
+                idx,
+                (i, j),
                 code,
             )
         )
@@ -198,7 +195,8 @@ def _closure(grids, params):
     """``shift_add_closure`` of the grid stack of a code that passes the census."""
     n1, n2 = params.n1, params.n2
     area = n1 * n2
-    units = _locate(grids, n1, n2, [1 << k for k in range(area)])
+    # after a passing census each nonzero code is read just once
+    units = [hits[0] for hits in _occurrences(grids, n1, n2, [1 << k for k in range(area)])]
     # B_k is array a moved up u rows and left v columns, for units[k] = (a, u, v)
     basis = np.stack([np.roll(grids[a], (-u, -v), axis=(0, 1)) for a, u, v in units])
     moved = (np.roll(block, 1, axis) for axis in (1, 2) for _, block in _blocks(basis))
@@ -219,16 +217,17 @@ def _closure(grids, params):
     return VerdictReport("shift-add", witness is None, params, witness, {"checked": checked})
 
 
-def _locate(grids, n1, n2, targets):
-    """(array, row, column) of the window reading each of the distinct
-    nonzero codes targets, in one pass over the window codes."""
+def _occurrences(grids, n1, n2, targets):
+    """Every (array, row, column) whose window reads each of the
+    distinct codes targets, in reading order, in one pass over the
+    window codes."""
     r1, r2 = grids.shape[1:]
-    found = {}
+    found = {code: [] for code in targets}
     for lo, block in _blocks(grids):
         codes = _block_codes(block, n1, n2)
         for at in np.flatnonzero(np.isin(codes, targets)):
             idx, cell = divmod(int(at), r1 * r2)
-            found[int(codes[at])] = (lo + idx, *divmod(cell, r2))
+            found[int(codes[at])].append((lo + idx, *divmod(cell, r2)))
     return [found[code] for code in targets]
 
 
@@ -243,7 +242,8 @@ def _closure_witness(grids, n1, n2, code, units, basis):
     """
     r1, r2 = grids.shape[1:]
     ks = [k for k in range(n1 * n2) if code >> k & 1]
-    spots = _locate(grids, n1, n2, [code & ((2 << k) - 1) for k in ks])
+    prefixes = [code & ((2 << k) - 1) for k in ks]
+    spots = [hits[0] for hits in _occurrences(grids, n1, n2, prefixes)]
     z = [np.roll(grids[a], (-u, -v), axis=(0, 1)) for a, u, v in spots]
     for j in range(1, len(ks)):
         if not np.array_equal(z[j], z[j - 1] ^ basis[ks[j]]):

@@ -40,14 +40,43 @@ def shift(grid, dv, dh):
     return np.roll(grid, (dv, dh), axis=(0, 1))
 
 
+def seq(text):
+    """The cyclic sequence of a 0/1 string, its first digit a_0."""
+    return CyclicSequence(int(text[::-1], 2), len(text))
+
+
+def bit(s, k):
+    """Bit k of the periodic extension of a cyclic sequence."""
+    return s.bits >> (k % s.length) & 1
+
+
+def repeat(bits, length, copies):
+    """The packed bits of a length-bit word written copies times."""
+    return sum(bits << (i * length) for i in range(copies))
+
+
+def delay(bits, length, t):
+    """The packed bits of a cyclic sequence delayed by t positions: new
+    a_k is old a_(k-t)."""
+    t %= length
+    return ((bits << t) | (bits >> (length - t))) & ((1 << length) - 1)
+
+
+def least_period(s):
+    """The least p with a_k = a_(k+p) for all k, tried p = 1, 2, ..."""
+    return next(p for p in range(1, s.length + 1) if delay(s.bits, s.length, p) == s.bits)
+
+
 def row(grid, i):
     """Row i of a grid as a cyclic sequence, column j at bit j."""
-    return CyclicSequence.from_bits(grid[i % len(grid)])
+    cells = grid[i % len(grid)]
+    return CyclicSequence(sum(int(c) << j for j, c in enumerate(cells)), len(cells))
 
 
 def column(grid, j):
     """Column j of a grid as a cyclic sequence, row i at bit i."""
-    return CyclicSequence.from_bits(np.asarray(grid)[:, j % len(grid[0])])
+    cells = [r[j % len(r)] for r in grid]
+    return CyclicSequence(sum(int(c) << i for i, c in enumerate(cells)), len(cells))
 
 
 def cell_rotations(grid):
@@ -74,41 +103,40 @@ def least_rotation(grid):
     return min(cell_rotations(grid))
 
 
-def canonical(seq):
+def canonical(s):
     """The least packed rotation of a cyclic sequence: equal exactly for
     sequences that are rotations of each other."""
-    ell = seq.length
+    ell = s.length
     mask = (1 << ell) - 1
-    b = best = seq.bits
+    b = best = s.bits
     for _ in range(ell - 1):
         b = ((b << 1) | (b >> (ell - 1))) & mask
         best = min(best, b)
     return best
 
 
-def field_inverse(a):
-    """Multiplicative inverse of a nonzero field element, by extended
-    Euclid in GF(2)[x]."""
-    if a.bits == 0:
+def field_inverse(a, fb):
+    """Multiplicative inverse of a nonzero residue a modulo the
+    irreducible fb, by extended Euclid in GF(2)[x]."""
+    if a == 0:
         raise ZeroDivisionError("zero element has no inverse")
-    fb = a.ctx.modulus.bits
-    r0, r1 = a.bits, fb
+    r0, r1 = a, fb
     s0, s1 = 1, 0
     while r1:
         q, r = _divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 ^ _mul(q, s1)
     assert r0 == 1, "modulus is not irreducible"
-    return a.ctx.element(_mod(s0, fb))
+    return _mod(s0, fb)
 
 
-def minimal_polynomial(a):
-    """Irreducible polynomial over GF(2) with the field element a as a
-    root: the product of z + r over the Frobenius orbit of a."""
-    fb = a.ctx.modulus.bits
-    orbit = [a.bits]
-    cur = _mod(_square(a.bits), fb)
-    while cur != a.bits:
+def minimal_polynomial(a, fb):
+    """Irreducible polynomial over GF(2) with the residue a modulo the
+    irreducible fb as a root: the product of z + r over the Frobenius
+    orbit of a."""
+    orbit = [a]
+    cur = _mod(_square(a), fb)
+    while cur != a:
         orbit.append(cur)
         cur = _mod(_square(cur), fb)
     coeffs = [1]
@@ -164,6 +192,17 @@ def serial_powmod(base, e, m):
         if e:
             base = serial_mod(serial_square(base), m)
     return r
+
+
+def serial_trace(a, m):
+    """Tr(a) in GF(2)[x]/(m) for irreducible m: the sum of the deg m
+    Frobenius conjugates a^(2^i), each squared and reduced bit-serially."""
+    acc, cur = 0, serial_mod(a, m)
+    for _ in range(m.bit_length() - 1):
+        acc ^= cur
+        cur = serial_mod(serial_mul(cur, cur), m)
+    assert acc in (0, 1), "trace landed outside GF(2)"
+    return acc
 
 
 def reference_classify(f):

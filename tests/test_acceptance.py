@@ -8,7 +8,7 @@ import math
 from contextlib import contextmanager
 from time import perf_counter
 
-from conftest import ACCEPTANCE_LOG, canonical, column, grid_lines, row
+from conftest import ACCEPTANCE_LOG, bit, canonical, column, grid_lines, row, seq
 
 from prarray.criteria import (
     classify_construction,
@@ -31,7 +31,7 @@ from prarray.gf2poly import (
     ord2,
     parse,
 )
-from prarray.lfsr import CyclicSequence, generate, zero_factor
+from prarray.lfsr import generate, zero_factor
 from prarray.verify import shift_add_closure, verify_prac, window_census
 
 
@@ -51,7 +51,7 @@ def criterion(num, desc, budget_s):
 
 def test_criterion_01_span4_folding():
     with criterion(1, "3x5 folding of the span-4 M-sequence is a (3,5;2,2)-PRA", 1.0):
-        s = CyclicSequence.from_bits("000111101011001")
+        s = seq("000111101011001")
         arr = fold(s, 3, 5)
         assert grid_lines(arr) == ["01010", "10001", "11011"]
         params = CodeParams(3, 5, 2, 2)
@@ -69,7 +69,7 @@ def test_criterion_02_three_cycle_code():
             "001000110111111001110",
         ]
         got = {canonical(c) for c in zf.cycles}
-        want = {canonical(CyclicSequence.from_bits(p)) for p in known}
+        want = {canonical(seq(p)) for p in known}
         assert got == want
         arrays = fold_zero_factor(zf, 3, 7)
         assert verify_prac(arrays, CodeParams(3, 7, 2, 3)).passed
@@ -258,14 +258,14 @@ def test_criterion_09_three_way_agreement():
         assert combos > 40000, combos
 
 
-def _cyclic_recursion_holds(seq, f):
+def _cyclic_recursion_holds(s, f):
     n = f.degree
-    for k in range(len(seq)):
+    for k in range(len(s)):
         acc = 0
         for i in range(1, n + 1):
             if f.bits >> i & 1:
-                acc ^= seq.bit(k - i)
-        if acc != seq.bit(k):
+                acc ^= bit(s, k - i)
+        if acc != bit(s, k):
             return False
     return True
 

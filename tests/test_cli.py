@@ -54,6 +54,22 @@ class TestConstructVerify:
         code, out, _ = run(capsys, "verify", "--in", str(path))
         assert code == 1 and "FAIL" in out and "witness" in out
 
+    def test_verify_nonlinear_fails_at_closure(self, tmp_path, capsys):
+        # a punctured de Bruijn sequence of order 4 has every nonzero
+        # 4-bit window once but is not linear: the census passes and the
+        # closure names a sum of shifts that is no shifted codeword
+        word = "000100111101011"
+        path = tmp_path / "nonlinear.txt"
+        path.write_text(f"# 1 15 1 4\n{word}\n")
+        code, out, _ = run(capsys, "verify", "--in", str(path))
+        assert code == 1
+        assert "stage census: pass" in out and "stage shift-add: fail" in out
+        assert "witness: array 0 + array 0 shifted by (0,3) is not a shifted codeword" in out
+        code, doc, _ = run_json(capsys, "verify", "--in", str(path))
+        assert code == 1 and doc["verdicts"][0]["witness.kind"] == "closure"
+        total = "".join(str(int(a) ^ int(b)) for a, b in zip(word, word[-3:] + word[:-3]))
+        assert "1" in total and total not in {word[k:] + word[:k] for k in range(15)}
+
     def test_verify_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("")
@@ -339,6 +355,23 @@ class TestRefusedInputs:
         )
         assert code == 2 and out == ""
         assert err == "error: r1 and r2 must be coprime\n"
+
+    @pytest.mark.parametrize(
+        "n1, n2, r1, r2",
+        [("2", "3", "0", "7"), ("2", "3", "-3", "7"), ("2", "3", "-3", "-7"), ("0", "3", "3", "7")],
+    )
+    def test_conjecture_nonpositive_refused(self, capsys, monkeypatch, n1, n2, r1, r2):
+        # one message for any non-positive parameter, before the gcd
+        # check and before any candidate is enumerated
+        def enumerate_irreducible(*args):
+            raise AssertionError("enumerated before the parameters were checked")
+
+        monkeypatch.setattr(prarray.criteria, "enumerate_irreducible", enumerate_irreducible)
+        code, out, err = run(
+            capsys, "conjecture", "--n1", n1, "--n2", n2, "--r1", r1, "--r2", r2,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: parameters must be positive\n"
 
     def test_exponent_above_cap(self, capsys):
         for argv in (

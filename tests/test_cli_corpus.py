@@ -42,6 +42,17 @@ DEGREE30 = (
 DEG23 = "x^23+x^19+x^18+x^14+x^13+x^12+x^10+x^9+x^7+x^6+x^5+x^3+x^2+x+1"
 FOLD23 = ["--r1", "1", "--r2", "47"]
 
+# (name, n1, n2, r1, r2) of conjecture searches with a non-positive parameter
+NONPOSITIVE_CONJECTURE = (
+    ("r1-zero", "2", "3", "0", "7"),
+    ("r1-negative", "2", "3", "-3", "7"),
+    ("both-negative", "2", "3", "-3", "-7"),
+    ("n1-zero", "0", "3", "3", "7"),
+)
+# a punctured de Bruijn sequence of order 4: every nonzero 4-bit window
+# once, but not linear
+NONLINEAR = "# 1 15 1 4\n000100111101011\n"
+
 COMMANDS = ("construct", "verify", "vee", "check-fold", "enumerate", "classify", "conjecture")
 
 # (id, argv), each run as text and, with "--format json" appended, as
@@ -53,6 +64,8 @@ BOTH = [
     ("verify-12-flipped", ["verify", "--in", "flipped12.txt"]),
     ("verify-empty", ["verify", "--in", "empty.txt", "--r1", "3", "--r2", "7",
                       "--n1", "2", "--n2", "3"]),
+    # passes the census, fails the closure: the one case of a closure witness
+    ("verify-nonlinear", ["verify", "--in", "nonlinear.txt"]),
     ("vee", ["vee", "--f1", "x^4+x+1", "--f2", "x^3+x+1"]),
     ("vee-24", ["vee", "--f1", "x^4+x^3+x^2+x+1", "--f2", "x^6+x^3+1"]),
     *[(f"check-fold-12-{c}", ["check-fold", "--poly", DEG12, *FOLD12, "--criterion", c])
@@ -103,6 +116,9 @@ BOTH = [
     ("refused-enumerate-huge", ["enumerate", "--degree", "40", "--exponent", "1000000000039"]),
     ("refused-conjecture-huge", ["conjecture", "--n1", "2", "--n2", "3", "--r1", "1000003",
                                  "--r2", "1000033"]),
+    *[(f"refused-conjecture-nonpositive-{name}", ["conjecture", "--n1", n1, "--n2", n2,
+                                                  "--r1", r1, "--r2", r2])
+      for name, n1, n2, r1, r2 in NONPOSITIVE_CONJECTURE],
     ("refused-degree67", ["check-fold", "--poly", "x^67+x^5+x^2+x+1", *FOLD12]),
     *[(f"refused-taller-{c}", ["check-fold", "--poly", "x^6+x^3+1", "--r1", "1", "--r2", "9",
                                "--n1", "2", "--n2", "3", "--criterion", c])
@@ -206,6 +222,7 @@ def _prepare(workdir):
                           "--out", "code23.txt"])
     assert code == 0, err
     write("empty.txt", "")
+    write("nonlinear.txt", NONLINEAR)
     write("blocked.txt", "")
     for name, text in BAD_HEADERS.items():
         write(f"{name}.txt", text)

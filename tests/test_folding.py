@@ -4,7 +4,18 @@ import random
 
 import numpy as np
 import pytest
-from conftest import column, grid_lines, least_rotation, reference_write_arrays, row, shift
+from conftest import (
+    bit,
+    column,
+    delay,
+    grid_lines,
+    least_rotation,
+    reference_write_arrays,
+    repeat,
+    row,
+    seq,
+    shift,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +33,7 @@ from prarray.lfsr import CyclicSequence, generate, zero_factor
 from prarray.verify import verify_prac
 
 
-SPAN4 = CyclicSequence.from_bits("000111101011001")
+SPAN4 = seq("000111101011001")
 
 
 def arr(*lines):
@@ -194,8 +205,10 @@ class TestShift:
         ]
         pairs += [(99, 101), (101, 99), (7, 1427), (3, 3331)]
         for r1, r2 in pairs:
-            s = CyclicSequence(rng.randrange(1 << (r1 * r2)), r1 * r2)
-            assert same(fold(s.rotate(1), r1, r2), shift(fold(s, r1, r2), 1, 1))
+            ell = r1 * r2
+            s = CyclicSequence(rng.randrange(1 << ell), ell)
+            delayed = CyclicSequence(delay(s.bits, ell, 1), ell)
+            assert same(fold(delayed, r1, r2), shift(fold(s, r1, r2), 1, 1))
 
 
 class TestGridForm:
@@ -277,14 +290,14 @@ class TestElementwise:
 
 class TestRowColumnStructure:
     def test_period_r1_input_gives_constant_rows(self):
-        s = CyclicSequence.from_bits("011" * 7)
+        s = seq("011" * 7)
         a = fold(s, 3, 7)
         assert same(a, arr("0000000", "1111111", "1111111"))
         for j in range(7):
             assert str(column(a, j)) == "011"
 
     def test_period_r2_input_gives_constant_columns(self):
-        s = CyclicSequence.from_bits("1001011" * 3)
+        s = seq("1001011" * 3)
         a = fold(s, 3, 7)
         assert same(a, arr("1001011", "1001011", "1001011"))
         for i in range(3):
@@ -295,7 +308,7 @@ class TestRowColumnStructure:
         rng = random.Random(21)
         for r1, r2 in [(3, 7), (4, 9), (5, 8)]:
             word = CyclicSequence(rng.randrange(1, 1 << r2), r2)
-            a = fold(word.repeat(r1), r1, r2)
+            a = fold(CyclicSequence(repeat(word.bits, r2, r1), r1 * r2), r1, r2)
             for i in range(r1):
                 assert row(a, i) == word
             for j in range(r2):
@@ -307,8 +320,8 @@ class TestRowColumnStructure:
             r1, r2 = 4, 7
             u = CyclicSequence(rng.randrange(1, 1 << r2), r2)
             v = CyclicSequence(rng.randrange(1, 1 << r1), r1)
-            rows_a = np.array([u.take(r2)] * r1, dtype=np.uint8)
-            rows_b = np.array([[v.bit(i)] * r2 for i in range(r1)], dtype=np.uint8)
+            rows_a = np.array([[bit(u, j) for j in range(r2)]] * r1, dtype=np.uint8)
+            rows_b = np.array([[bit(v, i)] * r2 for i in range(r1)], dtype=np.uint8)
             prod = rows_a & rows_b
             for i in range(r1):
                 assert row(prod, i).bits in (0, u.bits)
@@ -319,9 +332,9 @@ class TestRowColumnStructure:
         # the column pattern times the row pattern, both folded from
         # their repeats to 3 x 7, is a folded cycle of the degree-6
         # exponent-21 polynomial
-        columns = fold(CyclicSequence.from_bits("011").repeat(7), 3, 7)
-        rows = fold(CyclicSequence.from_bits("1001011").repeat(3), 3, 7)
-        s = generate(parse("x^6+x^5+x^4+x^2+1"), "000001", 21)
+        columns = fold(seq("011" * 7), 3, 7)
+        rows = fold(seq("1001011" * 3), 3, 7)
+        s = generate(parse("x^6+x^5+x^4+x^2+1"), [0, 0, 0, 0, 0, 1], 21)
         assert least_rotation(columns & rows) == least_rotation(fold(s, 3, 7))
 
 

@@ -1,7 +1,15 @@
 import random
 
 import pytest
-from conftest import canonical, reference_berlekamp_massey
+from conftest import (
+    bit,
+    canonical,
+    delay,
+    least_period,
+    reference_berlekamp_massey,
+    repeat,
+    seq,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,13 +19,15 @@ from prarray.gf2poly import (
     enumerate_irreducible,
     exponent,
     is_irreducible,
+    lcm,
     parse,
 )
 from prarray.lfsr import CyclicSequence, berlekamp_massey, generate, zero_factor
 
 
-def seq(text):
-    return CyclicSequence.from_bits(text)
+def bits_of(text):
+    """A seed written as a 0/1 string, as the list of bits generate takes."""
+    return [int(c) for c in text]
 
 
 def canon_set(cycles):
@@ -26,22 +36,22 @@ def canon_set(cycles):
 
 class TestGenerate:
     def test_degree6_cycle(self):
-        s = generate(parse("x^6+x^5+x^4+x^2+1"), "000001", 21)
+        s = generate(parse("x^6+x^5+x^4+x^2+1"), bits_of("000001"), 21)
         assert str(s) == "000001010010011001011"
 
     def test_all_zero_seed(self):
-        s = generate(parse("x^4+x+1"), "0000", 15)
+        s = generate(parse("x^4+x+1"), [0] * 4, 15)
         assert s.bits == 0
 
     def test_degree2(self):
-        assert str(generate(parse("x^2+x+1"), "01", 3)) == "011"
+        assert str(generate(parse("x^2+x+1"), [0, 1], 3)) == "011"
 
     def test_short_length_rejected(self):
         with pytest.raises(ValueError):
-            generate(parse("x^4+x+1"), "0001", 3)
+            generate(parse("x^4+x+1"), bits_of("0001"), 3)
 
     def test_span4_msequence(self):
-        s = generate(parse("x^4+x+1"), "0001", 15)
+        s = generate(parse("x^4+x+1"), bits_of("0001"), 15)
         assert str(s) == "000111101011001"
 
 
@@ -84,7 +94,7 @@ class TestZeroFactor:
         total = 0
         for c in zf.cycles:
             for k in range(len(c)):
-                w = tuple(c.bit(k + i) for i in range(n))
+                w = tuple(bit(c, k + i) for i in range(n))
                 assert any(w), "zero window in a zero factor"
                 windows.add(w)
                 total += 1
@@ -106,7 +116,7 @@ class TestZeroFactor:
         for k in range(len(c)):
             w = 0
             for i in range(16):
-                w |= c.bit(k + i) << i
+                w |= bit(c, k + i) << i
             windows.add(w)
         assert len(windows) == (1 << 16) - 1 and 0 not in windows
 
@@ -157,28 +167,42 @@ class TestZeroFactorReference:
 
 
 class TestBitOps:
-    """The sum of two sequences extends both to the lcm of their least
-    periods."""
+    """Sums of sequences, bit by bit on their packed ints: the sequences
+    of f are closed under sums, and sums of periodic sequences satisfy
+    the lcm of their recursions."""
 
     def test_add_self_is_zero(self):
-        a = seq("0110101")
-        z = a + a
-        assert z.bits == 0 and len(z) == 7
+        # an m-sequence plus itself is zero, and plus any other delay of
+        # itself is a third delay of itself (shift and add)
+        s = generate(parse("x^5+x^2+1"), bits_of("00001"), 31)
+        delays = {delay(s.bits, 31, t) for t in range(31)}
+        assert s.bits ^ s.bits == 0
+        for t in range(1, 31):
+            assert s.bits ^ delay(s.bits, 31, t) in delays
 
-    def test_lcm_extension(self):
-        a, b = seq("011"), seq("01011")
-        assert len(a + b) == 15
+    def test_sums_of_f_sequences_are_f_sequences(self):
+        # the recursion is linear: the sum of the runs from two seeds is
+        # the run from the sum of the seeds
+        rng = random.Random(6)
+        product = parse("x^3+x^2+1") * parse("x^3+x+1")
+        for f in (parse("x^4+x+1"), parse("x^6+x^5+x^4+x^2+1"), product):
+            n = f.degree
+            for _ in range(50):
+                u = [rng.randrange(2) for _ in range(n)]
+                v = [rng.randrange(2) for _ in range(n)]
+                w = [a ^ b for a, b in zip(u, v)]
+                assert generate(f, u, 60).bits ^ generate(f, v, 60).bits == generate(f, w, 60).bits
 
     def test_sum_is_xor_of_repeats(self):
-        # least periods below the lengths (all-zero or all-one patterns)
-        # shorten the sum, which then repeats to the same bits
+        # a word of length 3 repeats with x^3 + 1 and one of length 5
+        # with x^5 + 1, so the xor of their repeats to length 15 has a
+        # minimal polynomial dividing the lcm of the two
         rng = random.Random(5)
+        both = lcm(parse("x^3+1"), parse("x^5+1"))
         for _ in range(100):
-            a = CyclicSequence(rng.randrange(1 << 3), 3)
-            b = CyclicSequence(rng.randrange(1 << 5), 5)
-            s = a + b
-            assert 15 % len(s) == 0
-            assert s.repeat(15 // len(s)).bits == a.repeat(5).bits ^ b.repeat(3).bits
+            a, b = rng.randrange(1 << 3), rng.randrange(1 << 5)
+            s = CyclicSequence(repeat(a, 3, 5) ^ repeat(b, 5, 3), 15)
+            assert (both % berlekamp_massey(s)).is_zero
 
     @pytest.mark.parametrize("pair", [("x^2+x+1", "x^3+x+1"), ("x^3+x+1", "x^4+x+1")])
     def test_span_of_products_has_full_period(self, pair):
@@ -192,41 +216,27 @@ class TestBitOps:
         zf = zero_factor(g)
         assert zf.exponent == e
         for c in zf.cycles:
-            assert c.least_period == e
+            assert least_period(c) == c.least_period == e
 
 
 class TestBerlekampMassey:
     def test_period3(self):
-        assert berlekamp_massey("011011011011") == parse("x^2+x+1")
+        assert berlekamp_massey(seq("011011011011")) == parse("x^2+x+1")
 
     def test_all_zero(self):
-        assert berlekamp_massey([0] * 16) == parse("1")
+        assert berlekamp_massey(CyclicSequence(0, 16)) == parse("1")
 
     def test_msequence_recovery(self):
-        s = generate(parse("x^4+x+1"), "0001", 30)
+        s = generate(parse("x^4+x+1"), bits_of("0001"), 30)
         assert berlekamp_massey(s) == parse("x^4+x+1")
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(0, 1), max_size=200) | st.integers(0, 40).flatmap(
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=200) | st.integers(1, 40).flatmap(
         # a linear-recurring prefix: its span stops growing
         lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n).map(lambda s: s * 5)))
     def test_packed_matches_bit_by_bit_reference(self, bits):
-        want = reference_berlekamp_massey(bits)
-        assert berlekamp_massey(bits) == want
-        assert berlekamp_massey(iter(bits)) == want
-        assert berlekamp_massey("".join(map(str, bits))) == want
-        if bits:
-            packed = sum(b << k for k, b in enumerate(bits))
-            assert berlekamp_massey(CyclicSequence(packed, len(bits))) == want
-
-    def test_empty_sequence(self):
-        assert berlekamp_massey([]) == parse("1")
-        assert berlekamp_massey("") == parse("1")
-
-    @pytest.mark.parametrize("bad", [[0, 2, 1], [-1, 1], "0121", "1 0"])
-    def test_non_bits_refused(self, bad):
-        with pytest.raises(ValueError):
-            berlekamp_massey(bad)
+        s = CyclicSequence(sum(b << k for k, b in enumerate(bits)), len(bits))
+        assert berlekamp_massey(s) == reference_berlekamp_massey(bits)
 
     def test_divides_generator(self):
         # exhaustively for small degrees, sampled seeds for larger ones

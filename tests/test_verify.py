@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import cell_rotations, shift
+from conftest import cell_rotations, seq, shift
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ from prarray.gf2poly import (
     is_irreducible,
     parse,
 )
-from prarray.lfsr import CyclicSequence, zero_factor
+from prarray.lfsr import zero_factor
 from prarray.verify import (
     _CENSUS_AREA_CAP,
     VerdictReport,
@@ -32,7 +32,7 @@ from prarray.verify import (
 )
 
 
-SPAN4 = CyclicSequence.from_bits("000111101011001")
+SPAN4 = seq("000111101011001")
 
 
 @pytest.fixture
@@ -211,7 +211,7 @@ def punctured_de_bruijn(n, rng):
             circuit.append(path.pop())
     bits = "".join(str(v & 1) for v in reversed(circuit[:-1]))
     start = (bits + bits).index("0" * n)
-    return CyclicSequence.from_bits((bits + bits)[start + 1 : start + len(bits)])
+    return seq((bits + bits)[start + 1 : start + len(bits)])
 
 
 def cycle_covers(n, length):
@@ -309,13 +309,13 @@ class TestClosure:
 
     def test_counterexample(self):
         # eight windows for a window of area 2: refused before any sum
-        pair = [fold(CyclicSequence.from_bits(s), 1, 4) for s in ("0011", "0101")]
+        pair = [fold(seq(s), 1, 4) for s in ("0011", "0101")]
         assert check_closure(pair, CodeParams(1, 4, 1, 2)) is None
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             shift_add_closure(
-                [fold(CyclicSequence.from_bits(s), 1, len(s)) for s in ("011", "0101")],
+                [fold(seq(s), 1, len(s)) for s in ("011", "0101")],
                 CodeParams(1, 3, 1, 2),
             )
 
@@ -363,7 +363,7 @@ class TestClosure:
         verdicts = []
         for n, length in [(4, 5), (6, 7), (6, 9)]:
             for cover in cycle_covers(n, length):
-                arrays = [fold(CyclicSequence.from_bits(s), 1, length) for s in cover]
+                arrays = [fold(seq(s), 1, length) for s in cover]
                 verdicts.append(check_closure(arrays, CodeParams(1, length, 1, n)).passed)
         assert sorted(verdicts) == [False] * 4 + [True] * 3
 
@@ -375,12 +375,12 @@ class TestClosure:
         for n in range(3, 9):
             length = (1 << n) - 1
             for _ in range(16):
-                seq = punctured_de_bruijn(n, rng)
+                s = punctured_de_bruijn(n, rng)
                 for r1 in _divisors(length):
                     r2 = length // r1
                     if math.gcd(r1, r2) != 1:
                         continue
-                    arr = fold(seq, r1, r2)
+                    arr = fold(s, r1, r2)
                     for shape in window_shapes(r1, r2, n):
                         got = check_closure([arr], CodeParams(r1, r2, *shape))
                         if got is not None:
