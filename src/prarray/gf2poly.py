@@ -24,24 +24,34 @@ The raw kernels pick their path from operand sizes alone:
 * ``_square`` interleaves zeros into the binary digits at C level
   (``format``, a ``bytearray`` slice and ``int(..., 2)``), at every
   size.
-* ``_mod`` clears 8 bits a step with a 256-entry table of multiples of
-  the modulus when the modulus has more than 32 bits and the degree
-  gap is at least 32.  Tables are kept for the last 8 moduli only.
-  Smaller moduli, smaller degree gaps (as in ``_gcd``) and the last
-  < 8 bits are cleared one bit at a time.
-* ``_squarer(m)`` squares residues mod m.  Up to degree 64 (a word) it
-  reads ``_square_tables``: the deg m images x^(2i) mod m from
-  ``_frobenius_images`` (each the last shifted by 2, then at most two
-  conditional XORs), combined by ``_byte_tables`` into one 256-entry
-  table per byte of a residue (the top table has 2^(bits left)
-  entries), so r^2 mod m is one lookup per byte of r.  Tables are kept
-  for the last 8 moduli only.
-  Above a word it is ``_mod(_square(r), m)``.  Rabin's test, the trace
-  masks of the rank criteria and the x-power loop of ``_powmod`` square
-  through it; Berlekamp's columns are the same images at every degree.
-* ``_powmod`` raises x by squaring and shifting, left to right over the
-  exponent: multiplying by x is a shift and one conditional XOR.  Other
-  bases use square-and-multiply.
+* ``_mod`` clears 8 bits a step with ``_mod_table``, the 256 multiples
+  of the modulus by polynomials of degree < 8 (the XOR combinations of
+  the 8 whose top 8 bits are a single bit), when the modulus has more
+  than 32 bits and the degree gap is at least 32.  Tables are kept for
+  the last 8 moduli only.  Smaller moduli, smaller degree gaps (as in
+  ``_gcd``) and the last < 8 bits are cleared one bit at a time.
+* ``_table_map`` applies a GF(2)-linear map through ``_byte_tables``,
+  one table per byte of a residue (the top table has 2^(bits left)
+  entries), with every lookup written out in one expression.
+* ``_squarer(m)`` squares residues mod m.  Up to degree 32 it reads
+  ``_square_tables``: the table map of the deg m images x^(2i) mod m
+  from ``_frobenius_images`` (each the last shifted by 2, then at most
+  two conditional XORs).  Above that it is ``_mod(_square(r), m)``.
+  The trace masks of the rank criteria square through it; Berlekamp's
+  columns are the same images at every degree.
+* For 32 < deg m <= 64 (a word), ``_eighth_power_tables`` maps r to
+  r^8 mod m instead: the table map of the images x^(8i) mod m, each the
+  last shifted by 8 and reduced by one ``_mod_table`` lookup.  Squaring
+  and r^8 tables are each kept for the last 8 moduli only.
+* ``_powmod`` raises x left to right over the exponent, multiplying by
+  x with a shift.  For 32 < deg m <= 64 it takes three exponent bits c
+  a step: r -> r^8, then a shift by c and one ``_mod_table`` lookup
+  (Knuth, TAOCP vol. 2, 4.6.3).  Otherwise it takes one bit a step: a
+  squaring, then a shift and one conditional XOR.  Other bases use
+  square-and-multiply.
+* ``_rabin`` steps x^(2^i) from checkpoint to checkpoint; for 32 <
+  deg m <= 64 it takes three squarings with each r^8 lookup and at
+  most two single squarings per checkpoint.
 
 ``enumerate_irreducible(n, e)`` splits the e-th cyclotomic polynomial
 by trace maps only down one branch, keeping the smaller part, to one
@@ -59,12 +69,13 @@ number, and their product must be the cyclotomic polynomial.
 orders of x modulo its factors; ``exponent`` reads its result.  It asks
 for one irreducibility decision (``_is_irreducible_int``) first and
 runs Berlekamp only on reducible input.  Above degree 64 the decision
-first steps x up to x^65535 (``_x_steps``).  If that finds the least t
-with x^t = 1, f is irreducible exactly when t is odd, ord2(t) = deg f
-and gcd(x^(t/q) - 1, f) = 1 for each prime q of t
-(``_order_certifies``; Lidl & Niederreiter, *Finite Fields*, ch. 3),
-and t is then its exponent.  Otherwise, and at every degree up to 64,
-Rabin's test decides (``_rabin``).  ``classify``,
+first steps x up to x^65535 (``_x_steps``), a byte at a time: x^t = 1
+for some t in 8b + 1 .. 8b + 8 exactly when x^(8b) is one of x^(-1) ..
+x^(-8).  If that finds the least t with x^t = 1, f is irreducible
+exactly when t is odd, ord2(t) = deg f and gcd(x^(t/q) - 1, f) = 1 for
+each prime q of t (``_order_certifies``; Lidl & Niederreiter, *Finite
+Fields*, ch. 3), and t is then its exponent.  Otherwise, and at every
+degree up to 64, Rabin's test decides (``_rabin``).  ``classify``,
 ``_is_irreducible_int``, ``_x_steps`` and ``_x_order`` keep their last
 eight results, so consecutive calls on one polynomial compute them
 once and nothing steps twice; the rank criteria read them here and
@@ -138,14 +149,16 @@ def _square(a):
 @functools.lru_cache(maxsize=8)
 def _mod_table(b):
     """The 256 multiples of b by polynomials of degree < 8, indexed by
-    their top 8 bits (bits deg b to deg b + 7)."""
+    their top 8 bits (bits deg b to deg b + 7).  The top bits are linear
+    in the multiple, so the table is _byte_tables of the 8 multiples
+    whose top bits are a single bit: each is the last shifted by 1, with
+    b added when that sets bit deg b."""
     k = b.bit_length() - 1
-    table = [0] * 256
-    for t in range(1, 256):
-        m = b << (t.bit_length() - 1)
-        # m has the top bit of t; the rest comes from a smaller entry
-        table[t] = m ^ table[t ^ (m >> k)]
-    return table
+    units = [b]
+    for _ in range(7):
+        m = units[-1] << 1
+        units.append(m ^ b if m >> k & 1 else m)
+    return _byte_tables(units)[0]
 
 
 def _mod(a, b):
@@ -222,28 +235,52 @@ def _byte_tables(images):
     return tables
 
 
+def _table_map(tables):
+    """The linear map of _byte_tables as one closure, every lookup
+    written out in one expression: tables[k] reads byte k of its input,
+    the top table the rest of it unmasked.  Zero tables pad the list to
+    2, 4 or 8, which an input below 2^(8 len(tables)) reads at 0."""
+    k = len(tables)
+    if k <= 2:
+        t0, t1 = tables + [[0]] * (2 - k)
+        return lambda r: t0[r & 255] ^ t1[r >> 8]
+    if k <= 4:
+        t0, t1, t2, t3 = tables + [[0]] * (4 - k)
+        return lambda r: t0[r & 255] ^ t1[r >> 8 & 255] ^ t2[r >> 16 & 255] ^ t3[r >> 24]
+    t0, t1, t2, t3, t4, t5, t6, t7 = tables + [[0]] * (8 - k)
+    return lambda r: (
+        t0[r & 255] ^ t1[r >> 8 & 255] ^ t2[r >> 16 & 255] ^ t3[r >> 24 & 255]
+        ^ t4[r >> 32 & 255] ^ t5[r >> 40 & 255] ^ t6[r >> 48 & 255] ^ t7[r >> 56]
+    )
+
+
 @functools.lru_cache(maxsize=8)
 def _square_tables(m):
-    """For m of degree <= _WORD, the byte tables of squaring mod m, so
-    r^2 mod m is one lookup per byte of r."""
-    return _byte_tables(_frobenius_images(m))
+    """For m of degree <= _TABLE_MIN, r -> r^2 mod m as one lookup per
+    byte of r, in the byte tables of the images x^(2i) mod m."""
+    return _table_map(_byte_tables(_frobenius_images(m)))
+
+
+@functools.lru_cache(maxsize=8)
+def _eighth_power_tables(m):
+    """For _TABLE_MIN < deg m <= _WORD, r -> r^8 mod m as one lookup per
+    byte of r, in the byte tables of the images x^(8i) mod m: each the
+    last shifted by 8 and reduced by one _mod_table lookup."""
+    n = m.bit_length() - 1
+    clear = _mod_table(m)
+    images = [1]
+    for _ in range(n - 1):
+        img = images[-1] << 8
+        images.append(img ^ clear[img >> n])
+    return _table_map(_byte_tables(images))
 
 
 def _squarer(m):
-    """r -> r^2 mod m for r reduced mod m: through the byte tables of m
-    up to a word, by _square and _mod above that."""
-    if m >> (_WORD + 1):
+    """r -> r^2 mod m for r reduced mod m: _square_tables up to degree
+    _TABLE_MIN, _square and _mod above that."""
+    if m >> (_TABLE_MIN + 1):
         return lambda r: _mod(_square(r), m)
-    tables = _square_tables(m)
-    width = len(tables)
-
-    def square(r):
-        out = 0
-        for table, byte in zip(tables, r.to_bytes(width, "little")):
-            out ^= table[byte]
-        return out
-
-    return square
+    return _square_tables(m)
 
 
 def _powmod(base, e, m):
@@ -252,8 +289,17 @@ def _powmod(base, e, m):
     r = _mod(1, m) if m.bit_length() <= 1 else 1
     base = _mod(base, m)
     if base == 2:
-        # powers of x: square and shift, left to right over e
+        # powers of x, left to right over e: multiplying by x is a shift
         n = m.bit_length() - 1
+        if _TABLE_MIN < n <= _WORD:
+            # three bits c of e a step, r -> r^8 x^c: the c <= 7 bits
+            # shifted past deg m are cleared by one table multiple
+            power8 = _eighth_power_tables(m)
+            clear = _mod_table(m)
+            for c in format(e, "o").encode():
+                r = power8(r) << (c - 48)  # the ASCII octal digit
+                r ^= clear[r >> n]
+            return r
         square = _squarer(m)
         for bit in format(e, "b"):
             r = square(r)
@@ -538,14 +584,24 @@ def _is_irreducible_int(fb):
 
 def _rabin(fb):
     """Rabin's test for fb of degree n >= 2: x^(2^n) = x mod fb, and
-    gcd(x^(2^(n/p)) - x, fb) = 1 for each prime p of n."""
+    gcd(x^(2^(n/p)) - x, fb) = 1 for each prime p of n.  The chain
+    x^(2^i) runs from one checkpoint n/p to the next, by r^8 tables
+    where fb has them."""
     n = _degree(fb)
-    checkpoints = {n // p for p in _factorint(n)}
     square = _squarer(fb)
-    t = 2  # the polynomial x
-    for i in range(1, n + 1):
-        t = square(t)
-        if i in checkpoints and _gcd(t ^ 2, fb) != 1:
+    power8 = _eighth_power_tables(fb) if _TABLE_MIN < n <= _WORD else None
+    t = 2  # the polynomial x, raised to x^(2^i)
+    i = 0
+    for j in sorted({n // p for p in _factorint(n)}) + [n]:
+        if power8:
+            # three squarings a lookup, then at most two single ones
+            for _ in range((j - i) // 3):
+                t = power8(t)
+            i = j - (j - i) % 3
+        for _ in range(i, j):
+            t = square(t)
+        i = j
+        if j < n and _gcd(t ^ 2, fb) != 1:
             return False
     return t == 2
 
@@ -636,11 +692,11 @@ def _berlekamp_squarefree(fb):
 # include the exponent of every enumerated polynomial, are first sought
 # by stepping x, and an order found also decides irreducibility.  For
 # the 71 polynomials of degree 66 to 810 that the algebra benchmark
-# enumerates, stepping and _order_certifies take about 7 ms in all,
+# enumerates, stepping and _order_certifies take about 4.5 ms in all,
 # where Rabin's test takes about 140 ms, and _order 75-140 ms for the
 # 41 of them up to degree 128, on a 2-vCPU Xeon.  A reducible
-# polynomial with no such order pays for all the steps: about 12 ms at
-# degree 70.
+# polynomial with no such order pays for all the steps: about 2 ms at
+# degree 70, stepping a byte at a time.
 _ORDER_DEGREE_CAP = 128
 _EXPONENT_CAP = 65535
 
@@ -662,13 +718,21 @@ def _x_steps(fb):
     if not fb & 1:
         return None
     n = _degree(fb)
-    cur = 2
-    for t in range(1, _EXPONENT_CAP + 1):
-        if cur == 1:
-            return t
-        cur <<= 1
-        if cur >> n:
-            cur ^= fb
+    # x^(s + j) = 1 exactly when x^s = x^(-j); x^(-1) is (fb - 1)/x,
+    # and the smallest j is kept, so t is the least
+    hits = {}
+    inv = 1
+    for j in range(1, 9):
+        inv = (inv ^ fb if inv & 1 else inv) >> 1
+        hits.setdefault(inv, j)
+    clear = _mod_table(fb)
+    cur = 1  # x^s, stepped a byte at a time
+    for s in range(0, _EXPONENT_CAP + 1, 8):
+        if cur in hits:
+            t = s + hits[cur]
+            return t if t <= _EXPONENT_CAP else None
+        cur <<= 8
+        cur ^= clear[cur >> n]
     return None
 
 

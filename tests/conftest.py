@@ -194,6 +194,31 @@ def serial_powmod(base, e, m):
     return r
 
 
+def serial_mod_table(b):
+    """The 256 multiples of b by polynomials of degree < 8, indexed by
+    their top 8 bits, each from the multiple by the top bit of its index
+    and a smaller entry."""
+    k = b.bit_length() - 1
+    table = [0] * 256
+    for t in range(1, 256):
+        m = b << (t.bit_length() - 1)
+        table[t] = m ^ table[t ^ (m >> k)]
+    return table
+
+
+def serial_x_steps(fb, cap):
+    """Least t <= cap with x^t = 1 mod fb, multiplying by x one step at a
+    time; None if there is none."""
+    cur = serial_mod(2, fb)
+    for t in range(1, cap + 1):
+        if cur == 1:
+            return t
+        cur <<= 1
+        if cur >> (fb.bit_length() - 1):
+            cur ^= fb
+    return None
+
+
 def serial_trace(a, m):
     """Tr(a) in GF(2)[x]/(m) for irreducible m: the sum of the deg m
     Frobenius conjugates a^(2^i), each squared and reduced bit-serially."""

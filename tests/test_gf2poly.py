@@ -12,9 +12,11 @@ from conftest import (
     reference_enumerate_irreducible,
     reference_ord2,
     serial_mod,
+    serial_mod_table,
     serial_mul,
     serial_powmod,
     serial_square,
+    serial_x_steps,
 )
 from prarray import gf2poly
 from prarray.gf2field import FieldContext
@@ -235,27 +237,125 @@ class TestKernels:
             assert _mod(a, m) == serial_mod(a, m)
         assert _mod_table.cache_info().currsize <= 8
 
-    @pytest.mark.parametrize("n", range(1, 67))
+    @pytest.mark.parametrize("n", range(1, 71))
     def test_squaring_and_x_powers_every_modulus_degree(self, n):
-        # byte tables up to degree 64 (_WORD), _square and _mod above
+        # squaring tables up to degree 32 (_TABLE_MIN), r^8 tables above
+        # that up to 64 (_WORD), _square and _mod above that; x is a
+        # constant modulo a degree-1 m, and reads no table
         rng = random.Random(n)
-        for m in (1 << n | 1, 1 << n | rng.getrandbits(n)):
+        exponents = (
+            list(range(10))
+            + [(1 << k) + d for k in range(1, n + 9) for d in (-1, 1)]
+            + [n, (1 << n) - 1]
+            + [rng.getrandbits(n + 8) for _ in range(4)]
+        )
+        for m in (1 << n | 1, 1 << n | rng.getrandbits(n), (1 << (n + 1)) - 1):
             gf2poly._square_tables.cache_clear()
-            square = gf2poly._squarer(m)
-            assert gf2poly._square_tables.cache_info().currsize == (n <= gf2poly._WORD)
+            gf2poly._eighth_power_tables.cache_clear()
+            for e in exponents:
+                assert _powmod(2, e, m) == serial_powmod(2, e, m), e
+            assert gf2poly._square_tables.cache_info().currsize == (1 < n <= gf2poly._TABLE_MIN)
+            assert gf2poly._eighth_power_tables.cache_info().currsize == (
+                gf2poly._TABLE_MIN < n <= gf2poly._WORD
+            )
             assert gf2poly._frobenius_images(m) == [serial_powmod(2, 2 * i, m) for i in range(n)]
+            square = gf2poly._squarer(m)
             for r in (0, 1, (1 << n) - 1, rng.getrandbits(n)):
                 assert square(r) == serial_mod(serial_square(r), m)
-            for e in (0, 1, 2, 3, n, (1 << n) - 1, rng.getrandbits(n + 8)):
-                assert _powmod(2, e, m) == serial_powmod(2, e, m)
 
     def test_square_tables_kept_for_few_moduli(self):
+        # 20 moduli at each degree, squaring tables at 24 and 32, r^8
+        # tables at 33, 48 and 64
         rng = random.Random(6)
-        for _ in range(20):
-            m = rng.getrandbits(64) | (1 << 64) | 1
-            e = rng.getrandbits(64)
-            assert _powmod(2, e, m) == serial_powmod(2, e, m)
-        assert gf2poly._square_tables.cache_info().currsize <= 8
+        for n in (24, 32, 33, 48, 64):
+            for _ in range(20):
+                m = rng.getrandbits(n) | (1 << n) | 1
+                e = rng.getrandbits(n)
+                assert _powmod(2, e, m) == serial_powmod(2, e, m)
+            assert gf2poly._square_tables.cache_info().currsize <= 8
+            assert gf2poly._eighth_power_tables.cache_info().currsize <= 8
+
+    def test_mod_table_matches_the_entry_loop(self):
+        rng = random.Random(7)
+        moduli = [0b11, 0b111, 0b1011] + [
+            rng.getrandbits(k) | (1 << k) | 1 for k in (5, 8, 9, 31, 33, 64, 65, 300)
+        ]
+        for b in moduli:
+            assert gf2poly._mod_table.__wrapped__(b) == serial_mod_table(b), b
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_table_map_is_the_xor_of_byte_lookups(self, k):
+        rng = random.Random(k)
+        tables = [[rng.getrandbits(64) for _ in range(256)] for _ in range(k)]
+        apply = gf2poly._table_map(tables)
+        for r in [0, 1, (1 << (8 * k)) - 1] + [rng.getrandbits(8 * k) for _ in range(200)]:
+            want = 0
+            for i, table in enumerate(tables):
+                want ^= table[r >> (8 * i) & 255]
+            assert apply(r) == want, r
+
+    def test_x_steps_match_serial_stepping(self):
+        # a byte a step, against one multiplication by x a step: every f
+        # with f(0) = 1 up to degree 10 (orders 1 to 1023, some at most
+        # 8), orders of every residue mod 8 above degree 64, random f of
+        # degree 65-200 and both sides of the cap
+        cap = gf2poly._EXPONENT_CAP
+        rng = random.Random(8)
+        polys = (
+            list(range(3, 1 << 11, 2))
+            + [(1 << e) | 1 for e in range(65, 73)]
+            + [(1 << 131) - 1, _mul((1 << 67) | 0b100111, 0b1011)]
+            + [rng.getrandbits(d) | (1 << d) | 1 for d in rng.sample(range(65, 201), 6)]
+            + [(1 << cap) | 1, (1 << (cap + 1)) | 1]
+        )
+        for fb in polys:
+            assert gf2poly._x_steps.__wrapped__(fb) == serial_x_steps(fb, cap), fb
+        assert gf2poly._x_steps.__wrapped__((1 << 70) | 0b110) is None  # x divides f
+
+    @pytest.mark.parametrize("n", range(33, 65))
+    def test_rabin_between_word_halves_matches_sympy(self, n, monkeypatch):
+        # r^8 tables carry Rabin's chain between checkpoints here; the
+        # chain's value at each checkpoint is checked bit-serially, and
+        # each verdict against sympy
+        import sympy
+
+        def sympy_irreducible(f):
+            coeffs = [int(c) for c in format(f, "b")]
+            return sympy.Poly(coeffs, sympy.Symbol("x"), modulus=2).is_irreducible
+
+        def irreducible_of_degree(d):
+            # Berlekamp, which reads neither r^8 tables nor Rabin's test
+            while True:
+                f = rng.getrandbits(d) | (1 << d) | 1 if d > 1 else 0b11
+                if len(factor(BinaryPolynomial(f))) == 1:
+                    return f
+
+        rng = random.Random(n)
+        checkpoints = sorted({n // p for p in _factorint(n)})
+        gcd_args = []
+        gcd = gf2poly._gcd
+        monkeypatch.setattr(gf2poly, "_gcd", lambda a, b: gcd_args.append(a) or gcd(a, b))
+
+        def chain_checked(f, steps):
+            # the first `steps` checkpoints saw x^(2^j) - x
+            want = [serial_powmod(2, 1 << j, f) ^ 2 for j in checkpoints[:steps]]
+            return gcd_args == want
+
+        # a product of irreducibles of one checkpoint's degree fails there
+        for i, d in enumerate(checkpoints):
+            f = 1
+            for _ in range(n // d):
+                f = serial_mul(f, irreducible_of_degree(d))
+            gcd_args.clear()
+            assert _rabin(f) is False and not sympy_irreducible(f)
+            assert chain_checked(f, i + 1), (n, d)
+        f = irreducible_of_degree(n)
+        gcd_args.clear()
+        assert _rabin(f) is True and sympy_irreducible(f)
+        assert chain_checked(f, len(checkpoints))
+        for _ in range(3):
+            f = rng.getrandbits(n) | (1 << n) | 1
+            assert _rabin(f) == sympy_irreducible(f), f
 
 
 class TestGcd:
