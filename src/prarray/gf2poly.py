@@ -37,8 +37,7 @@ The raw kernels pick their path from operand sizes alone:
   ``_square_tables``: the table map of the deg m images x^(2i) mod m
   from ``_frobenius_images`` (each the last shifted by 2, then at most
   two conditional XORs).  Above that it is ``_mod(_square(r), m)``.
-  The trace masks of the rank criteria square through it; Berlekamp's
-  columns are the same images at every degree.
+  Berlekamp's columns are the same images at every degree.
 * For 32 < deg m <= 64 (a word), ``_eighth_power_tables`` maps r to
   r^8 mod m instead: the table map of the images x^(8i) mod m, each the
   last shifted by 8 and reduced by one ``_mod_table`` lookup.  Squaring
@@ -52,6 +51,11 @@ The raw kernels pick their path from operand sizes alone:
 * ``_rabin`` steps x^(2^i) from checkpoint to checkpoint; for 32 <
   deg m <= 64 it takes three squarings with each r^8 lookup and at
   most two single squarings per checkpoint.
+* ``_gcd`` takes one ``_mod``, whose table serves a first operand much
+  longer than the second, then runs Euclid's remainders inline, one bit
+  a step.
+* ``_trace_mask`` reads Tr(x^m) for m < deg f from f's coefficients by
+  Newton's identities, one parity a bit, with no squaring.
 
 ``enumerate_irreducible(n, e)`` splits the e-th cyclotomic polynomial
 by trace maps only down one branch, keeping the smaller part, to one
@@ -81,7 +85,8 @@ eight results, so consecutive calls on one polynomial compute them
 once and nothing steps twice; the rank criteria read them here and
 keep no copies.  Orders of x that stepping does not find need the
 primes of 2^n - 1: ``_factorint`` divides out a committed table of
-those above 10^6 for n <= 128, then trial-divides up to 10^6.
+those above 10^6 for n <= 128, then trial-divides up to 10^6, and
+``_order`` strips them from 2^n - 1 largest first.
 """
 
 from __future__ import annotations
@@ -196,8 +201,18 @@ def _divmod(a, b):
 
 
 def _gcd(a, b):
+    if not b:
+        return a
+    # one _mod, whose table serves a much longer a; then Euclid's
+    # remainders one bit a step, inline
+    a, b = b, _mod(a, b)
     while b:
-        a, b = b, _mod(a, b)
+        db = b.bit_length()
+        da = a.bit_length()
+        while da >= db:
+            a ^= b << (da - db)
+            da = a.bit_length()
+        a, b = b, a
     return a
 
 
@@ -703,9 +718,12 @@ _EXPONENT_CAP = 65535
 
 def _order(a, fb):
     """Least t >= 1 with a^t = 1 mod the irreducible fb, for a nonzero
-    mod fb: strip prime factors from 2^n - 1, which t divides."""
+    mod fb: strip prime factors from 2^n - 1, which t divides.  Once q is
+    stripped, its multiplicity in t is its multiplicity in the order,
+    whatever the order of the primes; the largest go first, so every
+    later power a^(t/q) is shorter."""
     t = (1 << _degree(fb)) - 1
-    for q in _factorint(t):
+    for q in sorted(_factorint(t), reverse=True):
         while t % q == 0 and _powmod(a, t // q, fb) == 1:
             t //= q
     return t
@@ -879,27 +897,20 @@ def _cyclotomic_int(e):
     return q
 
 
-def _trace_map(hb, fb, n):
-    # h + h^2 + h^4 + ... + h^(2^(n-1)) mod f
-    acc = hb
-    cur = hb
-    square = _squarer(fb)
-    for _ in range(n - 1):
-        cur = square(cur)
-        acc ^= cur
-    return acc
-
-
 @functools.lru_cache(maxsize=1024)
 def _trace_mask(fb, n):
-    """Bit m holds Tr(x^m) in GF(2)[x]/(fb) for m < n, so the trace of
-    an element is the parity of its bits under the mask."""
-    mask = 0
-    for m in range(n):
-        t = _trace_map(_mod(1 << m, fb), fb, n)
-        if t not in (0, 1):
-            raise ValueError("trace landed outside GF(2)")
-        mask |= t << m
+    """Bit m holds Tr(x^m) in GF(2)[x]/(fb) for m < n, for the
+    irreducible fb of degree n, so the trace of an element is the parity
+    of its bits under the mask.  Tr(x^m) is the power sum s_m of the
+    roots of fb = x^n + c_1 x^(n-1) + ... + c_n, and Newton's identities
+    give s_0 = n mod 2 and s_k = c_1 s_(k-1) + ... + c_(k-1) s_1 + k c_k
+    for 0 < k < n: one parity a bit, with no squaring."""
+    mask = n & 1
+    for k in range(1, n):
+        # c_i is bit n - i of fb; s_j for 0 < j < k lands on bit
+        # n - (k - j), beside c_(k-j)
+        s = (mask >> 1 << (n - k + 1) & fb).bit_count() ^ (k & 1 & fb >> (n - k))
+        mask |= (s & 1) << k
     return mask
 
 

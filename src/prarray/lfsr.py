@@ -12,7 +12,9 @@ in numpy blocks by doubling, without a per-state Python walk.
 ``generate`` (from a seed given as a list of bits) and
 ``berlekamp_massey`` (of a ``CyclicSequence``) work on ints alone, so
 numpy is imported only by the functions that build or pack a bit
-matrix.
+matrix.  ``generate`` divides the power series of the sequence by c(x)
+from the low end, four output bits a step through 16-entry tables of
+the multiples of c(x).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .gf2poly import (
     _bit_reverse,
     _byte_tables,
     _divisors,
+    _mul,
     classify,
 )
 
@@ -129,8 +132,18 @@ def _taps(f):
     return _bit_reverse(f.bits >> 1, f.degree)
 
 
+# the ASCII hex digit of each nibble, as a bytes.translate table
+_HEX_DIGITS = b"0123456789abcdef".ljust(256, b"0")
+
+
 def generate(f, seed, length):
-    """Run the recursion of f from seed (the first deg(f) bits)."""
+    """Run the recursion of f from seed (the first deg(f) bits).
+
+    The sequence is the power series P(z)/c(z), where c(z) is f.bits and
+    P = seed * c mod z^n, divided from the low end a nibble a step: the
+    state's low nibble h picks the multiple q * c whose low nibble is h,
+    q is the next four output bits, and the state drops that multiple
+    and four bits."""
     n = f.degree
     if n < 1 or f.constant_term == 0:
         raise ValueError("generator polynomial needs degree >= 1 and constant term 1")
@@ -138,16 +151,26 @@ def generate(f, seed, length):
         raise ValueError(f"length {length} is shorter than the register ({n})")
     if len(seed) != n or any(b not in (0, 1) for b in seed):
         raise ValueError(f"seed must be {n} bits")
-    taps = _taps(f)
+    c = f.bits
     window = 0
     for k, b in enumerate(seed):
         window |= b << k
-    bits = window
-    for k in range(n, length):
-        fb = (window & taps).bit_count() & 1
-        bits |= fb << k
-        window = (window >> 1) | (fb << (n - 1))
-    return CyclicSequence(bits, length)
+    # the 16 multiples q * c; as c(0) = 1, the low nibble of q * c
+    # determines q, so each multiple and its q are filed under it
+    mult = [0] * 16
+    quot = bytearray(16)
+    for q, m in enumerate(_byte_tables([c, c << 1, c << 2, c << 3])[0]):
+        mult[m & 15] = m
+        quot[m & 15] = q
+    digit = quot.translate(_HEX_DIGITS) + bytes(240)
+    st = _mul(window, c) & ((1 << n) - 1)
+    lows = bytearray((length + 3) // 4)
+    for i in range(len(lows)):
+        lows[i] = h = st & 15
+        st = (st ^ mult[h]) >> 4
+    # nibble i of the sequence is the quotient of lows[i], as a hex digit
+    bits = int(lows[::-1].translate(digit), 16)
+    return CyclicSequence(bits & ((1 << length) - 1), length)
 
 
 _BLOCK_STATES = 1 << 20  # register states generated per numpy block

@@ -17,8 +17,8 @@ from prarray.gf2poly import (
     _mulmod,
     _powmod,
     _square,
+    _squarer,
     _totient,
-    _trace_map,
     factor,
     ord2,
     parse,
@@ -219,6 +219,49 @@ def serial_x_steps(fb, cap):
     return None
 
 
+def serial_gcd(a, b):
+    """Euclid's algorithm with every remainder taken by serial_mod."""
+    while b:
+        a, b = b, serial_mod(a, b)
+    return a
+
+
+def serial_generate(fb, seed, length):
+    """Bits a_0 .. a_(length-1) of the recursion a_k = c_1 a_(k-1) + ...
+    + c_n a_(k-n) of fb = c(x), from the packed seed a_0 .. a_(n-1), one
+    output bit at a time through a shift register."""
+    n = fb.bit_length() - 1
+    taps = _bit_reverse(fb >> 1, n)  # bit n - i holds c_i
+    window = bits = seed
+    for k in range(n, length):
+        b = (window & taps).bit_count() & 1
+        bits |= b << k
+        window = (window >> 1) | (b << (n - 1))
+    return bits
+
+
+def trace_map(hb, fb, n):
+    """h + h^2 + h^4 + ... + h^(2^(n-1)) mod f, by n - 1 squarings."""
+    acc = hb
+    cur = hb
+    square = _squarer(fb)
+    for _ in range(n - 1):
+        cur = square(cur)
+        acc ^= cur
+    return acc
+
+
+def reference_trace_mask(fb, n):
+    """Bit m holds Tr(x^m) in GF(2)[x]/(fb) for m < n, each the trace
+    map of x^m."""
+    mask = 0
+    for m in range(n):
+        t = trace_map(_mod(1 << m, fb), fb, n)
+        assert t in (0, 1), "trace landed outside GF(2)"
+        mask |= t << m
+    return mask
+
+
 def serial_trace(a, m):
     """Tr(a) in GF(2)[x]/(m) for irreducible m: the sum of the deg m
     Frobenius conjugates a^(2^i), each squared and reduced bit-serially."""
@@ -358,7 +401,7 @@ def _split_equal_degree(fb, n, e):
             continue
         h = _mod(2, g)
         for _ in range(e):
-            t = _trace_map(h, g, n)
+            t = trace_map(h, g, n)
             d = _gcd(g, t)
             if 0 < _degree(d) < _degree(g):
                 stack.append(d)

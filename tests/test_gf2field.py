@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import field_inverse, minimal_polynomial, serial_trace
+from conftest import field_inverse, minimal_polynomial, reference_trace_mask, serial_trace
 from prarray.criteria import CodeParams, _cell_positions, bezout, window_positions
 from prarray.folding import _fold_indices
 from prarray.gf2field import FieldContext
@@ -102,6 +102,24 @@ class TestOrder:
 
 class TestTrace:
     """gf2poly._trace_mask, against the sum of Frobenius conjugates."""
+
+    def test_mask_matches_the_trace_maps_up_to_degree_12(self):
+        checked = 0
+        for fb in range(0b101, 1 << 13, 2):
+            n = fb.bit_length() - 1
+            if is_irreducible(BinaryPolynomial(fb)):
+                assert _trace_mask(fb, n) == reference_trace_mask(fb, n), fb
+                checked += 1
+        assert checked == 745  # the irreducibles of degree 2-12
+
+    @pytest.mark.parametrize("n", range(33, 65))
+    def test_mask_matches_the_trace_maps_at_word_degrees(self, n):
+        rng = random.Random(n)
+        for _ in range(2):
+            fb = rng.getrandbits(n) | (1 << n) | 1
+            while not is_irreducible(BinaryPolynomial(fb)):
+                fb = rng.getrandbits(n) | (1 << n) | 1
+            assert _trace_mask(fb, n) == reference_trace_mask(fb, n), fb
 
     def test_zero(self):
         assert trace(0, GF4.modulus) == 0

@@ -11,12 +11,14 @@ from conftest import (
     reference_classify,
     reference_enumerate_irreducible,
     reference_ord2,
+    serial_gcd,
     serial_mod,
     serial_mod_table,
     serial_mul,
     serial_powmod,
     serial_square,
     serial_x_steps,
+    trace_map,
 )
 from prarray import gf2poly
 from prarray.gf2field import FieldContext
@@ -28,15 +30,16 @@ from prarray.gf2poly import (
     _coset_trace,
     _cyclotomic_int,
     _factorint,
+    _gcd,
     _mod,
     _mod_table,
     _mul,
     _mulmod,
+    _order,
     _order_certifies,
     _powmod,
     _rabin,
     _square,
-    _trace_map,
     classify,
     count_irreducible_with_exponent,
     enumerate_irreducible,
@@ -374,6 +377,19 @@ class TestGcd:
         with pytest.raises(ValueError):
             gcd(P("0"), P("0"))
 
+    def test_matches_serial_euclid(self):
+        # zero operands, a much longer than b (the _mod table path) and
+        # the reverse, equal sizes, and a shared factor g, up to degree 2000
+        rng = random.Random(11)
+        pairs = [(0, 0), (0, 1), (1, 0), (0, 0b1011), (0b1011, 0), (1 << 2000, 0b11)]
+        for _ in range(300):
+            da, db, dg = rng.randrange(2001), rng.randrange(2001), rng.randrange(60)
+            a, b = rng.getrandbits(da + 1), rng.getrandbits(db + 1)
+            g = rng.getrandbits(dg) | (1 << dg)
+            pairs += [(a, b), (b, a), (serial_mul(a, g), serial_mul(b, g))]
+        for a, b in pairs:
+            assert _gcd(a, b) == serial_gcd(a, b), (a, b)
+
 
 class TestIrreducibility:
     def test_examples(self):
@@ -524,6 +540,51 @@ class TestExponent:
             exponent(f)
 
 
+class TestOrder:
+    """_order strips the primes of 2^n - 1 largest first; each order is
+    checked by bit-serial powers of x."""
+
+    def test_every_irreducible_up_to_degree_12(self):
+        # the least divisor t of 2^n - 1 with a^t = 1, for x and one
+        # random element a of each field
+        rng = random.Random(12)
+        checked = 0
+        for fb in range(3, 1 << 13, 2):
+            n = fb.bit_length() - 1
+            if not is_irreducible(BinaryPolynomial(fb)):
+                continue
+            divisors = [d for d in range(1, 1 << n) if ((1 << n) - 1) % d == 0]
+            for a in (2, rng.randrange(1, 1 << n)):
+                want = next(d for d in divisors if serial_powmod(a, d, fb) == 1)
+                assert _order(a, fb) == want, (fb, a)
+            checked += 1
+        assert checked == 746  # Gauss's count over degrees 1-12, less x
+
+    @pytest.mark.parametrize("n", range(33, 65))
+    def test_word_degrees_enumerated_and_primitive(self, n):
+        # the polynomials the algebra benchmark enumerates at degree n,
+        # each with order e, then the irreducibles from x^n + 1 up to the
+        # first primitive one: x^t = 1 and x^(t/q) != 1 for each prime q
+        # of t, with the primes from sympy
+        import sympy
+
+        def check(fb):
+            t = _order(2, fb)
+            assert serial_powmod(2, t, fb) == 1, (fb, t)
+            for q in sympy.factorint(t):
+                assert serial_powmod(2, t // q, fb) != 1, (fb, t, q)
+            return t
+
+        exponents = [e for e in list(range(3, 256, 2)) + list(range(257, 2048, 128))
+                     if ord2(e) == n]
+        for e in exponents:
+            for f in enumerate_irreducible(n, e):
+                assert check(f.bits) == e, f
+        fb = (1 << n) | 1
+        while not is_irreducible(BinaryPolynomial(fb)) or check(fb) != (1 << n) - 1:
+            fb += 2
+
+
 def _clear_fact_caches():
     for cached in (gf2poly._x_steps, gf2poly._is_irreducible_int, gf2poly._x_order,
                    gf2poly.classify):
@@ -604,7 +665,7 @@ class TestCosetTraces:
                 continue
             phi = _cyclotomic_int(e)
             for i in range(1, 2 * e, 2):
-                want = _trace_map(_powmod(2, i, phi), phi, n)
+                want = trace_map(_powmod(2, i, phi), phi, n)
                 assert _mod(_coset_trace(i, n, e), phi) == want, (e, i)
                 checked += 1
         assert checked > 4000

@@ -9,6 +9,7 @@ from conftest import (
     reference_berlekamp_massey,
     repeat,
     seq,
+    serial_generate,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +54,20 @@ class TestGenerate:
     def test_span4_msequence(self):
         s = generate(parse("x^4+x+1"), bits_of("0001"), 15)
         assert str(s) == "000111101011001"
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_matches_the_shift_register(self, seeded):
+        # x^n + 1 and a random f with f(0) = 1 at degrees 1-200 and 810,
+        # lengths n to n + 300: n + 0..3 meet every residue mod 4
+        rng = random.Random(9 + seeded)
+        for n in [*range(1, 201), 810]:
+            for fb in ((1 << n) | 1, rng.getrandbits(n) | (1 << n) | 1):
+                seed = rng.getrandbits(n) if seeded else 0
+                bits = [seed >> k & 1 for k in range(n)]
+                for length in [n, n + 1, n + 2, n + 3, n + 300, rng.randrange(n, n + 301)]:
+                    s = generate(BinaryPolynomial(fb), bits, length)
+                    assert s.length == length
+                    assert s.bits == serial_generate(fb, seed, length), (fb, seed, length)
 
 
 class TestZeroFactor:
