@@ -26,8 +26,8 @@ The decision procedures are exact:
   conditions that guarantee a PRA/PRAC (sufficient, not necessary).
 
 The rank routes share two caches per (f, params): ``_cell_vectors``,
-the elements x^p mod f at the window-cell positions p, stepped with one
-multiplication a cell, and ``_cell_rank``, their rank.  The
+the elements x^p mod f at the window-cell positions p, each one
+``_powmod``, and ``_cell_rank``, their rank.  The
 set-polynomial test reports that rank (``trace_independence_test``
 reports it again, for the benchmark harness only); ``det_test`` ranks
 the elements' trace columns instead.  Whether f is
@@ -55,7 +55,6 @@ from .gf2poly import (
     InternalCheckError,
     _gf2_kernel,
     _is_irreducible_int,
-    _mulmod,
     _powmod,
     _trace_mask,
     _x_order,
@@ -379,36 +378,8 @@ def _cell_positions(params):
 
 @functools.lru_cache(maxsize=64)
 def _cell_vectors(fb, params):
-    """x^p mod f at each window position p, row-major, as raw ints; f
-    must be irreducible.  Stepped with one _mulmod a cell: cell (i, j+1)
-    is cell (i, j) times x^(mu*r1), and row i+1 starts at row i times
-    x^(nu*r2), exponents mod e = r1*r2.  A step whose position passes e
-    also takes x^-e, which is 1 when the order of x divides e."""
-    positions = _cell_positions(params)
-    e = params.r1 * params.r2
-    _, mu, nu = bezout(params.r1, params.r2)
-    # x^-e, as x^(2^n - 1) = 1 for irreducible f other than x (whose
-    # one cell takes no step); setpoly_test allows any order of x
-    unwrap = _powmod(2, -e % ((1 << (fb.bit_length() - 1)) - 1), fb)
-
-    def steps(d):
-        # (x^d, x^(d - e)), indexed by whether the step passes e
-        step = _powmod(2, d, fb)
-        return step, _mulmod(step, unwrap, fb)
-
-    right, down = steps(mu * params.r1 % e), steps(nu * params.r2 % e)
-    vectors = []
-    start = 1
-    for i in range(params.n1):
-        row = i * params.n2
-        if i:
-            start = _mulmod(start, down[positions[row] < positions[row - params.n2]], fb)
-        cur = start
-        vectors.append(cur)
-        for k in range(row + 1, row + params.n2):
-            cur = _mulmod(cur, right[positions[k] < positions[k - 1]], fb)
-            vectors.append(cur)
-    return tuple(vectors)
+    """x^p mod f at each window position p, row-major, as raw ints."""
+    return tuple(_powmod(2, p, fb) for p in _cell_positions(params))
 
 
 @functools.lru_cache(maxsize=64)

@@ -33,24 +33,19 @@ The raw kernels pick their path from operand sizes alone:
 * ``_table_map`` applies a GF(2)-linear map through ``_byte_tables``,
   one table per byte of a residue (the top table has 2^(bits left)
   entries), with every lookup written out in one expression.
-* ``_squarer(m)`` squares residues mod m.  Up to degree 32 it reads
-  ``_square_tables``: the table map of the deg m images x^(2i) mod m
-  from ``_frobenius_images`` (each the last shifted by 2, then at most
-  two conditional XORs).  Above that it is ``_mod(_square(r), m)``.
-  Berlekamp's columns are the same images at every degree.
-* For 32 < deg m <= 64 (a word), ``_eighth_power_tables`` maps r to
-  r^8 mod m instead: the table map of the images x^(8i) mod m, each the
-  last shifted by 8 and reduced by one ``_mod_table`` lookup.  Squaring
-  and r^8 tables are each kept for the last 8 moduli only.
-* ``_powmod`` raises x left to right over the exponent, multiplying by
-  x with a shift.  For 32 < deg m <= 64 it takes three exponent bits c
-  a step: r -> r^8, then a shift by c and one ``_mod_table`` lookup
-  (Knuth, TAOCP vol. 2, 4.6.3).  Otherwise it takes one bit a step: a
-  squaring, then a shift and one conditional XOR.  Other bases use
+* ``_eighth_power_tables(m)`` maps r to r^8 mod m for 2 <= deg m <= 64
+  (a word): the table map of the images x^(8i) mod m, each the last
+  shifted by 8 and reduced by one ``_mod_table`` lookup.  Tables are
+  kept for the last 8 moduli only.
+* ``_powmod`` is the one kernel that raises x to a power.  It goes left
+  to right over the exponent, multiplying by x with a shift.  Up to
+  degree 64 it takes three exponent bits c a step: r -> r^8, then a
+  shift by c and one ``_mod_table`` lookup (Knuth, TAOCP vol. 2,
+  4.6.3).  Above that it takes one bit a step: ``_mod(_square(r), m)``,
+  then a shift and one conditional XOR.  Other bases use
   square-and-multiply.
-* ``_rabin`` steps x^(2^i) from checkpoint to checkpoint; for 32 <
-  deg m <= 64 it takes three squarings with each r^8 lookup and at
-  most two single squarings per checkpoint.
+* ``_rabin`` asks ``_powmod`` for x^(2^j) at each checkpoint j = n/p
+  and for x^(2^n).
 * ``_gcd`` takes one ``_mod``, whose table serves a first operand much
   longer than the second, then runs Euclid's remainders inline, one bit
   a step.
@@ -216,12 +211,8 @@ def _gcd(a, b):
     return a
 
 
-def _mulmod(a, b, m):
-    return _mod(_mul(a, b), m)
-
-
 def _frobenius_images(m):
-    """x^(2i) mod m for i < deg m, the images of the basis under
+    """x^(2i) mod m for i < deg m, Berlekamp's images of the basis under
     squaring: each is the last shifted by 2, then reduced by at most two
     conditional XORs."""
     n = m.bit_length() - 1
@@ -270,17 +261,10 @@ def _table_map(tables):
 
 
 @functools.lru_cache(maxsize=8)
-def _square_tables(m):
-    """For m of degree <= _TABLE_MIN, r -> r^2 mod m as one lookup per
-    byte of r, in the byte tables of the images x^(2i) mod m."""
-    return _table_map(_byte_tables(_frobenius_images(m)))
-
-
-@functools.lru_cache(maxsize=8)
 def _eighth_power_tables(m):
-    """For _TABLE_MIN < deg m <= _WORD, r -> r^8 mod m as one lookup per
-    byte of r, in the byte tables of the images x^(8i) mod m: each the
-    last shifted by 8 and reduced by one _mod_table lookup."""
+    """For 1 < deg m <= _WORD, r -> r^8 mod m as one lookup per byte of
+    r, in the byte tables of the images x^(8i) mod m: each the last
+    shifted by 8 and reduced by one _mod_table lookup."""
     n = m.bit_length() - 1
     clear = _mod_table(m)
     images = [1]
@@ -290,23 +274,16 @@ def _eighth_power_tables(m):
     return _table_map(_byte_tables(images))
 
 
-def _squarer(m):
-    """r -> r^2 mod m for r reduced mod m: _square_tables up to degree
-    _TABLE_MIN, _square and _mod above that."""
-    if m >> (_TABLE_MIN + 1):
-        return lambda r: _mod(_square(r), m)
-    return _square_tables(m)
-
-
 def _powmod(base, e, m):
     if e < 0:
         raise ValueError(f"negative exponent {e}")
     r = _mod(1, m) if m.bit_length() <= 1 else 1
     base = _mod(base, m)
     if base == 2:
-        # powers of x, left to right over e: multiplying by x is a shift
+        # powers of x, left to right over e: multiplying by x is a shift;
+        # x reduces to a constant modulo m of degree < 2, so here n >= 2
         n = m.bit_length() - 1
-        if _TABLE_MIN < n <= _WORD:
+        if n <= _WORD:
             # three bits c of e a step, r -> r^8 x^c: the c <= 7 bits
             # shifted past deg m are cleared by one table multiple
             power8 = _eighth_power_tables(m)
@@ -315,9 +292,8 @@ def _powmod(base, e, m):
                 r = power8(r) << (c - 48)  # the ASCII octal digit
                 r ^= clear[r >> n]
             return r
-        square = _squarer(m)
         for bit in format(e, "b"):
-            r = square(r)
+            r = _mod(_square(r), m)
             if bit == "1":
                 r <<= 1
                 if r >> n:
@@ -598,27 +574,14 @@ def _is_irreducible_int(fb):
 
 
 def _rabin(fb):
-    """Rabin's test for fb of degree n >= 2: x^(2^n) = x mod fb, and
-    gcd(x^(2^(n/p)) - x, fb) = 1 for each prime p of n.  The chain
-    x^(2^i) runs from one checkpoint n/p to the next, by r^8 tables
-    where fb has them."""
+    """Rabin's test for fb of degree n >= 2: gcd(x^(2^j) - x, fb) = 1 at
+    each checkpoint j = n/p for the primes p of n, in ascending order,
+    and x^(2^n) = x mod fb."""
     n = _degree(fb)
-    square = _squarer(fb)
-    power8 = _eighth_power_tables(fb) if _TABLE_MIN < n <= _WORD else None
-    t = 2  # the polynomial x, raised to x^(2^i)
-    i = 0
-    for j in sorted({n // p for p in _factorint(n)}) + [n]:
-        if power8:
-            # three squarings a lookup, then at most two single ones
-            for _ in range((j - i) // 3):
-                t = power8(t)
-            i = j - (j - i) % 3
-        for _ in range(i, j):
-            t = square(t)
-        i = j
-        if j < n and _gcd(t ^ 2, fb) != 1:
+    for j in sorted({n // p for p in _factorint(n)}):
+        if _gcd(_powmod(2, 1 << j, fb) ^ 2, fb) != 1:
             return False
-    return t == 2
+    return _powmod(2, 1 << n, fb) == 2
 
 
 def factor(f):

@@ -29,7 +29,6 @@ from .gf2poly import (
     _berlekamp_massey,
     _bit_reverse,
     _byte_tables,
-    _divisors,
     _mul,
     classify,
 )
@@ -39,9 +38,9 @@ if TYPE_CHECKING:
 
 
 class CyclicSequence:
-    """A cyclic binary sequence [a_0 ... a_{l-1}] with cached least period."""
+    """A cyclic binary sequence [a_0 ... a_{l-1}]."""
 
-    __slots__ = ("bits", "length", "_period")
+    __slots__ = ("bits", "length")
 
     def __init__(self, bits, length):
         if length < 1:
@@ -50,7 +49,6 @@ class CyclicSequence:
             raise ValueError("bits exceed the stated length")
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "length", length)
-        object.__setattr__(self, "_period", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicSequence is immutable")
@@ -73,28 +71,6 @@ class CyclicSequence:
 
     def __repr__(self):
         return f"CyclicSequence({str(self)!r})"
-
-    @property
-    def least_period(self):
-        """Least p with a_k = a_{k+p} cyclically; p divides the length."""
-        p = self._period
-        if p is None:
-            p = next(d for d in _divisors(self.length) if self._has_period(d))
-            object.__setattr__(self, "_period", p)
-        return p
-
-    def _has_period(self, p):
-        return self.rotate(p) == self
-
-    def rotate(self, t):
-        """Delay by t positions: new a_k is old a_{k-t}."""
-        ell = self.length
-        t %= ell
-        if t == 0:
-            return self
-        mask = (1 << ell) - 1
-        bits = ((self.bits << t) | (self.bits >> (ell - t))) & mask
-        return CyclicSequence(bits, ell)
 
 
 @dataclass(frozen=True, eq=False)

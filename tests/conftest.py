@@ -14,10 +14,8 @@ from prarray.gf2poly import (
     _gcd,
     _mod,
     _mul,
-    _mulmod,
     _powmod,
     _square,
-    _squarer,
     _totient,
     factor,
     ord2,
@@ -115,6 +113,11 @@ def canonical(s):
     return best
 
 
+def mulmod(a, b, m):
+    """a * b mod m, by the word kernels of gf2poly."""
+    return _mod(_mul(a, b), m)
+
+
 def field_inverse(a, fb):
     """Multiplicative inverse of a nonzero residue a modulo the
     irreducible fb, by extended Euclid in GF(2)[x]."""
@@ -144,7 +147,7 @@ def minimal_polynomial(a, fb):
         nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i + 1] ^= c
-            nxt[i] ^= _mulmod(r, c, fb)
+            nxt[i] ^= mulmod(r, c, fb)
         coeffs = nxt
     assert all(c in (0, 1) for c in coeffs), "orbit product has a coefficient outside GF(2)"
     return BinaryPolynomial(sum(c << i for i, c in enumerate(coeffs)))
@@ -244,9 +247,8 @@ def trace_map(hb, fb, n):
     """h + h^2 + h^4 + ... + h^(2^(n-1)) mod f, by n - 1 squarings."""
     acc = hb
     cur = hb
-    square = _squarer(fb)
     for _ in range(n - 1):
-        cur = square(cur)
+        cur = _mod(_square(cur), fb)
         acc ^= cur
     return acc
 

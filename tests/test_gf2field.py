@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from conftest import field_inverse, minimal_polynomial, reference_trace_mask, serial_trace
+from conftest import field_inverse, minimal_polynomial, mulmod, reference_trace_mask, serial_trace
 from prarray.criteria import CodeParams, _cell_positions, bezout, window_positions
 from prarray.folding import _fold_indices
 from prarray.gf2field import FieldContext
-from prarray.gf2poly import BinaryPolynomial, _mulmod, _trace_mask, is_irreducible, parse
+from prarray.gf2poly import BinaryPolynomial, _trace_mask, is_irreducible, parse
 
 
 GF4 = FieldContext(parse("x^2+x+1"))
@@ -44,18 +44,18 @@ class TestArithmetic:
     """Field arithmetic on raw residues, by the gf2poly kernels."""
 
     def test_mul(self):
-        assert _mulmod(0b10, 0b10, M4) == 0b11
+        assert mulmod(0b10, 0b10, M4) == 0b11
 
     def test_char2(self):
         # squaring is additive: (a + b)^2 = a^2 + b^2
         f = first_irreducible(6).bits
         for a in range(1 << 6):
             for b in range(1 << 6):
-                assert _mulmod(a ^ b, a ^ b, f) == _mulmod(a, a, f) ^ _mulmod(b, b, f)
+                assert mulmod(a ^ b, a ^ b, f) == mulmod(a, a, f) ^ mulmod(b, b, f)
 
     def test_one(self):
         for a in range(4):
-            assert _mulmod(a, 1, M4) == a
+            assert mulmod(a, 1, M4) == a
 
     def test_pow_exponent(self):
         ctx = FieldContext(parse("x^4+x^3+x^2+x+1"))
@@ -68,7 +68,7 @@ class TestArithmetic:
     def test_inverse_everywhere(self):
         f = first_irreducible(6).bits
         for a in range(1, 1 << 6):
-            assert _mulmod(a, field_inverse(a, f), f) == 1
+            assert mulmod(a, field_inverse(a, f), f) == 1
 
 
 class TestOrder:

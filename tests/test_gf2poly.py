@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    mulmod,
     reference_classify,
     reference_enumerate_irreducible,
     reference_ord2,
@@ -34,7 +35,6 @@ from prarray.gf2poly import (
     _mod,
     _mod_table,
     _mul,
-    _mulmod,
     _order,
     _order_certifies,
     _powmod,
@@ -206,7 +206,7 @@ class TestKernels:
         # degree at least twice the modulus degree
         far = data.draw(st.integers(2 * n, 2 * n + 300).flatmap(lambda d: _of_length(d + 1)))
         assert _mod(far, m) == serial_mod(far, m)
-        assert _mulmod(far, below, m) == serial_mod(serial_mul(far, below), m)
+        assert mulmod(far, below, m) == serial_mod(serial_mul(far, below), m)
         # degree gaps on both sides of the table threshold
         gap = data.draw(st.integers(-2, 2).map(lambda d: gf2poly._TABLE_MIN + d))
         near = data.draw(_of_length(m.bit_length() + gap))
@@ -242,9 +242,9 @@ class TestKernels:
 
     @pytest.mark.parametrize("n", range(1, 71))
     def test_squaring_and_x_powers_every_modulus_degree(self, n):
-        # squaring tables up to degree 32 (_TABLE_MIN), r^8 tables above
-        # that up to 64 (_WORD), _square and _mod above that; x is a
-        # constant modulo a degree-1 m, and reads no table
+        # r^8 tables from degree 2 up to 64 (_WORD), _square and _mod
+        # above that; x is a constant modulo a degree-1 m, and reads no
+        # table
         rng = random.Random(n)
         exponents = (
             list(range(10))
@@ -253,29 +253,22 @@ class TestKernels:
             + [rng.getrandbits(n + 8) for _ in range(4)]
         )
         for m in (1 << n | 1, 1 << n | rng.getrandbits(n), (1 << (n + 1)) - 1):
-            gf2poly._square_tables.cache_clear()
             gf2poly._eighth_power_tables.cache_clear()
             for e in exponents:
                 assert _powmod(2, e, m) == serial_powmod(2, e, m), e
-            assert gf2poly._square_tables.cache_info().currsize == (1 < n <= gf2poly._TABLE_MIN)
-            assert gf2poly._eighth_power_tables.cache_info().currsize == (
-                gf2poly._TABLE_MIN < n <= gf2poly._WORD
-            )
+            assert gf2poly._eighth_power_tables.cache_info().currsize == (1 < n <= gf2poly._WORD)
             assert gf2poly._frobenius_images(m) == [serial_powmod(2, 2 * i, m) for i in range(n)]
-            square = gf2poly._squarer(m)
             for r in (0, 1, (1 << n) - 1, rng.getrandbits(n)):
-                assert square(r) == serial_mod(serial_square(r), m)
+                assert _mod(_square(r), m) == serial_mod(serial_square(r), m)
 
-    def test_square_tables_kept_for_few_moduli(self):
-        # 20 moduli at each degree, squaring tables at 24 and 32, r^8
-        # tables at 33, 48 and 64
+    def test_eighth_power_tables_kept_for_few_moduli(self):
+        # 20 moduli at each degree, with r^8 tables at every one
         rng = random.Random(6)
-        for n in (24, 32, 33, 48, 64):
+        for n in (2, 8, 24, 32, 33, 48, 64):
             for _ in range(20):
                 m = rng.getrandbits(n) | (1 << n) | 1
                 e = rng.getrandbits(n)
                 assert _powmod(2, e, m) == serial_powmod(2, e, m)
-            assert gf2poly._square_tables.cache_info().currsize <= 8
             assert gf2poly._eighth_power_tables.cache_info().currsize <= 8
 
     def test_mod_table_matches_the_entry_loop(self):
@@ -317,9 +310,9 @@ class TestKernels:
 
     @pytest.mark.parametrize("n", range(33, 65))
     def test_rabin_between_word_halves_matches_sympy(self, n, monkeypatch):
-        # r^8 tables carry Rabin's chain between checkpoints here; the
-        # chain's value at each checkpoint is checked bit-serially, and
-        # each verdict against sympy
+        # Rabin's test reads x^(2^j) from _powmod's r^8 tables here; the
+        # value at each checkpoint is checked bit-serially, and each
+        # verdict against sympy
         import sympy
 
         def sympy_irreducible(f):
