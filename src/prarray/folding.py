@@ -162,24 +162,68 @@ def write_arrays(stream, arrays, header=None):
 def read_arrays(stream):
     """Parse the array file format; returns (grids, params-or-None),
     grids being the file's read-only (m, r1, r2) uint8 grid stack,
-    (0, 0, 0) for a file with no rows."""
+    (0, 0, 0) for a file with no rows.
+
+    A file laid out as ``write_arrays`` writes it is read in one numpy
+    pass; any other file, and any malformed one, goes line by line, the
+    path that names the first bad line."""
+    text = stream.read()
+    return _read_layout(text) or _read_lines(text.split("\n"))
+
+
+def _header(line, lineno):
+    """The CodeParams of a header line "# r1 r2 n1 n2"."""
+    fields = line[1:].split()
+    if len(fields) != 4 or not all(f.isdigit() for f in fields):
+        raise ValueError(f"line {lineno}: header needs four integers")
+    try:
+        return CodeParams(*(int(f) for f in fields))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def _read_layout(text):
+    """``read_arrays`` of a file in the exact layout of ``write_arrays``:
+    an optional header line, then m arrays of r1 lines of r2 digits, a
+    blank line between arrays and a newline after the last; None for
+    any other text."""
+    params = None
+    body = text
+    if text.startswith("#"):
+        head, _, body = text.partition("\n")
+        params = _header(head.strip(), 1)
+    r2 = body.find("\n")
+    if r2 < 1 or not body.isascii():
+        return None
+    gap = body.find("\n\n")
+    r1 = (len(body) if gap < 0 else gap + 1) // (r2 + 1)
+    size = r1 * (r2 + 1) + 1  # an array's lines and the blank line after it
+    chars = np.frombuffer((body + "\n").encode("ascii"), dtype=np.uint8)
+    if chars.size % size:
+        return None
+    chars = chars.reshape(-1, size)
+    lines = chars[:, :-1].reshape(len(chars), r1, r2 + 1)
+    if (chars[:, -1] != ord("\n")).any() or (lines[:, :, -1] != ord("\n")).any():
+        return None
+    grids = lines[:, :, :r2] - np.uint8(ord("0"))
+    if (grids > 1).any():
+        return None
+    return _read_only(grids), params
+
+
+def _read_lines(lines):
+    """``read_arrays`` of a file's lines, one at a time."""
     params = None
     rows, starts = [], []
     gap = True  # no row yet, or a blank line since the last one
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("#"):
             if params is not None:
                 raise ValueError(f"line {lineno}: a second header")
             if rows:
                 raise ValueError(f"line {lineno}: header after an array row")
-            fields = line[1:].split()
-            if len(fields) != 4 or not all(f.isdigit() for f in fields):
-                raise ValueError(f"line {lineno}: header needs four integers")
-            try:
-                params = CodeParams(*(int(f) for f in fields))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+            params = _header(line, lineno)
         elif not line:
             gap = True
         elif set(line) - {"0", "1"}:

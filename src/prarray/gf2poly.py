@@ -576,12 +576,19 @@ def _is_irreducible_int(fb):
 def _rabin(fb):
     """Rabin's test for fb of degree n >= 2: gcd(x^(2^j) - x, fb) = 1 at
     each checkpoint j = n/p for the primes p of n, in ascending order,
-    and x^(2^n) = x mod fb."""
+    and x^(2^n) = x mod fb.
+
+    Up to degree 64 each x^(2^j) comes from x through the r^8 tables;
+    above, it is the last one squared j - i more times, n squarings in
+    all."""
     n = _degree(fb)
+    r, i = 2, 0  # x^(2^i) mod fb
     for j in sorted({n // p for p in _factorint(n)}):
-        if _gcd(_powmod(2, 1 << j, fb) ^ 2, fb) != 1:
+        r = _powmod(2, 1 << j, fb) if n <= _WORD else _powmod(r, 1 << (j - i), fb)
+        i = j
+        if _gcd(r ^ 2, fb) != 1:
             return False
-    return _powmod(2, 1 << n, fb) == 2
+    return (_powmod(2, 1 << n, fb) if n <= _WORD else _powmod(r, 1 << (n - i), fb)) == 2
 
 
 def factor(f):

@@ -8,7 +8,8 @@ bit 0, and its length.
 Batched form: a zero factor is a read-only (m, e) uint8 bit matrix,
 one row per cycle, column k holding bit k, which ``zero_factor`` fills
 in numpy blocks by doubling, without a per-state Python walk.
-``ZeroFactor.cycles`` packs its rows into integers on first use.
+``ZeroFactor.cycles`` is a read-only view that packs a row into a
+``CyclicSequence`` only when it is read; its length is the row count.
 ``generate`` (from a seed given as a list of bits) and
 ``berlekamp_massey`` (of a ``CyclicSequence``) work on ints alone, so
 numpy is imported only by the functions that build or pack a bit
@@ -19,7 +20,7 @@ the multiples of c(x).
 
 from __future__ import annotations
 
-import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -79,7 +80,8 @@ class ZeroFactor:
 
     Jointly the cycles contain every nonzero deg(f)-tuple exactly once,
     so the cycle count times the exponent is 2^deg - 1.  ``bits`` holds
-    them as a read-only (count, exponent) matrix.
+    them as a read-only (count, exponent) matrix, and ``cycles`` reads
+    its rows as CyclicSequences.
     """
 
     generator: BinaryPolynomial
@@ -95,12 +97,35 @@ class ZeroFactor:
         owner.flags.writeable = False
         object.__setattr__(self, "bits", owner.view())
 
-    @functools.cached_property
+    @property
     def cycles(self):
-        return tuple(CyclicSequence(b, self.exponent) for b in _pack_rows(self.bits))
+        return _Cycles(self.bits)
 
     def __len__(self):
         return self.bits.shape[0]
+
+
+class _Cycles(Sequence):
+    """The rows of a zero factor's bit matrix as a read-only sequence of
+    CyclicSequences, each packed when it is read; its length is the row
+    count, and nothing is kept."""
+
+    __slots__ = ("_bits",)
+
+    def __init__(self, bits):
+        self._bits = bits
+
+    def __len__(self):
+        return self._bits.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(_Cycles(self._bits[i]))
+        return CyclicSequence(_pack_rows(self._bits[i][None])[0], self._bits.shape[1])
+
+    def __iter__(self):
+        width = self._bits.shape[1]
+        return (CyclicSequence(b, width) for b in _pack_rows(self._bits))
 
 
 def _taps(f):

@@ -113,6 +113,29 @@ def canonical(s):
     return best
 
 
+def walk_zero_factor(f):
+    """Reference zero factor: walk the register state by state from
+    each unseen state in increasing order.  A state holds
+    a_k .. a_{k+n-1} at bits 0 .. n-1."""
+    n = f.degree
+    # a_{k+n} = sum of c_i a_{k+n-i}, and a_{k+n-i} sits at bit n - i
+    taps = sum(1 << (n - i) for i in range(1, n + 1) if f.bits >> i & 1)
+    seen = bytearray(1 << n)
+    cycles = []
+    for s0 in range(1, 1 << n):
+        if seen[s0]:
+            continue
+        s, bits, k = s0, 0, 0
+        while not seen[s]:
+            seen[s] = 1
+            bits |= (s & 1) << k
+            k += 1
+            s = (s >> 1) | (((s & taps).bit_count() & 1) << (n - 1))
+        assert s == s0
+        cycles.append(CyclicSequence(bits, k))
+    return tuple(cycles)
+
+
 def mulmod(a, b, m):
     """a * b mod m, by the word kernels of gf2poly."""
     return _mod(_mul(a, b), m)

@@ -19,6 +19,7 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from prarray import folding
 from prarray.folding import (
     CodeParams,
     _fold_indices,
@@ -474,6 +475,81 @@ class TestArrayFiles:
         with pytest.raises(ValueError) as err:
             read_arrays(io.StringIO(text))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("header", [None, CodeParams(7, 13, 3, 4)])
+    def test_written_layout_read_in_one_pass(self, monkeypatch, header):
+        arrays = fold_zero_factor(zero_factor(parse("x^12+x^10+x^9+x+1")), 7, 13)
+        buf = io.StringIO()
+        write_arrays(buf, arrays, header)
+
+        def refused(lines):
+            raise AssertionError("a written file went line by line")
+
+        monkeypatch.setattr(folding, "_read_lines", refused)
+        back, params = read_arrays(io.StringIO(buf.getvalue()))
+        assert np.array_equal(back, arrays) and params == header
+        assert not back.flags.writeable
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# 2 3 1 1\r\n011\r\n100\r\n\r\n110\r\n001\r\n",
+            "011\n100\n\n\n110\n001\n",
+            "011 \n100\n\n110\n001\n",
+            "011\n100\n\n110\n001",
+            "\n# 2 3 1 1\n011\n100\n\n110\n001\n",
+            "#  2 3  1 1 \n011\n100\n\n110\n001\n\n",
+            "  # 2 3 1 1\n\t011\n100\n\n110\n001\n",
+        ],
+        ids=["cr", "two-blanks", "trailing-space", "no-last-newline", "blank-first",
+             "spaced-header", "indented"],
+    )
+    def test_other_layouts_read_line_by_line(self, text):
+        assert folding._read_layout(text) is None
+        back, params = read_arrays(io.StringIO(text))
+        assert np.array_equal(back, [arr("011", "100"), arr("110", "001")])
+        assert params == (None if "#" not in text else CodeParams(2, 3, 1, 1))
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda r1: st.integers(1, 5).flatmap(
+                lambda r2: st.lists(grids(r1, r2), min_size=1, max_size=4)
+            )
+        ),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from(["", "0", "1", "\n", " ", "#", "x", "\r"]),
+                st.integers(0, 1),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_edited_files_read_as_line_by_line(self, cells, with_header, edits):
+        # a written file with a few characters inserted, replaced or
+        # dropped (new written over drop characters) reads as the line
+        # loop reads it, or is refused with the loop's message
+        m, r1, r2 = np.shape(cells)
+        buf = io.StringIO()
+        write_arrays(buf, cells, CodeParams(r1, r2, 1, 1) if with_header else None)
+        text = buf.getvalue()
+        for at, new, drop in edits:
+            at %= len(text) + 1
+            text = text[:at] + new + text[at + drop :]
+
+        def outcome(read, arg):
+            try:
+                grids, params = read(arg)
+            except ValueError as exc:
+                return str(exc)
+            assert not grids.flags.writeable and grids.dtype == np.uint8
+            return grids.shape, grids.tobytes(), params
+
+        assert outcome(read_arrays, io.StringIO(text)) == outcome(
+            folding._read_lines, text.split("\n")
+        )
 
     def test_write_takes_a_generator(self):
         grids = fold_zero_factor(zero_factor(parse("x^4+x+1")), 3, 5)

@@ -353,6 +353,38 @@ class TestKernels:
             f = rng.getrandbits(n) | (1 << n) | 1
             assert _rabin(f) == sympy_irreducible(f), f
 
+    def test_rabin_above_degree_64_matches_berlekamp(self, monkeypatch):
+        # above degree 64 each checkpoint squares the last one's power;
+        # each power is checked bit-serially, and each verdict against
+        # Berlekamp's factor, which reads neither
+        rng = random.Random(160)
+
+        def irreducible_of_degree(d):
+            while True:
+                f = rng.getrandbits(d) | (1 << d) | 1 if d > 1 else 0b11
+                if len(factor(BinaryPolynomial(f))) == 1:
+                    return f
+
+        gcd_args = []
+        gcd = gf2poly._gcd
+        monkeypatch.setattr(gf2poly, "_gcd", lambda a, b: gcd_args.append(a) or gcd(a, b))
+        verdicts = set()
+        for n in (65, 66, 77, 96, 127, 128, 129, 143, 150, 157, 160):
+            checkpoints = sorted({n // p for p in _factorint(n)})
+            polys = [irreducible_of_degree(n), rng.getrandbits(n) | (1 << n) | 1]
+            # a factor of each checkpoint's degree fails there; factors of
+            # degrees n/2 - 1 and n/2 + 1 pass every checkpoint
+            for d in {*checkpoints, n // 2 - 1, rng.randrange(1, n)}:
+                polys.append(serial_mul(irreducible_of_degree(d), irreducible_of_degree(n - d)))
+            for f in polys:
+                gcd_args.clear()
+                verdict = _rabin(f)
+                seen = list(gcd_args)
+                assert verdict == (len(factor(BinaryPolynomial(f))) == 1), (n, f)
+                assert seen == [serial_powmod(2, 1 << j, f) ^ 2 for j in checkpoints[: len(seen)]]
+                verdicts.add((verdict, len(seen)))
+        assert {(True, 2), (False, 1), (False, 2)} <= verdicts
+
 
 class TestGcd:
     def test_coprime_irreducibles(self):

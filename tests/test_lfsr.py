@@ -10,6 +10,7 @@ from conftest import (
     repeat,
     seq,
     serial_generate,
+    walk_zero_factor,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,29 +137,6 @@ class TestZeroFactor:
         assert len(windows) == (1 << 16) - 1 and 0 not in windows
 
 
-def walk_zero_factor(f):
-    """Reference zero factor: walk the register state by state from
-    each unseen state in increasing order.  A state holds
-    a_k .. a_{k+n-1} at bits 0 .. n-1."""
-    n = f.degree
-    # a_{k+n} = sum of c_i a_{k+n-i}, and a_{k+n-i} sits at bit n - i
-    taps = sum(1 << (n - i) for i in range(1, n + 1) if f.bits >> i & 1)
-    seen = bytearray(1 << n)
-    cycles = []
-    for s0 in range(1, 1 << n):
-        if seen[s0]:
-            continue
-        s, bits, k = s0, 0, 0
-        while not seen[s]:
-            seen[s] = 1
-            bits |= (s & 1) << k
-            k += 1
-            s = (s >> 1) | (((s & taps).bit_count() & 1) << (n - 1))
-        assert s == s0
-        cycles.append(CyclicSequence(bits, k))
-    return tuple(cycles)
-
-
 class TestZeroFactorReference:
     """The batched zero factor against the state-by-state walk."""
 
@@ -170,7 +148,7 @@ class TestZeroFactorReference:
             if not cls.is_uniform:
                 continue
             kinds.add(cls.kind)
-            assert zero_factor(f).cycles == walk_zero_factor(f), f
+            assert tuple(zero_factor(f).cycles) == walk_zero_factor(f), f
         assert "reducible-uniform" in kinds
 
     def test_degree21_above_the_old_table_cap(self):
@@ -178,7 +156,47 @@ class TestZeroFactorReference:
         f = enumerate_irreducible(21, 49)[0]
         zf = zero_factor(f)
         assert len(zf) == ((1 << 21) - 1) // 49
-        assert zf.cycles == walk_zero_factor(f)
+        assert tuple(zf.cycles) == walk_zero_factor(f)
+
+
+class TestCyclesView:
+    """``ZeroFactor.cycles`` reads rows of the bit matrix as
+    CyclicSequences only when they are read, and keeps none."""
+
+    def test_length_builds_no_sequence(self, monkeypatch):
+        built = []
+        init = CyclicSequence.__init__
+        monkeypatch.setattr(
+            CyclicSequence, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+        )
+        zf = zero_factor(parse("x^12+x^10+x^9+x+1"))  # 45 cycles of 91 states
+        assert len(zf.cycles) == 45 and built == []
+        assert zf.cycles[-1] == zf.cycles[44] and len(built) == 2
+        assert len(tuple(zf.cycles)) == 45 and len(built) == 47
+        assert len(zf.cycles) == 45 and len(built) == 47
+        assert "cycles" not in vars(zf)
+
+    @pytest.mark.parametrize(
+        "poly",
+        # two irreducibles, and (x^4+x+1)(x^4+x^3+1): 17 cycles of 15
+        ["x^6+x^5+x^4+x^2+1", "x^12+x^10+x^9+x+1", "x^8+x^7+x^5+x^4+x^3+x+1"],
+    )
+    def test_reads_match_the_walk(self, poly):
+        f = parse(poly)
+        want = walk_zero_factor(f)
+        cycles = zero_factor(f).cycles
+        m = len(want)
+        assert len(cycles) == m and tuple(cycles) == want and list(cycles) == list(want)
+        assert [cycles[i] for i in range(-m, m)] == [want[i] for i in range(-m, m)]
+        for part in (slice(None), slice(1, 4), slice(-2, None), slice(None, None, -2),
+                     slice(3, 1), slice(m, None)):
+            assert cycles[part] == want[part], part
+        for i in (m, -m - 1):
+            with pytest.raises(IndexError):
+                cycles[i]
+        assert want[-1] in cycles and cycles.index(want[-1]) == m - 1
+        with pytest.raises(TypeError):
+            cycles[0] = want[0]
 
 
 class TestBitOps:

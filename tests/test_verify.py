@@ -640,6 +640,17 @@ class TestCensusReference:
 
     @pytest.mark.parametrize("one_array_blocks", [False, True])
     def test_whole_and_corrupted_codes(self, monkeypatch, one_array_blocks):
+        self._check(monkeypatch, one_array_blocks)
+
+    @pytest.mark.parametrize("one_array_blocks", [False, True])
+    def test_whole_and_corrupted_codes_sort_path(self, monkeypatch, one_array_blocks):
+        # the path of areas 25-28 and of the witness of a repeat
+        import prarray.verify as v
+
+        monkeypatch.setattr(v, "_BYTE_TABLE_AREA", 0)
+        self._check(monkeypatch, one_array_blocks)
+
+    def _check(self, monkeypatch, one_array_blocks):
         if one_array_blocks:
             import prarray.verify as v
 
@@ -665,15 +676,36 @@ class TestCensusReference:
         assert kinds == {"pass", "zero-window", "duplicate-window"}
 
 
+# five 3 x 17 arrays of x^8+x^4+x^3+x+1, the last one replaced
+TWO_BLOCK_CODES = (
+    "last, kind",
+    [
+        pytest.param(lambda arrays: arrays[4], None, id="pass"),
+        pytest.param(lambda arrays: shift(arrays[0], 1, 2), "duplicate-window",
+                     id="repeat-across"),  # across the blocks
+        pytest.param(lambda arrays: shift(arrays[3], 1, 2), "duplicate-window",
+                     id="repeat-in-last"),  # inside the last
+        pytest.param(lambda arrays: np.zeros((3, 17), dtype=np.uint8), "zero-window",
+                     id="zero-in-last"),
+    ],
+)
+
+
 class TestBitTablePath:
-    # the packed occupancy table finds repeats across blocks; force one
-    # array per block and compare with one block and with the reference
+    # the packed occupancy table of the sort path finds repeats across
+    # blocks; force one array per block and compare with one block, with
+    # the byte table on either, and with the reference
     def _both(self, monkeypatch, arrays, n1, n2):
         import prarray.verify as v
 
         normal = window_census(arrays, n1, n2)
         monkeypatch.setattr(v, "_CENSUS_BLOCK_WINDOWS", 1)
         packed = window_census(arrays, n1, n2)
+        monkeypatch.setattr(v, "_BYTE_TABLE_AREA", 0)
+        assert window_census(arrays, n1, n2) == packed
+        monkeypatch.undo()
+        monkeypatch.setattr(v, "_BYTE_TABLE_AREA", 0)
+        assert window_census(arrays, n1, n2) == normal
         assert normal == packed == reference_census(arrays, n1, n2)
         return normal, packed
 
@@ -702,31 +734,41 @@ class TestBitTablePath:
         assert not normal.passed and not packed.passed
         assert normal.witness.kind == packed.witness.kind == "duplicate-window"
 
-    @pytest.mark.parametrize(
-        "last, kind",
-        [
-            (lambda arrays: arrays[4], None),
-            (lambda arrays: shift(arrays[0], 1, 2), "duplicate-window"),  # across the blocks
-            (lambda arrays: shift(arrays[3], 1, 2), "duplicate-window"),  # inside the last
-            (lambda arrays: np.zeros((3, 17), dtype=np.uint8), "zero-window"),
-        ],
-        ids=["pass", "repeat-across", "repeat-in-last", "zero-in-last"],
-    )
+    @pytest.mark.parametrize(*TWO_BLOCK_CODES)
     def test_two_blocks(self, monkeypatch, last, kind):
-        # five 3 x 17 arrays in blocks of three and two: only the first
-        # block fills the table, and only the last block meets it
+        self._two_blocks(monkeypatch, last, kind)
+
+    @pytest.mark.parametrize(*TWO_BLOCK_CODES)
+    def test_two_blocks_sort_path(self, monkeypatch, last, kind):
+        import prarray.verify as v
+
+        monkeypatch.setattr(v, "_BYTE_TABLE_AREA", 0)
+        self._two_blocks(monkeypatch, last, kind, byte_table=False)
+
+    def _two_blocks(self, monkeypatch, last, kind, byte_table=True):
+        # five 3 x 17 arrays in blocks of three and two.  On the sort
+        # path only the first block fills the bit table, and only the
+        # last block meets it.  A pass or a zero window codes each block
+        # once.  A repeat codes them again for the witness's occurrences,
+        # and the byte table codes them once more before the sort pass
         import prarray.verify as v
 
         arrays = list(fold_zero_factor(zero_factor(parse("x^8+x^4+x^3+x+1")), 3, 17))
         arrays[4] = last(arrays)
         monkeypatch.setattr(v, "_CENSUS_BLOCK_WINDOWS", 3 * 51)
         assert [lo for lo, _ in v._blocks(np.stack(arrays))] == [0, 3]
+        coded = []
+        block_codes = v._block_codes
+        monkeypatch.setattr(v, "_block_codes", lambda *a: coded.append(1) or block_codes(*a))
         got = window_census(arrays, 2, 4)
         assert got == reference_census(arrays, 2, 4)
         assert (got.witness.kind if got.witness else None) == kind
+        passes = 1 if kind != "duplicate-window" else 3 if byte_table else 2
+        assert len(coded) == 2 * passes
 
     def test_area23_code(self):
-        # 178,481 arrays of 1 x 47 in nine blocks
+        # 178,481 arrays of 1 x 47 in nine blocks; one flipped cell makes
+        # two windows read one code, and the witness names the second
         f = enumerate_irreducible(23, 47)[0]
         p = CodeParams(1, 47, 1, 23)
         grids = fold_zero_factor(zero_factor(f), 1, 47)
@@ -736,7 +778,13 @@ class TestBitTablePath:
         rep = window_census(grids, 1, 23, p)
         assert not rep.passed
         w = rep.witness
-        assert w.kind in ("zero-window", "duplicate-window")
+        assert (w.kind, w.message, w.array_index, w.position, w.code) == (
+            "duplicate-window",
+            "window code 786382 occurs more than once 2 times",
+            178480,
+            (0, 4),
+            786382,
+        )
         assert w.window_bits == format(w.code, "023b")
         cells = grids[w.array_index, 0]
         assert [int(cells[(w.position[1] + b) % 47]) for b in range(23)] == [
