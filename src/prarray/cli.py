@@ -140,7 +140,7 @@ def _cmd_construct(args):
     cls = _require_uniform(poly, args.r1, args.r2)
     if poly.degree > _ZERO_FACTOR_DEGREE_CAP:
         raise _UsageError(f"construct is capped at degree {_ZERO_FACTOR_DEGREE_CAP}")
-    # a header that verify would refuse is refused before the zero factor is walked
+    # a header that verify would refuse is refused before the zero factor is built
     header = None if args.n1 is None else CodeParams(args.r1, args.r2, args.n1, args.n2)
     if header is not None:
         if header.violation() is not None:
@@ -266,7 +266,7 @@ def _cmd_check_fold(args):
     if want in ("det", "all"):
         timed(criteria.det_test, factors, params)
     if want in ("census", "all"):
-        if timed(criteria._fold_census, poly, params) is None and want == "census":
+        if timed(criteria._fold_census, poly, params, cls.factors) is None and want == "census":
             raise _UsageError(
                 "census infeasible: window area or degree above the brute-force caps"
             )

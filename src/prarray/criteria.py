@@ -637,23 +637,24 @@ def conjecture_search(n1, n2, r1, r2, kmax):
 
 def _conjecture_entry(k, combo, product, params):
     verdict = det_test(list(combo), params)
-    census = _fold_census(product, params)
+    census = _fold_census(product, params, combo)
     agrees = None if census is None else census.passed == verdict.passed
     if agrees is False:
         raise InternalCheckError(f"determinant and census verdicts disagree for {product}")
     return ConjectureEntry(k, combo, product, verdict, agrees)
 
 
-def _fold_census(f, params):
+def _fold_census(f, params, factors):
     """Window census of the folded zero factor of f, whose exponent r1*r2
-    every caller has established, or None when the window area or deg(f)
-    is above the brute-force caps.  The grid oracle is imported here."""
+    and irreducible factors every caller has established, or None when
+    the window area or deg(f) is above the brute-force caps.  The grid
+    oracle is imported here."""
     if params.window_area > _CENSUS_AREA_CAP or f.degree > _ZERO_FACTOR_DEGREE_CAP:
         return None
     from .folding import fold_zero_factor
-    from .lfsr import _zero_factor_walk
+    from .lfsr import _coset_zero_factor
     from .verify import window_census
 
-    zf = _zero_factor_walk(f, params.r1 * params.r2)
+    zf = _coset_zero_factor(f, params.r1 * params.r2, factors)
     arrays = fold_zero_factor(zf, params.r1, params.r2)
     return window_census(arrays, params.n1, params.n2, params)

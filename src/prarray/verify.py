@@ -11,7 +11,7 @@ closure check.
 
 Each check takes a code as its (m, r1, r2) grid stack, or as 2-D
 grids of one shape that it stacks once, and reads the stack in
-blocks of whole arrays of about 2^20 windows.  A block's windows are
+blocks of whole arrays of about 2^18 windows.  A block's windows are
 coded row by row: the n2-bit code of each window row first, then n1
 row codes stacked into each window code, n1 + n2 shifted ORs in all.
 The census looks for a zero window in each block's codes.  Up to area
@@ -41,13 +41,15 @@ import numpy as np
 from .criteria import _CENSUS_AREA_CAP, CodeParams, VerdictReport, Witness
 from .folding import _grid_stack
 
-_CENSUS_BLOCK_WINDOWS = 1 << 20  # windows coded per block of whole arrays
+# windows coded per block of whole arrays: a block's 1 MiB of uint32
+# codes stays in cache through its shift-and-OR passes
+_CENSUS_BLOCK_WINDOWS = 1 << 18
 _BYTE_TABLE_AREA = 24  # largest census area decided by a byte occupancy table
 
 
 def _blocks(grids):
     """(first array, sub-stack) of each block of whole arrays of about
-    2^20 cells of an (m, r1, r2) grid stack."""
+    2^18 cells of an (m, r1, r2) grid stack."""
     per_block = max(1, _CENSUS_BLOCK_WINDOWS // (grids.shape[1] * grids.shape[2]))
     for lo in range(0, len(grids), per_block):
         yield lo, grids[lo : lo + per_block]
@@ -86,7 +88,7 @@ def _block_codes(grids, n1, n2):
 def window_census(arrays, n1, n2, params=None):
     """Slide all n1 x n2 windows; each nonzero pattern exactly once, zero never.
 
-    One pass codes the windows of blocks of whole arrays (about 2^20
+    One pass codes the windows of blocks of whole arrays (about 2^18
     windows a block) and checks each block for zeros.  Up to area 24 it
     marks the codes in a byte occupancy table, and 2^(n1*n2) - 1 marked
     bytes decide a pass.  Otherwise a witness pass sorts each block for

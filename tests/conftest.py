@@ -7,6 +7,7 @@ from prarray.gf2poly import (
     BinaryPolynomial,
     InternalCheckError,
     _bit_reverse,
+    _byte_tables,
     _cyclotomic_int,
     _degree,
     _divmod,
@@ -134,6 +135,60 @@ def walk_zero_factor(f):
         assert s == s0
         cycles.append(CyclicSequence(bits, k))
     return tuple(cycles)
+
+
+def numpy_walk_zero_factor(f, e):
+    """Reference zero factor as its (count, e) bit matrix, walked in
+    numpy blocks over a 2^n ``seen`` table: a block seeds one row at each
+    of the next unseen states, fills columns [L, 2L) with byte tables of
+    M^L applied to columns [0, L), for the step map M, and keeps the rows
+    whose seed is the row minimum.  Every state must be seen."""
+    n = f.degree
+    taps = np.uint32(_bit_reverse(f.bits >> 1, n))
+    top = np.uint32(n - 1)
+
+    def step(s):
+        return (s >> 1) | ((np.bitwise_count(s & taps) & 1).astype(np.uint32) << top)
+
+    def apply(tables, states):
+        out = tables[0][states & 0xFF]
+        for c, t in enumerate(tables[1:], 1):
+            out ^= t[(states >> (8 * c)) & 0xFF]
+        return out
+
+    images = step(np.uint32(1) << np.arange(n, dtype=np.uint32))
+    powers = []
+    while (1 << len(powers)) < e:
+        powers.append([np.array(t, dtype=np.uint32) for t in _byte_tables(images.tolist())])
+        images = apply(powers[-1], images)
+    count = ((1 << n) - 1) // e
+    seen = np.zeros(1 << n, dtype=bool)
+    seen[0] = True
+    blocks = []
+    found = 0
+    lo = 1
+    while found < count:
+        want = min(count - found, max(1, (1 << 20) // e))
+        span = 4 * want
+        seeds = np.flatnonzero(~seen[lo : lo + span])[:want]
+        while seeds.size < want and lo + span < seen.size:
+            span *= 4
+            seeds = np.flatnonzero(~seen[lo : lo + span])[:want]
+        seeds += lo
+        states = np.empty((seeds.size, e), dtype=np.uint32)
+        states[:, 0] = seeds
+        for level, tables in enumerate(powers):
+            done = 1 << level
+            width = min(done, e - done)
+            states[:, done : done + width] = apply(tables, states[:, :width])
+        states = states[states[:, 0] == states.min(axis=1)]
+        assert (step(states[:, -1]) == states[:, 0]).all()
+        seen[states] = True
+        blocks.append((states & 1).astype(np.uint8))
+        found += states.shape[0]
+        lo = int(seeds[0]) + 1
+    assert seen.all()
+    return np.concatenate(blocks)
 
 
 def mulmod(a, b, m):

@@ -440,7 +440,7 @@ class TestRefusedInputs:
         assert err == "error: fold needs positive dimensions, got -1 and -16777215\n"
 
     def test_construct_bad_header_before_zero_factor(self, capsys, monkeypatch):
-        # the degree-23 code of 178,481 arrays: its walk and fold took
+        # the degree-23 code of 178,481 arrays: building and folding it took
         # half a second before the header was refused
         from prarray import lfsr
 
@@ -448,7 +448,7 @@ class TestRefusedInputs:
             raise AssertionError("the zero factor was walked before the refusal")
 
         monkeypatch.setattr(lfsr, "zero_factor", walked)
-        monkeypatch.setattr(lfsr, "_zero_factor_walk", walked)
+        monkeypatch.setattr(lfsr, "_coset_zero_factor", walked)
         poly = prarray.enumerate_irreducible(23, 47)[0]
         code, out, err = run(
             capsys, "construct", "--poly", str(poly), "--r1", "1", "--r2", "47", "--n1", "0", "--n2", "23"

@@ -589,8 +589,8 @@ class TestOneFactorisation:
     """Each polynomial a call decides on is decided irreducible or not
     once, and only a reducible one is factored: classify runs Rabin's
     test first, vee's input gate hands its classes on, and the census of
-    check-fold and of each conjecture entry walks the zero factor at the
-    exponent r1*r2 that was established before it, with no
+    check-fold and of each conjecture entry builds the zero factor from
+    the exponent r1*r2 and the factors established before it, with no
     classification of its own."""
 
     @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
+import functools
+import itertools
+import operator
 import random
 
+import numpy as np
 import pytest
 from conftest import (
     bit,
     canonical,
     delay,
     least_period,
+    numpy_walk_zero_factor,
     reference_berlekamp_massey,
     repeat,
     seq,
@@ -15,13 +20,16 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prarray import lfsr
 from prarray.gf2poly import (
     BinaryPolynomial,
+    InternalCheckError,
     classify,
     enumerate_irreducible,
     exponent,
     is_irreducible,
     lcm,
+    ord2,
     parse,
 )
 from prarray.lfsr import CyclicSequence, berlekamp_massey, generate, zero_factor
@@ -138,7 +146,8 @@ class TestZeroFactor:
 
 
 class TestZeroFactorReference:
-    """The batched zero factor against the state-by-state walk."""
+    """The coset-seeded zero factor against the state-by-state walk and
+    the numpy walk over a table of seen states."""
 
     def test_every_uniform_polynomial_up_to_degree_10(self):
         kinds = set()
@@ -151,12 +160,120 @@ class TestZeroFactorReference:
             assert tuple(zero_factor(f).cycles) == walk_zero_factor(f), f
         assert "reducible-uniform" in kinds
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_every_uniform_polynomial_of_degree(self, n):
+        for bits in range(1 << n | 1, 1 << (n + 1), 2):
+            f = BinaryPolynomial(bits)
+            if classify(f).is_uniform:
+                assert tuple(zero_factor(f).cycles) == walk_zero_factor(f), f
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_every_uniform_polynomial_against_the_numpy_walk(self, n):
+        kinds = set()
+        for bits in range(1 << n | 1, 1 << (n + 1), 2):
+            f = BinaryPolynomial(bits)
+            cls = classify(f)
+            if cls.is_uniform:
+                kinds.add(cls.kind)
+                want = numpy_walk_zero_factor(f, cls.exponent)
+                assert np.array_equal(zero_factor(f).bits, want), f
+        assert kinds == ({"primitive"} if n == 13 else {"primitive", "INP", "reducible-uniform"})
+
+    @pytest.mark.parametrize("n, count", [(15, 20), (16, 155)])
+    def test_every_reducible_uniform_polynomial_against_the_numpy_walk(self, n, count):
+        # the products of k >= 2 distinct irreducibles of degree n/k
+        # sharing one exponent
+        products = []
+        for k in range(2, n // 2 + 1):
+            d = n // k
+            if n % k:
+                continue
+            for e in range(3, 1 << d):
+                if ((1 << d) - 1) % e == 0 and ord2(e) == d:
+                    for combo in itertools.combinations(enumerate_irreducible(d, e), k):
+                        products.append(functools.reduce(operator.mul, combo))
+        assert len(products) == count
+        for f in products:
+            cls = classify(f)
+            assert cls.kind == "reducible-uniform", f
+            want = numpy_walk_zero_factor(f, cls.exponent)
+            assert np.array_equal(zero_factor(f).bits, want), f
+
     def test_degree21_above_the_old_table_cap(self):
         # ord2(49) = 21: 42,799 cycles of 49 states
         f = enumerate_irreducible(21, 49)[0]
         zf = zero_factor(f)
         assert len(zf) == ((1 << 21) - 1) // 49
         assert tuple(zf.cycles) == walk_zero_factor(f)
+
+
+class TestZeroFactorChecks:
+    """Each check of the coset-seeded generator fails when its premise
+    is false."""
+
+    @pytest.mark.parametrize(
+        "poly, e",
+        # exponents 5 and 51: the one seed's row passes its seed again
+        # after 5 and 51 steps; 51 is a multiple of no prime of 255
+        [("x^4+x^3+x^2+x+1", 15), ("x^8+x^4+x^3+x+1", 255)],
+    )
+    def test_exponent_a_proper_multiple_of_the_period(self, poly, e):
+        f = parse(poly)
+        with pytest.raises(InternalCheckError, match=f"period {e}"):
+            lfsr._coset_zero_factor(f, e, [f])
+
+    def test_exponent_not_a_multiple_of_the_period(self):
+        f = parse("x^4+x+1")  # primitive: 5 steps do not close a row
+        with pytest.raises(InternalCheckError, match="does not close"):
+            lfsr._coset_zero_factor(f, 5, [f])
+
+    def test_exponent_not_dividing_2n_minus_1(self):
+        f = parse("x^4+x+1")
+        with pytest.raises(InternalCheckError, match="does not divide"):
+            lfsr._coset_zero_factor(f, 7, [f])
+
+    @pytest.mark.parametrize(
+        "poly, factors",
+        [
+            ("x^4+x+1", ["x^4+x^3+1"]),
+            ("x^6+x^5+x^4+x^2+1", ["x^3+x+1", "x^3+x^2+1"]),
+            ("x^8+x^7+x^5+x^4+x^3+x+1", ["x^4+x+1"]),
+            ("x^8+x^7+x^5+x^4+x^3+x+1", ["x^2+x+1", "x^6+x^5+x^4+x^2+1"]),
+        ],
+        ids=["other-irreducible", "other-product", "one-factor-short", "other-degrees"],
+    )
+    def test_factor_list_not_of_f(self, poly, factors):
+        f = parse(poly)
+        with pytest.raises(InternalCheckError, match="is not"):
+            lfsr._coset_zero_factor(f, classify(f).exponent, [parse(p) for p in factors])
+
+    def test_reducible_factor_puts_seeds_on_one_cycle(self):
+        # (x^4+x+1)(x^4+x^3+1) passed as its own single factor
+        f = parse("x^8+x^7+x^5+x^4+x^3+x+1")
+        with pytest.raises(InternalCheckError):
+            lfsr._coset_zero_factor(f, 15, [f])
+
+    def test_zero_seed(self, monkeypatch):
+        # x + 1 has one cycle of one state: a zero seed's row closes, and
+        # an exponent of 1 has no prime to check the period at
+        tables = lfsr._map_tables
+        monkeypatch.setattr(
+            lfsr, "_map_tables", lambda f, polys: (tables(f, polys)[0], np.zeros(len(polys), "<u4"))
+        )
+        with pytest.raises(InternalCheckError, match="one per cycle"):
+            zero_factor(parse("x+1"))
+
+    @pytest.mark.parametrize(
+        "poly",
+        # two irreducibles, and the product of the two of degree 6 and
+        # exponent 21: 3 cycles in each factor's space
+        ["x^6+x^5+x^4+x^2+1", "x^12+x^10+x^9+x+1", "x^12+x^11+x^9+x^8+x^6+x^4+x^3+x+1"],
+    )
+    def test_quotient_generator_x_puts_seeds_on_one_cycle(self, monkeypatch, poly):
+        # with beta = x every seed of a factor's space is on one cycle
+        monkeypatch.setattr(lfsr, "_quotient_generator", lambda p, e: 2)
+        with pytest.raises(InternalCheckError, match="one per cycle"):
+            zero_factor(parse(poly))
 
 
 class TestCyclesView:
