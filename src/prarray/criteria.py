@@ -64,7 +64,7 @@ from .gf2poly import (
 )
 from .lfsr import _ZERO_FACTOR_DEGREE_CAP, CyclicSequence, berlekamp_massey, generate
 
-_CENSUS_AREA_CAP = 28  # the census's occupancy table stays under 32 MiB
+_CENSUS_AREA_CAP = 28  # the census's byte occupancy table stays within 256 MiB
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,15 @@ grids of one shape that it stacks once, and reads the stack in
 blocks of whole arrays of about 2^18 windows.  A block's windows are
 coded row by row: the n2-bit code of each window row first, then n1
 row codes stacked into each window code, n1 + n2 shifted ORs in all.
-The census looks for a zero window in each block's codes.  Up to area
-24 it then marks the codes in a table of one byte per window pattern,
-and a code whose 2^(n1*n2) - 1 windows mark as many bytes passes after
-that one pass.  Any other code takes the witness pass, the only pass
-above area 24: it sorts each block's codes in place for repeats inside
-the block, and only a code of more than one block keeps a
-2^(n1*n2)-bit occupancy table, which later blocks meet and earlier
-blocks fill, bit by bit in place.  The witness is the first zero
-window, else the smallest repeated code with its count.  No code can
-be missing otherwise: the census first demands exactly 2^(n1*n2) - 1
-windows, and that many nonzero area-bit codes, no two alike, are all
-of them.
+The census looks for a zero window in each block's codes and marks
+them in a table of one byte per window pattern, and a code whose
+2^(n1*n2) - 1 windows mark as many bytes passes after that one pass.
+Any other code takes the witness pass: it sorts each block's codes in
+place for repeats inside the block, and meets the earlier blocks in
+the same table, cleared.  The witness is the first zero window, else
+the smallest repeated code with its count.  No code can be missing
+otherwise: the census first demands exactly 2^(n1*n2) - 1 windows,
+and that many nonzero area-bit codes, no two alike, are all of them.
 
 Window encoding: a window is read row-major from its top-left anchor
 and interpreted as a binary number, first-read bit most significant.
@@ -38,13 +35,12 @@ import itertools
 
 import numpy as np
 
-from .criteria import _CENSUS_AREA_CAP, CodeParams, VerdictReport, Witness
+from .criteria import _CENSUS_AREA_CAP, CodeParams, InternalCheckError, VerdictReport, Witness
 from .folding import _grid_stack
 
 # windows coded per block of whole arrays: a block's 1 MiB of uint32
 # codes stays in cache through its shift-and-OR passes
 _CENSUS_BLOCK_WINDOWS = 1 << 18
-_BYTE_TABLE_AREA = 24  # largest census area decided by a byte occupancy table
 
 
 def _blocks(grids):
@@ -89,14 +85,14 @@ def window_census(arrays, n1, n2, params=None):
     """Slide all n1 x n2 windows; each nonzero pattern exactly once, zero never.
 
     One pass codes the windows of blocks of whole arrays (about 2^18
-    windows a block) and checks each block for zeros.  Up to area 24 it
-    marks the codes in a byte occupancy table, and 2^(n1*n2) - 1 marked
-    bytes decide a pass.  Otherwise a witness pass sorts each block for
-    in-block repeats; a code of several blocks finds repeats across
-    them in a 2^(n1*n2)-bit occupancy table.  The witness is the first
-    zero window if there is one, else the second occurrence of the
-    smallest repeated code with its count (one more pass).  With the
-    window count right and neither, every nonzero code occurs.
+    windows a block), checks each block for zeros and marks its codes in
+    a byte occupancy table, and 2^(n1*n2) - 1 marked bytes decide a
+    pass.  Otherwise a witness pass sorts each block for in-block
+    repeats and meets the earlier blocks in the cleared table.  The
+    witness is the first zero window if there is one, else the second
+    occurrence of the smallest repeated code with its count (one more
+    pass).  With the window count right and neither, every nonzero code
+    occurs.
     """
     return _census(_grid_stack(arrays), n1, n2, params)
 
@@ -128,76 +124,54 @@ def _census(grids, n1, n2, params):
                 f"window count {total} != 2^{area} - 1 = {expected}",
             )
         )
-    cells = r1 * r2
 
     def window_witness(kind, message, idx, position, code):
         return Witness(kind, message, idx, position, format(code, f"0{area}b"), code)
 
-    def zero_window(lo, at):
-        idx, cell = divmod(at, cells)
-        return fail(window_witness("zero-window", "all-zero window present",
-                                   lo + idx, divmod(cell, r2), 0))
-
-    def passed():
-        # 2^area - 1 windows, none zero and no two alike, read every
-        # nonzero area-bit code: no code can be missing
-        detail["distinct_nonzero"] = expected
-        return VerdictReport("census", True, params, None, detail)
-
-    blocks = list(_blocks(grids))
-    if area <= _BYTE_TABLE_AREA:
-        # one byte per window pattern: 16 MiB at area 24
-        seen = np.zeros(1 << area, dtype=np.uint8)
-        for lo, block in blocks:
-            codes = _block_codes(block, n1, n2)
-            at = int(np.argmin(codes))
-            if codes[at] == 0:
-                return zero_window(lo, at)
-            seen[codes] = 1
-        # 2^area - 1 nonzero windows mark as many patterns only if no
-        # two alike; else the witness pass below names a repeat
-        if np.count_nonzero(seen) == expected:
-            return passed()
-        del seen
-    if len(blocks) > 1:
-        # one bit per window pattern: 32 MiB at the area cap of 28
-        table = np.zeros((expected >> 3) + 1, dtype=np.uint8)
-    repeats = []
-    for lo, block in blocks:
+    # one byte per window pattern: 256 MiB at the area cap of 28, about
+    # the size of the grid stack, whose 2^area - 1 cells the count demands
+    seen = np.zeros(1 << area, dtype=np.uint8)
+    for lo, block in _blocks(grids):
         codes = _block_codes(block, n1, n2)
         at = int(np.argmin(codes))
         if codes[at] == 0:
-            return zero_window(lo, at)
+            idx, cell = divmod(at, r1 * r2)
+            return fail(window_witness("zero-window", "all-zero window present",
+                                       lo + idx, divmod(cell, r2), 0))
+        seen[codes] = 1
+    # 2^area - 1 nonzero windows mark as many patterns only if no two
+    # alike, and then read every nonzero area-bit code
+    if np.count_nonzero(seen) == expected:
+        detail["distinct_nonzero"] = expected
+        return VerdictReport("census", True, params, None, detail)
+    # the witness pass: repeats inside each block by a sort, and across
+    # blocks by meeting the earlier ones in the cleared table
+    seen.fill(0)
+    repeats = []
+    for _, block in _blocks(grids):
+        codes = _block_codes(block, n1, n2)
         codes.sort()
         again = codes[1:] == codes[:-1]
         if again.any():
             repeats.append(int(codes[1:][again][0]))
-        if len(blocks) == 1:
-            continue
-        # the first block has nothing to meet in the table, and no block
-        # follows the last to meet what it would record
-        byte = codes >> 3
-        mask = np.left_shift(np.uint8(1), (codes & 7).astype(np.uint8))
-        if lo:
-            clash = table[byte] & mask
-            if clash.any():
-                repeats.append(int(codes[np.argmax(clash != 0)]))
-        if lo != blocks[-1][0]:
-            np.bitwise_or.at(table, byte, mask)
-    if repeats:
-        code = min(repeats)
-        hits = _occurrences(grids, n1, n2, [code])[0]
-        idx, i, j = hits[1]
-        return fail(
-            window_witness(
-                "duplicate-window",
-                f"window code {code} occurs more than once {len(hits)} times",
-                idx,
-                (i, j),
-                code,
-            )
+        clash = seen[codes]
+        if clash.any():
+            repeats.append(int(codes[np.argmax(clash)]))
+        seen[codes] = 1
+    if not repeats:
+        raise InternalCheckError("the occupancy table counted a repeat the witness pass did not find")
+    code = min(repeats)
+    hits = _occurrences(grids, n1, n2, [code])[0]
+    idx, i, j = hits[1]
+    return fail(
+        window_witness(
+            "duplicate-window",
+            f"window code {code} occurs more than once {len(hits)} times",
+            idx,
+            (i, j),
+            code,
         )
-    return passed()
+    )
 
 
 def shift_add_closure(arrays, params):

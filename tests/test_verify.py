@@ -13,6 +13,7 @@ from prarray import folding
 from prarray.folding import CodeParams, fold, fold_zero_factor, write_arrays
 from prarray.gf2poly import (
     BinaryPolynomial,
+    InternalCheckError,
     _divisors,
     classify,
     enumerate_irreducible,
@@ -20,7 +21,7 @@ from prarray.gf2poly import (
     is_irreducible,
     parse,
 )
-from prarray.lfsr import zero_factor
+from prarray.lfsr import generate, zero_factor
 from prarray.verify import (
     _CENSUS_AREA_CAP,
     VerdictReport,
@@ -642,14 +643,6 @@ class TestCensusReference:
     def test_whole_and_corrupted_codes(self, monkeypatch, one_array_blocks):
         self._check(monkeypatch, one_array_blocks)
 
-    @pytest.mark.parametrize("one_array_blocks", [False, True])
-    def test_whole_and_corrupted_codes_sort_path(self, monkeypatch, one_array_blocks):
-        # the path of areas 25-28 and of the witness of a repeat
-        import prarray.verify as v
-
-        monkeypatch.setattr(v, "_BYTE_TABLE_AREA", 0)
-        self._check(monkeypatch, one_array_blocks)
-
     def _check(self, monkeypatch, one_array_blocks):
         if one_array_blocks:
             import prarray.verify as v
@@ -691,66 +684,50 @@ TWO_BLOCK_CODES = (
 )
 
 
-class TestBitTablePath:
-    # the packed occupancy table of the sort path finds repeats across
-    # blocks; force one array per block and compare with one block, with
-    # the byte table on either, and with the reference
+class TestCensusBlocks:
+    # the witness pass finds repeats across blocks in the occupancy
+    # table; force one array per block and compare with one block and
+    # with the reference
     def _both(self, monkeypatch, arrays, n1, n2):
         import prarray.verify as v
 
         normal = window_census(arrays, n1, n2)
         monkeypatch.setattr(v, "_CENSUS_BLOCK_WINDOWS", 1)
-        packed = window_census(arrays, n1, n2)
-        monkeypatch.setattr(v, "_BYTE_TABLE_AREA", 0)
-        assert window_census(arrays, n1, n2) == packed
-        monkeypatch.undo()
-        monkeypatch.setattr(v, "_BYTE_TABLE_AREA", 0)
-        assert window_census(arrays, n1, n2) == normal
-        assert normal == packed == reference_census(arrays, n1, n2)
-        return normal, packed
+        split = window_census(arrays, n1, n2)
+        assert normal == split == reference_census(arrays, n1, n2)
+        return normal, split
 
     def test_agrees_on_pass(self, monkeypatch, prac_3x7):
-        normal, packed = self._both(monkeypatch, prac_3x7, 2, 3)
-        assert normal.passed and packed.passed
+        normal, split = self._both(monkeypatch, prac_3x7, 2, 3)
+        assert normal.passed and split.passed
 
     def test_agrees_on_zero_window(self, monkeypatch):
         arrays = [np.zeros((3, 5), dtype=np.uint8)]
-        normal, packed = self._both(monkeypatch, arrays, 2, 2)
-        assert not normal.passed and not packed.passed
-        assert normal.witness.kind == packed.witness.kind == "zero-window"
+        normal, split = self._both(monkeypatch, arrays, 2, 2)
+        assert not normal.passed and not split.passed
+        assert normal.witness.kind == split.witness.kind == "zero-window"
 
     def test_agrees_on_duplicates(self, monkeypatch, pra_3x5):
         bad = flip(pra_3x5, 0, 0)
-        normal, packed = self._both(monkeypatch, [bad], 2, 2)
-        assert not normal.passed and not packed.passed
-        assert normal.witness.kind == packed.witness.kind
+        normal, split = self._both(monkeypatch, [bad], 2, 2)
+        assert not normal.passed and not split.passed
+        assert normal.witness.kind == split.witness.kind
 
     def test_cross_array_duplicate(self, monkeypatch, prac_3x7):
         # swap one codeword for a shift of another: totals stay right,
         # but one window pattern now occurs twice
         a0, a1 = prac_3x7[:2]
         arrays = [a0, a1, shift(a1, 1, 2)]
-        normal, packed = self._both(monkeypatch, arrays, 2, 3)
-        assert not normal.passed and not packed.passed
-        assert normal.witness.kind == packed.witness.kind == "duplicate-window"
+        normal, split = self._both(monkeypatch, arrays, 2, 3)
+        assert not normal.passed and not split.passed
+        assert normal.witness.kind == split.witness.kind == "duplicate-window"
 
     @pytest.mark.parametrize(*TWO_BLOCK_CODES)
     def test_two_blocks(self, monkeypatch, last, kind):
-        self._two_blocks(monkeypatch, last, kind)
-
-    @pytest.mark.parametrize(*TWO_BLOCK_CODES)
-    def test_two_blocks_sort_path(self, monkeypatch, last, kind):
-        import prarray.verify as v
-
-        monkeypatch.setattr(v, "_BYTE_TABLE_AREA", 0)
-        self._two_blocks(monkeypatch, last, kind, byte_table=False)
-
-    def _two_blocks(self, monkeypatch, last, kind, byte_table=True):
-        # five 3 x 17 arrays in blocks of three and two.  On the sort
-        # path only the first block fills the bit table, and only the
-        # last block meets it.  A pass or a zero window codes each block
-        # once.  A repeat codes them again for the witness's occurrences,
-        # and the byte table codes them once more before the sort pass
+        # five 3 x 17 arrays in blocks of three and two.  A pass or a
+        # zero window codes each block once.  A repeat codes them again
+        # for the witness pass and once more for the witness's
+        # occurrences
         import prarray.verify as v
 
         arrays = list(fold_zero_factor(zero_factor(parse("x^8+x^4+x^3+x+1")), 3, 17))
@@ -763,8 +740,26 @@ class TestBitTablePath:
         got = window_census(arrays, 2, 4)
         assert got == reference_census(arrays, 2, 4)
         assert (got.witness.kind if got.witness else None) == kind
-        passes = 1 if kind != "duplicate-window" else 3 if byte_table else 2
-        assert len(coded) == 2 * passes
+        assert len(coded) == 2 * (3 if kind == "duplicate-window" else 1)
+
+    def test_witness_pass_that_finds_no_repeat_raises(self, monkeypatch, pra_3x5):
+        # the occupancy table counts a repeat; a witness pass that then
+        # reads distinct codes is a fault of the census, never a pass
+        import prarray.verify as v
+
+        bad = np.stack([flip(pra_3x5, 0, 0)])
+        block_codes = v._block_codes
+        calls = []
+
+        def codes(*args):
+            calls.append(1)
+            got = block_codes(*args)
+            return got if len(calls) == 1 else np.arange(1, len(got) + 1, dtype=got.dtype)
+
+        monkeypatch.setattr(v, "_block_codes", codes)
+        with pytest.raises(InternalCheckError, match="witness pass"):
+            window_census(bad, 2, 2)
+        assert len(calls) == 2
 
     def test_area23_code(self):
         # 178,481 arrays of 1 x 47 in nine blocks; one flipped cell makes
@@ -790,6 +785,28 @@ class TestBitTablePath:
         assert [int(cells[(w.position[1] + b) % 47]) for b in range(23)] == [
             int(c) for c in w.window_bits
         ]
+
+    def test_area25_m_sequence(self):
+        # one 1 x 33,554,431 array, above the 2^24 windows of any other
+        # test: it passes, and one flipped cell makes two windows read
+        # one code
+        f = parse("x^25+x^3+1")
+        e = (1 << 25) - 1
+        p = CodeParams(1, e, 1, 25)
+        grid = fold(generate(f, [1] + [0] * 24, e), 1, e)
+        assert window_census([grid], 1, 25, p).passed
+        grid = flip(grid, 0, 12345)
+        w = window_census([grid], 1, 25, p).witness
+        assert (w.kind, w.message, w.array_index, w.position, w.code) == (
+            "duplicate-window",
+            "window code 615235 occurs more than once 2 times",
+            0,
+            (0, 14639559),
+            615235,
+        )
+        assert w.window_bits == format(w.code, "025b")
+        cells = grid[0, np.arange(w.position[1], w.position[1] + 25) % e]
+        assert "".join(map(str, cells)) == w.window_bits
 
 
 class TestClosureAlwaysHolds:
