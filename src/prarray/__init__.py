@@ -7,16 +7,17 @@ criteria: a brute-force window census, shift-and-add closure, the
 set-polynomial divisibility test, and the determinant criterion in its
 trace form.
 
-It has two layers.  The int algebra (``gf2poly``, ``gf2field``,
-``lfsr``'s sequence operations and ``criteria``) works on Python ints
-and never imports numpy: the vee product, the classification of
-product constructions, enumeration by exponent and the rank criteria.
-The numpy grid oracle (``zero_factor``, ``folding`` and ``verify``:
-zero factors, folds, array files, the census and the closure) builds
-and checks whole codes, each one read-only (m, r1, r2) uint8 grid
-stack, an array being one (r1, r2) grid of it.  Its names are resolved
-here on first use, so ``import prarray`` leaves numpy unloaded until a
-caller reaches the oracle.
+It has two layers.  The int algebra (``gf2poly``, ``lfsr``'s sequence
+operations and ``criteria``) works on Python ints and never imports
+numpy: the vee product, the classification of product constructions,
+enumeration by exponent and the rank criteria.  The numpy grid oracle
+(``zero_factor``, ``folding`` and ``verify``: zero factors, folds,
+array files, the census and the closure) builds and checks whole codes,
+each one read-only (m, r1, r2) uint8 grid stack, an array being one
+(r1, r2) grid of it.  Its names are resolved here on first use, so
+``import prarray`` leaves numpy unloaded until a caller reaches the
+oracle.  ``gf2field`` (the class of x and its order) is imported by no
+module here; ``from prarray import gf2field`` loads it.
 """
 
 from importlib import import_module
@@ -37,7 +38,6 @@ from .gf2poly import (
     ord2,
     parse,
 )
-from .gf2field import FieldContext, FieldElement
 from .lfsr import CyclicSequence, ZeroFactor, berlekamp_massey, generate, zero_factor
 from .criteria import (
     CodeParams,
@@ -82,8 +82,6 @@ __all__ = [
     "CodeParams",
     "ConstructionRecord",
     "CyclicSequence",
-    "FieldContext",
-    "FieldElement",
     "InternalCheckError",
     "ParseError",
     "PolynomialClass",

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .criteria import CodeParams
-from .lfsr import CyclicSequence, _pack_rows
+from .lfsr import CyclicSequence, _pack_rows, _read_only
 
 
 def _check_cells(grids):
@@ -30,13 +30,6 @@ def _check_cells(grids):
     are not all 0 or 1."""
     if grids.dtype.kind not in "biu" or (grids.size and (grids.min() < 0 or grids.max() > 1)):
         raise ValueError("array cells must be 0 or 1")
-
-
-def _read_only(grid):
-    """A read-only view of grid, which owns its cells: numpy lets an
-    owner be made writeable again, but no view of a read-only owner."""
-    grid.flags.writeable = False
-    return grid.view()
 
 
 _NO_ARRAYS = _read_only(np.zeros((0, 0, 0), dtype=np.uint8))

@@ -11,19 +11,17 @@ one seed state per cycle from f's irreducible factors (a coset
 representative of each factor's cycles, plus any state of the later
 factors) and fills each seed's row in numpy blocks by doubling, with no
 per-state Python walk and no table of the states seen.
-``ZeroFactor.cycles`` is a read-only view that packs a row into a
-``CyclicSequence`` only when it is read; its length is the row count.
-``generate`` (from a seed given as a list of bits) and
-``berlekamp_massey`` (of a ``CyclicSequence``) work on ints alone, so
-numpy is imported only by the functions that build or pack a bit
-matrix.  ``generate`` divides the power series of the sequence by c(x)
-from the low end, four output bits a step through 16-entry tables of
-the multiples of c(x).
+``ZeroFactor.cycles`` is that matrix itself, row k being cycle k, so
+its length is the cycle count.  ``generate`` (from a seed given as a
+list of bits) and ``berlekamp_massey`` (of a ``CyclicSequence``) work
+on ints alone, so numpy is imported only by the functions that build
+or pack a bit matrix.  ``generate`` divides the power series of the
+sequence by c(x) from the low end, four output bits a step through
+16-entry tables of the multiples of c(x).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -88,8 +86,8 @@ class ZeroFactor:
 
     Jointly the cycles contain every nonzero deg(f)-tuple exactly once,
     so the cycle count times the exponent is 2^deg - 1.  ``bits`` holds
-    them as a read-only (count, exponent) matrix, and ``cycles`` reads
-    its rows as CyclicSequences.
+    them as a read-only (count, exponent) uint8 matrix, row k being
+    cycle k with its bit j in column j; ``cycles`` is the same matrix.
     """
 
     generator: BinaryPolynomial
@@ -100,40 +98,23 @@ class ZeroFactor:
         count, width = self.bits.shape
         if width != self.exponent or count * width != (1 << self.generator.degree) - 1:
             raise InternalCheckError("cycle count times exponent must be 2^n - 1")
-        # a view of a read-only owner cannot be made writeable again
-        owner = self.bits if self.bits.base is None else self.bits.copy()
-        owner.flags.writeable = False
-        object.__setattr__(self, "bits", owner.view())
+        object.__setattr__(self, "bits", _read_only(self.bits))
 
     @property
     def cycles(self):
-        return _Cycles(self.bits)
+        return self.bits
 
     def __len__(self):
         return self.bits.shape[0]
 
 
-class _Cycles(Sequence):
-    """The rows of a zero factor's bit matrix as a read-only sequence of
-    CyclicSequences, each packed when it is read; its length is the row
-    count, and nothing is kept."""
-
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits):
-        self._bits = bits
-
-    def __len__(self):
-        return self._bits.shape[0]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(_Cycles(self._bits[i]))
-        return CyclicSequence(_pack_rows(self._bits[i][None])[0], self._bits.shape[1])
-
-    def __iter__(self):
-        width = self._bits.shape[1]
-        return (CyclicSequence(b, width) for b in _pack_rows(self._bits))
+def _read_only(array):
+    """A read-only view of array, or of a copy of it if it is a view:
+    numpy lets an owner be made writeable again, but no view of a
+    read-only owner."""
+    owner = array if array.base is None else array.copy()
+    owner.flags.writeable = False
+    return owner.view()
 
 
 def _taps(f):

@@ -17,12 +17,13 @@ row codes stacked into each window code, n1 + n2 shifted ORs in all.
 The census looks for a zero window in each block's codes and marks
 them in a table of one byte per window pattern, and a code whose
 2^(n1*n2) - 1 windows mark as many bytes passes after that one pass.
-Any other code takes the witness pass: it sorts each block's codes in
-place for repeats inside the block, and meets the earlier blocks in
-the same table, cleared.  The witness is the first zero window, else
-the smallest repeated code with its count.  No code can be missing
-otherwise: the census first demands exactly 2^(n1*n2) - 1 windows,
-and that many nonzero area-bit codes, no two alike, are all of them.
+Any other code takes the witness pass: it sorts a copy of each
+block's codes for repeats inside the block, and meets the earlier
+blocks in the same table, cleared.  The witness is the first zero
+window, else the smallest repeated code with its count.  No code can
+be missing otherwise: the census first demands exactly 2^(n1*n2) - 1
+windows, and that many nonzero area-bit codes, no two alike, are all
+of them.
 
 Window encoding: a window is read row-major from its top-left anchor
 and interpreted as a binary number, first-read bit most significant.
@@ -90,9 +91,9 @@ def window_census(arrays, n1, n2, params=None):
     pass.  Otherwise a witness pass sorts each block for in-block
     repeats and meets the earlier blocks in the cleared table.  The
     witness is the first zero window if there is one, else the second
-    occurrence of the smallest repeated code with its count (one more
-    pass).  With the window count right and neither, every nonzero code
-    occurs.
+    occurrence of the smallest repeated code with its count, both kept
+    by the witness pass.  With the window count right and neither,
+    every nonzero code occurs.
     """
     return _census(_grid_stack(arrays), n1, n2, params)
 
@@ -144,32 +145,38 @@ def _census(grids, n1, n2, params):
     if np.count_nonzero(seen) == expected:
         detail["distinct_nonzero"] = expected
         return VerdictReport("census", True, params, None, detail)
-    # the witness pass: repeats inside each block by a sort, and across
-    # blocks by meeting the earlier ones in the cleared table
+    # the witness pass keeps the smallest repeat met so far, its count
+    # and its second occurrence: a sorted copy of each block finds the
+    # repeats inside it and counts that code, and the cleared table
+    # finds the repeats across blocks
     seen.fill(0)
-    repeats = []
-    for _, block in _blocks(grids):
+    best, count = 1 << area, 0  # no repeat yet
+    for lo, block in _blocks(grids):
         codes = _block_codes(block, n1, n2)
-        codes.sort()
-        again = codes[1:] == codes[:-1]
-        if again.any():
-            repeats.append(int(codes[1:][again][0]))
-        clash = seen[codes]
-        if clash.any():
-            repeats.append(int(codes[np.argmax(clash)]))
+        ordered = np.sort(codes)
+        repeat = seen[ordered] == 1
+        repeat[1:] |= ordered[1:] == ordered[:-1]
+        k = int(np.argmax(repeat))
+        if repeat[k] and ordered[k] < best:
+            # a repeat smaller than the last one met has at most one
+            # earlier occurrence, and its table byte says whether
+            best = int(ordered[k])
+            earlier = int(seen[best])
+            at = np.flatnonzero(codes == best)
+            count = earlier + at.size
+            idx, cell = divmod(int(at[1 - earlier]), r1 * r2)
+            second = lo + idx, divmod(cell, r2)
+        else:
+            count += int(np.searchsorted(ordered, best, "right") - np.searchsorted(ordered, best))
         seen[codes] = 1
-    if not repeats:
+    if not count:
         raise InternalCheckError("the occupancy table counted a repeat the witness pass did not find")
-    code = min(repeats)
-    hits = _occurrences(grids, n1, n2, [code])[0]
-    idx, i, j = hits[1]
     return fail(
         window_witness(
             "duplicate-window",
-            f"window code {code} occurs more than once {len(hits)} times",
-            idx,
-            (i, j),
-            code,
+            f"window code {best} occurs more than once {count} times",
+            *second,
+            best,
         )
     )
 
@@ -200,10 +207,21 @@ def _closure(grids, params):
     area = n1 * n2
     # after a passing census each nonzero code is read just once
     units = [hits[0] for hits in _occurrences(grids, n1, n2, [1 << k for k in range(area)])]
-    # B_k is array a moved up u rows and left v columns, for units[k] = (a, u, v)
-    basis = np.stack([np.roll(grids[a], (-u, -v), axis=(0, 1)) for a, u, v in units])
-    moved = (np.roll(block, 1, axis) for axis in (1, 2) for _, block in _blocks(basis))
-    packed_basis = np.packbits(basis.reshape(area, -1), axis=1)
+    # B_k is array a moved up u rows and left v columns, for units[k] =
+    # (a, u, v).  The B_k are kept packed, and unpacked again in stacks
+    # of about 2^18 cells to be moved one row down or one column right
+    r1, r2 = grids.shape[1:]
+    per_block = max(1, _CENSUS_BLOCK_WINDOWS // (r1 * r2))
+    starts = range(0, area, per_block)
+    packed_basis = np.concatenate(
+        [_packed_shifts(grids, units[lo : lo + per_block]) for lo in starts]
+    )
+
+    def unpacked(lo):
+        bits = np.unpackbits(packed_basis[lo : lo + per_block], axis=1, count=r1 * r2)
+        return bits.reshape(-1, r1, r2)
+
+    moved = (np.roll(unpacked(lo), 1, axis) for axis in (1, 2) for lo in starts)
     checked, witness = 0, None
     for vectors in itertools.chain((block for _, block in _blocks(grids)), moved):
         codes = _block_codes(vectors[:, :n1, :n2], n1, n2)[::area]  # read at (0, 0)
@@ -214,10 +232,17 @@ def _closure(grids, params):
         bad = np.flatnonzero((sums != packed).any(axis=1))
         if bad.size:
             checked += int(bad[0]) + 1
-            witness = _closure_witness(grids, n1, n2, int(codes[bad[0]]), units, basis)
+            witness = _closure_witness(grids, n1, n2, int(codes[bad[0]]), units, packed_basis)
             break
         checked += len(vectors)
     return VerdictReport("shift-add", witness is None, params, witness, {"checked": checked})
+
+
+def _packed_shifts(grids, spots):
+    """Array a moved up u rows and left v columns, for each (a, u, v) of
+    spots, its cells packed row-major into bytes: one row a spot."""
+    shifted = np.stack([np.roll(grids[a], (-u, -v), axis=(0, 1)) for a, u, v in spots])
+    return np.packbits(shifted.reshape(len(spots), -1), axis=1)
 
 
 def _occurrences(grids, n1, n2, targets):
@@ -234,7 +259,7 @@ def _occurrences(grids, n1, n2, targets):
     return [found[code] for code in targets]
 
 
-def _closure_witness(grids, n1, n2, code, units, basis):
+def _closure_witness(grids, n1, n2, code, units, packed_basis):
     """Two codewords and a shift whose sum is nonzero and no shifted
     codeword, for a code whose shift is not the sum of its B_k.
 
@@ -247,9 +272,9 @@ def _closure_witness(grids, n1, n2, code, units, basis):
     ks = [k for k in range(n1 * n2) if code >> k & 1]
     prefixes = [code & ((2 << k) - 1) for k in ks]
     spots = [hits[0] for hits in _occurrences(grids, n1, n2, prefixes)]
-    z = [np.roll(grids[a], (-u, -v), axis=(0, 1)) for a, u, v in spots]
+    z = [_packed_shifts(grids, [spot])[0] for spot in spots]
     for j in range(1, len(ks)):
-        if not np.array_equal(z[j], z[j - 1] ^ basis[ks[j]]):
+        if not np.array_equal(z[j], z[j - 1] ^ packed_basis[ks[j]]):
             (a1, u1, v1), (a2, u2, v2) = spots[j - 1], units[ks[j]]
             # z_(j-1) + B_k is array a1 + array a2 shifted by (u1-u2, v1-v2), moved by (-u1, -v1)
             dv, dh = (u1 - u2) % r1, (v1 - v2) % r2

@@ -114,6 +114,16 @@ def canonical(s):
     return best
 
 
+def cycles(zf):
+    """The rows of a zero factor's bit matrix as a tuple of cyclic
+    sequences, column k at bit k."""
+    width = zf.bits.shape[1]
+    return tuple(
+        CyclicSequence(int.from_bytes(np.packbits(row, bitorder="little"), "little"), width)
+        for row in zf.bits
+    )
+
+
 def walk_zero_factor(f):
     """Reference zero factor: walk the register state by state from
     each unseen state in increasing order.  A state holds

@@ -8,7 +8,7 @@ import math
 from contextlib import contextmanager
 from time import perf_counter
 
-from conftest import ACCEPTANCE_LOG, bit, canonical, column, grid_lines, row, seq
+from conftest import ACCEPTANCE_LOG, bit, canonical, column, cycles, grid_lines, row, seq
 
 from prarray.criteria import (
     classify_construction,
@@ -68,7 +68,7 @@ def test_criterion_02_three_cycle_code():
             "010000111101101010111",
             "001000110111111001110",
         ]
-        got = {canonical(c) for c in zf.cycles}
+        got = {canonical(c) for c in cycles(zf)}
         want = {canonical(seq(p)) for p in known}
         assert got == want
         arrays = fold_zero_factor(zf, 3, 7)

@@ -646,11 +646,13 @@ class TestImportLayers:
     def test_bare_import_and_every_public_name(self):
         proc = fresh(
             "import sys, prarray\n"
-            "print('numpy' in sys.modules)\n"
+            "print('numpy' in sys.modules, 'prarray.gf2field' in sys.modules)\n"
             "print([n for n in prarray.__all__ if getattr(prarray, n, None) is None])\n"
-            "print('numpy' in sys.modules)\n"
+            "print('numpy' in sys.modules, 'prarray.gf2field' in sys.modules)\n"
+            "from prarray import gf2field, parse\n"
+            "print(gf2field.FieldContext(parse('x^4+x+1')).alpha.order())\n"
         )
-        assert proc.stdout.splitlines() == ["False", "[]", "True"]
+        assert proc.stdout.splitlines() == ["False False", "[]", "True False", "15"], proc.stderr
 
     @staticmethod
     def digest(doc, **replace):

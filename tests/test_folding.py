@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     bit,
     column,
+    cycles,
     delay,
     grid_lines,
     least_rotation,
@@ -112,8 +113,8 @@ class TestFoldReference:
                 if math.gcd(r1, r2) != 1:
                     continue
                 folded = fold_zero_factor(zf, r1, r2)
-                assert same(folded, [reference_fold(c, r1, r2) for c in zf.cycles]), (f, r1)
-                assert same(folded, [fold(c, r1, r2) for c in zf.cycles]), (f, r1)
+                assert same(folded, [reference_fold(c, r1, r2) for c in cycles(zf)]), (f, r1)
+                assert same(folded, [fold(c, r1, r2) for c in cycles(zf)]), (f, r1)
                 checked += 1
         assert checked > 500
 
@@ -124,10 +125,10 @@ class TestFoldReference:
         zf = zero_factor(deg6_exp21[0])
         cached = _fold_indices.cache_info()
         grids = fold_zero_factor(zf, r1, r2)
-        one = fold(zf.cycles[0], r1, r2)
+        one = fold(cycles(zf)[0], r1, r2)
         assert _fold_indices.cache_info() == cached
-        assert same(grids, [reference_fold(c, r1, r2) for c in zf.cycles])
-        assert same(one, reference_fold(zf.cycles[0], r1, r2))
+        assert same(grids, [reference_fold(c, r1, r2) for c in cycles(zf)])
+        assert same(one, reference_fold(cycles(zf)[0], r1, r2))
         assert np.shares_memory(grids, zf.bits)
         for grid in (grids, grids[0], grids[-1], one):
             with pytest.raises(ValueError):
@@ -371,7 +372,7 @@ class TestCodeIsOneStack:
             with pytest.raises(ValueError):
                 grids.flags.writeable = True
         assert np.array_equal(folded, read)
-        assert same(folded, [fold(c, r1, r2) for c in zf.cycles])
+        assert same(folded, [fold(c, r1, r2) for c in cycles(zf)])
 
 
 class TestArrayFiles:

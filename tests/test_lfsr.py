@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     bit,
     canonical,
+    cycles,
     delay,
     least_period,
     numpy_walk_zero_factor,
@@ -84,19 +85,38 @@ class TestZeroFactor:
         zf = zero_factor(parse("x^6+x^5+x^4+x^2+1"))
         known = ["000001010010011001011", "010000111101101010111", "001000110111111001110"]
         assert zf.exponent == 21
-        assert canon_set(zf.cycles) == canon_set(seq(p) for p in known)
+        assert canon_set(cycles(zf)) == canon_set(seq(p) for p in known)
 
     def test_primitive_single_cycle(self):
         zf = zero_factor(parse("x^2+x+1"))
         assert len(zf.cycles) == 1
-        assert canonical(zf.cycles[0]) == canonical(seq("011"))
+        assert canonical(cycles(zf)[0]) == canonical(seq("011"))
 
     def test_nine_cycles(self):
         zf = zero_factor(parse("x^3+x^2+1") * parse("x^3+x+1"))
         assert len(zf.cycles) == 9 and zf.exponent == 7
-        names = canon_set(zf.cycles)
+        names = canon_set(cycles(zf))
         assert canonical(seq("0011101")) in names
         assert canonical(seq("0010111")) in names
+
+    def test_cycles_is_the_read_only_bit_matrix(self):
+        zf = zero_factor(parse("x^12+x^10+x^9+x+1"))  # 45 cycles of 91 states
+        assert zf.cycles is zf.bits and zf.bits.shape == (45, 91)
+        assert not zf.cycles.flags.writeable and len(zf.cycles) == len(zf) == 45
+        with pytest.raises(ValueError):
+            zf.cycles.flags.writeable = True
+
+    def test_matrix_given_as_a_view_is_copied(self):
+        f = parse("x^6+x^5+x^4+x^2+1")
+        owner = zero_factor(f).bits.copy()
+        view = owner[:]
+        zf = lfsr.ZeroFactor(f, 21, view)
+        assert owner.flags.writeable and view.flags.writeable
+        assert not zf.bits.flags.writeable and np.array_equal(zf.bits, owner)
+        with pytest.raises(ValueError):
+            zf.bits.flags.writeable = True
+        owner[0, 0] ^= 1
+        assert not np.array_equal(zf.bits, owner)
 
     def test_nonuniform_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +136,7 @@ class TestZeroFactor:
         n = f.degree
         windows = set()
         total = 0
-        for c in zf.cycles:
+        for c in cycles(zf):
             for k in range(len(c)):
                 w = tuple(bit(c, k + i) for i in range(n))
                 assert any(w), "zero window in a zero factor"
@@ -135,7 +155,7 @@ class TestZeroFactor:
         )
         zf = zero_factor(f)
         assert len(zf.cycles) == 1
-        c = zf.cycles[0]
+        c = cycles(zf)[0]
         windows = set()
         for k in range(len(c)):
             w = 0
@@ -157,7 +177,7 @@ class TestZeroFactorReference:
             if not cls.is_uniform:
                 continue
             kinds.add(cls.kind)
-            assert tuple(zero_factor(f).cycles) == walk_zero_factor(f), f
+            assert cycles(zero_factor(f)) == walk_zero_factor(f), f
         assert "reducible-uniform" in kinds
 
     @pytest.mark.parametrize("n", [11, 12])
@@ -165,7 +185,7 @@ class TestZeroFactorReference:
         for bits in range(1 << n | 1, 1 << (n + 1), 2):
             f = BinaryPolynomial(bits)
             if classify(f).is_uniform:
-                assert tuple(zero_factor(f).cycles) == walk_zero_factor(f), f
+                assert cycles(zero_factor(f)) == walk_zero_factor(f), f
 
     @pytest.mark.parametrize("n", [13, 14])
     def test_every_uniform_polynomial_against_the_numpy_walk(self, n):
@@ -204,7 +224,7 @@ class TestZeroFactorReference:
         f = enumerate_irreducible(21, 49)[0]
         zf = zero_factor(f)
         assert len(zf) == ((1 << 21) - 1) // 49
-        assert tuple(zf.cycles) == walk_zero_factor(f)
+        assert cycles(zf) == walk_zero_factor(f)
 
 
 class TestZeroFactorChecks:
@@ -276,46 +296,6 @@ class TestZeroFactorChecks:
             zero_factor(parse(poly))
 
 
-class TestCyclesView:
-    """``ZeroFactor.cycles`` reads rows of the bit matrix as
-    CyclicSequences only when they are read, and keeps none."""
-
-    def test_length_builds_no_sequence(self, monkeypatch):
-        built = []
-        init = CyclicSequence.__init__
-        monkeypatch.setattr(
-            CyclicSequence, "__init__", lambda self, *args: built.append(args) or init(self, *args)
-        )
-        zf = zero_factor(parse("x^12+x^10+x^9+x+1"))  # 45 cycles of 91 states
-        assert len(zf.cycles) == 45 and built == []
-        assert zf.cycles[-1] == zf.cycles[44] and len(built) == 2
-        assert len(tuple(zf.cycles)) == 45 and len(built) == 47
-        assert len(zf.cycles) == 45 and len(built) == 47
-        assert "cycles" not in vars(zf)
-
-    @pytest.mark.parametrize(
-        "poly",
-        # two irreducibles, and (x^4+x+1)(x^4+x^3+1): 17 cycles of 15
-        ["x^6+x^5+x^4+x^2+1", "x^12+x^10+x^9+x+1", "x^8+x^7+x^5+x^4+x^3+x+1"],
-    )
-    def test_reads_match_the_walk(self, poly):
-        f = parse(poly)
-        want = walk_zero_factor(f)
-        cycles = zero_factor(f).cycles
-        m = len(want)
-        assert len(cycles) == m and tuple(cycles) == want and list(cycles) == list(want)
-        assert [cycles[i] for i in range(-m, m)] == [want[i] for i in range(-m, m)]
-        for part in (slice(None), slice(1, 4), slice(-2, None), slice(None, None, -2),
-                     slice(3, 1), slice(m, None)):
-            assert cycles[part] == want[part], part
-        for i in (m, -m - 1):
-            with pytest.raises(IndexError):
-                cycles[i]
-        assert want[-1] in cycles and cycles.index(want[-1]) == m - 1
-        with pytest.raises(TypeError):
-            cycles[0] = want[0]
-
-
 class TestBitOps:
     """Sums of sequences, bit by bit on their packed ints: the sequences
     of f are closed under sums, and sums of periodic sequences satisfy
@@ -365,7 +345,7 @@ class TestBitOps:
         e = exponent(f1) * exponent(f2)
         zf = zero_factor(g)
         assert zf.exponent == e
-        for c in zf.cycles:
+        for c in cycles(zf):
             assert least_period(c) == e
 
 

@@ -725,9 +725,9 @@ class TestCensusBlocks:
     @pytest.mark.parametrize(*TWO_BLOCK_CODES)
     def test_two_blocks(self, monkeypatch, last, kind):
         # five 3 x 17 arrays in blocks of three and two.  A pass or a
-        # zero window codes each block once.  A repeat codes them again
-        # for the witness pass and once more for the witness's
-        # occurrences
+        # zero window codes each block once.  A repeat codes them once
+        # more for the witness pass, which also counts and places the
+        # witness
         import prarray.verify as v
 
         arrays = list(fold_zero_factor(zero_factor(parse("x^8+x^4+x^3+x+1")), 3, 17))
@@ -740,7 +740,25 @@ class TestCensusBlocks:
         got = window_census(arrays, 2, 4)
         assert got == reference_census(arrays, 2, 4)
         assert (got.witness.kind if got.witness else None) == kind
-        assert len(coded) == 2 * (3 if kind == "duplicate-window" else 1)
+        assert len(coded) == 2 * (2 if kind == "duplicate-window" else 1)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.5, 0.8, 0.95]),
+        st.sampled_from([1, 3 * 51, 1 << 18]),
+    )
+    def test_random_codes_against_the_reference(self, seed, ones, per_block):
+        # five random 3 x 17 arrays under 2 x 4 windows, in blocks of
+        # one, three or five arrays: codes repeat up to 255 times, and a
+        # smaller repeat often turns up in a later block than the last
+        import prarray.verify as v
+
+        grids = (np.random.default_rng(seed).random((5, 3, 17)) < ones).astype(np.uint8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(v, "_CENSUS_BLOCK_WINDOWS", per_block)
+            got = window_census(grids, 2, 4)
+        assert got == reference_census(grids, 2, 4)
 
     def test_witness_pass_that_finds_no_repeat_raises(self, monkeypatch, pra_3x5):
         # the occupancy table counts a repeat; a witness pass that then
